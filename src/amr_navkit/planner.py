@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidEndpoint, NoPathFound, OffPath
 from .geometry import Pose2, se2_relative, wrap_angle
-from .scene import Scene, collision_check, collision_mask, sweep_collision_check
+from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
 
 LIN_STEP = 0.01  # dense-state spacing, meters
 ANG_STEP = math.radians(1.0)  # dense-state spacing, radians
 COST_STEP = 0.025  # quadrature spacing for the look-at penalty, meters
+K_NEIGHBORS = 8  # nearest roadmap vertices each vertex connects to
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class CostWeights:
 class PlannerBudget:
     batches: int = 4
     batch_size: int = 24
-    time_limit_s: float | None = None
 
 
 @dataclass
@@ -204,10 +203,17 @@ class _Roadmap:
         self.poses: list[Pose2] = []
         self._conn: dict[tuple[int, int], tuple[float, list[PathSegment]]] = {}
         self._valid: dict[tuple[int, int], bool] = {}
+        self._to_goal: list[float] = []
 
     def add(self, pose: Pose2) -> int:
         self.poses.append(pose)
         return len(self.poses) - 1
+
+    def heuristic(self) -> list[float]:
+        """Rotate-translate distance from every vertex to the goal (vertex 1)."""
+        goal = self.poses[1]
+        self._to_goal.extend(rs0_distance(p, goal, self.w) for p in self.poses[len(self._to_goal):])
+        return self._to_goal
 
     def connection(self, i: int, j: int) -> tuple[float, list[PathSegment]]:
         key = (i, j)
@@ -216,18 +222,31 @@ class _Roadmap:
             self._conn[key] = (segments_cost(self.poses[i], segs, self.target, self.w), segs)
         return self._conn[key]
 
-    def edge_free(self, i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
-        if key not in self._valid:
+    def connection_cost(self, i: int, j: int, limit: float) -> float:
+        """Cost of the i->j connection, or inf when it cannot be below ``limit``.
+
+        The look-at term is nonnegative, so the cost is at least the
+        rotate-translate distance; when that already reaches ``limit`` (with a
+        1e-9 rounding allowance) the look-at integral is not computed.
+        """
+        known = self._conn.get((i, j))
+        if known is not None:
+            return known[0]
+        if rs0_distance(self.poses[i], self.poses[j], self.w) >= limit + 1e-9:
+            return math.inf
+        return self.connection(i, j)[0]
+
+    def edges_free(self, i: int, js: list[int]) -> list[bool]:
+        """Whether each edge i-j is collision-free; unswept edges go in one batch."""
+        keys = [(min(i, j), max(i, j)) for j in js]
+        new = [key for key in keys if key not in self._valid]
+        if new:
+            p0 = np.array([[self.poses[a].x, self.poses[a].y] for a, _ in new])
+            p1 = np.array([[self.poses[b].x, self.poses[b].y] for _, b in new])
             # sweep at an inflated radius so every pose between samples is free
-            self._valid[key] = not sweep_collision_check(
-                self.scene,
-                self.poses[key[0]],
-                self.poses[key[1]],
-                self.radius + self.step / 2,
-                self.step,
-            )
-        return self._valid[key]
+            hits = sweep_collision_checks(self.scene, p0, p1, self.radius + self.step / 2, self.step)
+            self._valid.update(zip(new, (not hit for hit in hits.tolist())))
+        return [self._valid[key] for key in keys]
 
 
 def _neighbor_lists(positions: np.ndarray, k: int) -> list[set[int]]:
@@ -238,10 +257,11 @@ def _neighbor_lists(positions: np.ndarray, k: int) -> list[set[int]]:
     d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     np.fill_diagonal(d, np.inf)
     kk = min(k, n - 1)
-    for i in range(n):
-        for j in np.argpartition(d[i], kk - 1)[:kk]:
-            nbrs[i].add(int(j))
-            nbrs[int(j)].add(i)
+    nearest = np.argpartition(d, kk - 1, axis=1)[:, :kk].tolist()
+    for i, row in enumerate(nearest):
+        for j in row:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
     nbrs[0].add(1)
     nbrs[1].add(0)
     return nbrs
@@ -249,24 +269,34 @@ def _neighbor_lists(positions: np.ndarray, k: int) -> list[set[int]]:
 
 def _shortest_path(rm: _Roadmap, nbrs: list[set[int]]) -> tuple[float, list[int]]:
     """A* from vertex 0 to vertex 1; the rotate-translate metric is the
-    heuristic (it lower-bounds any path cost, so the search stays exact)."""
+    heuristic (it lower-bounds any path cost, so the search stays exact).
+
+    Each expansion first finds the neighbors whose connection would improve
+    their distance, then sweeps those edges in one batch and relaxes them in
+    neighbor order. Relaxing one neighbor never changes another's test, so
+    this pushes exactly what edge-by-edge relaxation would.
+    """
     n = len(rm.poses)
-    goal = rm.poses[1]
-    h = [rs0_distance(p, goal, rm.w) for p in rm.poses]
+    h = rm.heuristic()
     dist = [math.inf] * n
     prev = [-1] * n
     dist[0] = 0.0
     heap = [(h[0], 0)]
     while heap:
         f, u = heapq.heappop(heap)
-        if f > dist[u] + h[u] + 1e-12:
+        du = dist[u]
+        if f > du + h[u] + 1e-12:
             continue
         if u == 1:
             break
+        better = []
         for v in nbrs[u]:
-            c, _ = rm.connection(u, v)
-            nd = dist[u] + c
-            if nd < dist[v] - 1e-12 and rm.edge_free(u, v):
+            nd = du + rm.connection_cost(u, v, dist[v] - 1e-12 - du)
+            if nd < dist[v] - 1e-12:
+                better.append((v, nd))
+        free = rm.edges_free(u, [v for v, _ in better])
+        for (v, nd), ok in zip(better, free):
+            if ok:
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd + h[v], v))
@@ -312,7 +342,6 @@ def plan(
     budget: PlannerBudget | int = PlannerBudget(),
     seed: int = 0,
     validation_step: float = LIN_STEP,
-    k_neighbors: int = 8,
 ) -> PlannedPath:
     """Anytime informed batch-sampling planner over SE(2).
 
@@ -344,7 +373,6 @@ def plan(
                 rm.add(pose)
     lower_bound = rs0_distance(start, goal, w)
     best_cost, best_chain = math.inf, []
-    deadline = None if budget.time_limit_s is None else time.monotonic() + budget.time_limit_s
 
     for _ in range(max(1, budget.batches)):
         informed = None
@@ -365,13 +393,11 @@ def plan(
                     rm.add(Pose2(float(pt[0]), float(pt[1]), float(h)))
 
         positions = np.array([[p.x, p.y] for p in rm.poses])
-        nbrs = _neighbor_lists(positions, k_neighbors)
+        nbrs = _neighbor_lists(positions, K_NEIGHBORS)
         cost, chain = _shortest_path(rm, nbrs)
         if cost < best_cost:
             best_cost, best_chain = cost, chain
         if best_cost <= lower_bound + 1e-9:
-            break
-        if deadline is not None and time.monotonic() > deadline:
             break
 
     if not best_chain:

@@ -217,23 +217,105 @@ def clearance(scene: Scene, pose: Pose2, radius: float) -> float:
     return float(obstacle_distances(scene, np.array([[pose.x, pose.y]]))[0]) - radius
 
 
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def _segment_box_distances(
+    p0: np.ndarray, p1: np.ndarray, centers, halves, cy, sy
+) -> np.ndarray:
+    """Exact distance from each segment p0->p1 (E, 2) to each box; (E, B).
+
+    In box-local coordinates the box is an axis-aligned rectangle. A segment
+    that crosses it is at distance 0; otherwise the closest pair involves a
+    segment endpoint or a rectangle corner (Ericson, Real-Time Collision
+    Detection, ch. 5).
+    """
+
+    def local(p):  # (E, B, 2)
+        d = p[:, None, :] - centers
+        return np.stack([d[..., 0] * cy + d[..., 1] * sy, d[..., 1] * cy - d[..., 0] * sy], axis=-1)
+
+    a = local(p0)
+    d = local(p1) - a
+    ends = np.maximum(np.abs(np.stack([a, a + d])) - halves, 0.0)
+    best = np.sqrt((ends * ends).sum(axis=-1)).min(axis=0)
+
+    # corner k to its closest segment point a + t d (t = 0 when d = 0)
+    rel = (halves[:, None, :] * _CORNER_SIGNS)[None] - a[:, :, None, :]  # (E, B, 4, 2)
+    dd = (d * d).sum(axis=-1)
+    t = (rel * d[:, :, None, :]).sum(axis=-1) / np.where(dd > 0.0, dd, 1.0)[..., None]
+    gap = np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None, :] - rel
+    best = np.minimum(best, np.sqrt((gap * gap).sum(axis=-1)).min(axis=-1))
+
+    # Liang-Barsky clip of the segment (t in [0, 1]) against the rectangle
+    flat = np.abs(d) < 1e-15
+    inside = np.abs(a) <= halves
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-halves - a) / d
+        t2 = (halves - a) / d
+    lo = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2)).max(axis=-1)
+    hi = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2)).min(axis=-1)
+    crosses = np.maximum(lo, 0.0) <= np.minimum(hi, 1.0)
+    return np.where(crosses, 0.0, best)
+
+
+def _sampled_sweep(
+    scene: Scene, p0: np.ndarray, p1: np.ndarray, radius: float, step: float
+) -> bool:
+    """Disc collision at positions sampled along p0->p1 at spacing <= step."""
+    x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
+    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step)))
+    t = np.linspace(0.0, 1.0, n + 1)
+    pts = np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=1)
+    return bool(collision_mask(scene, pts, radius).any())
+
+
+def sweep_collision_checks(
+    scene: Scene, p0: np.ndarray, p1: np.ndarray, radius: float, step: float = 0.01
+) -> np.ndarray:
+    """Collision verdicts (E,) for straight disc sweeps p0[e] -> p1[e], (E, 2) each.
+
+    The verdict is that of sampling each sweep at arc-length spacing <= step,
+    endpoints included, and testing a disc at every sample. It is decided
+    from the exact segment-to-obstacle distance d whenever that is
+    conclusive: d >= radius + 1e-9 means every sample is free, and
+    d < radius - step/2 - 1e-9 means the sample nearest the closest point
+    (at most step/2 away; the distance is 1-Lipschitz) collides. Only sweeps
+    in the band between are sampled.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
+    p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
+    centers, halves, cy, sy = scene._box_params
+    b = scene.bounds
+    # the room-edge distance is linear along a segment: its minimum is at an end
+    d = np.minimum.reduce(
+        [np.minimum(p[:, 0] - b.xmin, b.xmax - p[:, 0]) for p in (p0, p1)]
+        + [np.minimum(p[:, 1] - b.ymin, b.ymax - p[:, 1]) for p in (p0, p1)]
+    )
+    if centers.size:
+        d = np.minimum(d, _segment_box_distances(p0, p1, centers, halves, cy, sy).min(axis=1))
+    hit = d < radius - step / 2 - 1e-9
+    for e in np.flatnonzero(~hit & (d < radius + 1e-9)):
+        hit[e] = _sampled_sweep(scene, p0[e], p1[e], radius, step)
+    return hit
+
+
 def sweep_collision_check(
     scene: Scene, start: Pose2, end: Pose2, radius: float, step: float = 0.01
 ) -> bool:
     """Collision verdict along a straight position sweep from start to end.
 
     Positions are linearly interpolated (headings slerped, irrelevant to a
-    disc footprint) at arc-length spacing <= step, endpoints included.
+    disc footprint) at arc-length spacing <= step, endpoints included; see
+    ``sweep_collision_checks``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    dist = math.hypot(end.x - start.x, end.y - start.y)
-    n = max(1, int(math.ceil(dist / step)))
-    t = np.linspace(0.0, 1.0, n + 1)
-    pts = np.stack(
-        [start.x + t * (end.x - start.x), start.y + t * (end.y - start.y)], axis=1
+    return bool(
+        sweep_collision_checks(
+            scene, np.array([[start.x, start.y]]), np.array([[end.x, end.y]]), radius, step
+        )[0]
     )
-    return bool(collision_mask(scene, pts, radius).any())
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +375,31 @@ def segment_blocked(scene: Scene, a: np.ndarray, b: np.ndarray, skip_box: Orient
 
     ``skip_box`` excludes one box (used for self-occlusion-free visibility).
     """
+    return bool(_sight_lines_blocked(scene, a, np.asarray(b)[None, :], skip_box)[0])
+
+
+def _sight_lines_blocked(
+    scene: Scene, a: np.ndarray, pts: np.ndarray, skip_box: OrientedBox | None
+) -> np.ndarray:
+    """``segment_blocked`` for every open segment a->pts[k], (K, 2); (K,) bool."""
+    blocked = np.zeros(len(pts), dtype=bool)
     centers, halves, cy, sy = scene._box_params
     if skip_box is not None:
         boxes = scene.walls + [o.box for o in scene.objects]
-        keep = np.array([bx is not skip_box for bx in boxes])
+        keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
         centers, halves, cy, sy = centers[keep], halves[keep], cy[keep], sy[keep]
     if not centers.size:
-        return False
-    d = b - a
-    dist = np.linalg.norm(d)
-    if dist < 1e-12:
-        return False
-    entry = _ray_box_entries(a, (d / dist)[None, :], centers, halves, cy, sy)
-    return bool((entry.min() < dist - 1e-9))
+        return blocked
+    d = pts - a[None, :]
+    # each length is the norm of its own vector, as for a single line: a
+    # batched sum of squares can differ in the last bit and flip a grazing
+    # sight line, so a line's verdict would depend on its batch
+    dist = np.array([np.linalg.norm(v) for v in d])
+    far = dist >= 1e-12
+    if far.any():
+        entry = _ray_box_entries(a, d[far] / dist[far, None], centers, halves, cy, sy)
+        blocked[far] = entry.min(axis=1) < dist[far] - 1e-9
+    return blocked
 
 
 def visible_from(
@@ -328,13 +422,12 @@ def visible_from(
     local = np.stack([gx.ravel(), gy.ravel()], axis=1)
     world = target.box.center + local @ rot2(target.box.yaw).T
     cam = np.array([camera_pose.x, camera_pose.y])
-    seen = 0
-    for pt in world:
-        bearing = math.atan2(pt[1] - cam[1], pt[0] - cam[0])
-        if abs(wrap_angle(bearing - camera_pose.heading)) > hfov / 2:
-            continue
-        if not segment_blocked(scene, cam, pt, skip_box=target.box):
-            seen += 1
+    in_fov = [
+        abs(wrap_angle(math.atan2(pt[1] - cam[1], pt[0] - cam[0]) - camera_pose.heading)) <= hfov / 2
+        for pt in world
+    ]
+    blocked = _sight_lines_blocked(scene, cam, world[in_fov], target.box)
+    seen = int((~blocked).sum())
     return seen >= fraction * len(world)
 
 
