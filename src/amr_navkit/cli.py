@@ -58,6 +58,13 @@ def _task_seed(master_seed: int, index: int) -> int:
     return master_seed * 1_000_000 + index
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_scene_dir(scenes_dir: str):
     paths = sorted(Path(scenes_dir).glob("scene_*.json"))
     if not paths:
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run a closed-loop evaluation sweep")
     p.add_argument("--scenes", required=True, help="directory of scene_*.json")
-    p.add_argument("--n-tasks", type=int, default=50)
+    p.add_argument("--n-tasks", type=_positive_int, default=50)
     p.add_argument("--policy", choices=sorted(_POLICIES), default="oracle")
     p.add_argument("--out", required=True, help="report base path (writes .json/.csv/.traces.jsonl)")
     p.set_defaults(func=cmd_eval)
@@ -306,7 +313,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, master_seed=args.seed)
         if args.workers is not None:
             cfg = replace(cfg, workers=args.workers)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError) as err:
         log.error("config error: %s", err)
         return 2
     try:

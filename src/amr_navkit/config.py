@@ -50,6 +50,10 @@ class OracleParams:
     v_ref: float = 0.5
     omega_ref: float = 1.0
 
+    def __post_init__(self):
+        if not (0 < self.v_ref < math.inf and 0 < self.omega_ref < math.inf):
+            raise ValueError("oracle v_ref and omega_ref must be finite and positive")
+
 
 @dataclass(frozen=True)
 class CameraParams:
@@ -110,6 +114,15 @@ def _section_from_dict(cls, d: dict, where: str):
     return cls(**d)
 
 
+def _check_finite(cfg: RunConfig) -> RunConfig:
+    """Reject NaN and infinite values, which json parses but no field accepts."""
+    for name in _SECTIONS:
+        for field, value in dataclasses.asdict(getattr(cfg, name)).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config value {name}.{field} must be finite, got {value}")
+    return cfg
+
+
 def config_from_dict(d: dict) -> RunConfig:
     known = set(_SECTIONS) | {"master_seed", "workers"}
     unknown = set(d) - known
@@ -123,7 +136,7 @@ def config_from_dict(d: dict) -> RunConfig:
     for name, cls in _SECTIONS.items():
         if name in d:
             kwargs[name] = _section_from_dict(cls, d[name], name)
-    return RunConfig(**kwargs)
+    return _check_finite(RunConfig(**kwargs))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -150,7 +163,7 @@ def _parse_scalar(raw: str, hint) -> object:
         value = raw
     if hint is int and not isinstance(value, bool):
         return int(value)
-    if hint is float and isinstance(value, (int, float)):
+    if hint is float:
         return float(value)
     return value
 
@@ -180,7 +193,7 @@ def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:
                 break
         if not matched:
             raise ValueError(f"env override {key} names no config section")
-    return cfg
+    return _check_finite(cfg)
 
 
 def config_hash(cfg: RunConfig) -> str:

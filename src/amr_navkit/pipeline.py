@@ -369,7 +369,17 @@ def record_to_dict(record: EpisodeRecord) -> dict:
                     "max_range": kf.lidar.max_range,
                     "ranges": kf.lidar.ranges.tolist(),
                 },
-                "expert_steps": [asdict(s) for s in kf.expert_steps],
+                "expert_steps": [
+                    {
+                        "psi_bin": s.psi_bin,
+                        "r_bin": s.r_bin,
+                        "phi_bin": s.phi_bin,
+                        "psi_res": s.psi_res,
+                        "r_res": s.r_res,
+                        "phi_res": s.phi_res,
+                    }
+                    for s in kf.expert_steps
+                ],
                 "expert_tilt_target": kf.expert_tilt_target,
             }
             for kf in record.keyframes

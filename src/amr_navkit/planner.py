@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,19 @@ class PlannedPath:
     segments: list[PathSegment]
     states: np.ndarray  # (n, 3) rows of x, y, heading
     cost: float
+
+    @cached_property
+    def step_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Length and absolute turn of each consecutive state pair, (n-1,) each.
+
+        Computed once per path on first use; ``states`` must not change after.
+        """
+        rows = self.states.tolist()
+        lengths, turns = [], []
+        for (x0, y0, h0), (x1, y1, h1) in zip(rows, rows[1:]):
+            lengths.append(math.hypot(x1 - x0, y1 - y0))
+            turns.append(abs(wrap_angle(h1 - h0)))
+        return np.array(lengths), np.array(turns)
 
 
 def apply_segment(pose: Pose2, seg: PathSegment) -> Pose2:
@@ -444,8 +458,13 @@ def waypoints_from_path(
     The remaining path (from the projection of ``current``) is traversed at
     v_ref / omega_ref and sampled every dt; each sample is expressed in its
     predecessor's frame (the first relative to ``current``), and the final
-    pose is held once the path ends.
+    pose is held once the path ends. Step lengths and turns are sliced from
+    the path's ``step_table``, so labelling many poses on one path is linear
+    in its length. Raises ValueError unless v_ref and omega_ref are finite
+    and positive.
     """
+    if not (0 < v_ref < math.inf and 0 < omega_ref < math.inf):
+        raise ValueError("v_ref and omega_ref must be finite and positive")
     if v_ref * dt > 0.2 + 1e-12:
         raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
     states = path.states
@@ -455,11 +474,10 @@ def waypoints_from_path(
         raise OffPath(f"pose projects {math.sqrt(d2[proj]):.3f} m from the path")
 
     rem = states[proj:]
-    durations = np.empty(max(len(rem) - 1, 0))
-    for i in range(len(rem) - 1):
-        ds = math.hypot(rem[i + 1, 0] - rem[i, 0], rem[i + 1, 1] - rem[i, 1])
-        dh = abs(wrap_angle(rem[i + 1, 2] - rem[i, 2]))
-        durations[i] = ds / v_ref if ds > 1e-12 else dh / omega_ref
+    lengths, turns = path.step_table
+    ds, dh = lengths[proj:], turns[proj:]
+    # the sum restarts at proj: a global cumsum minus its prefix rounds differently
+    durations = np.where(ds > 1e-12, ds / v_ref, dh / omega_ref)
     tau = np.concatenate([[0.0], np.cumsum(durations)])
 
     world: list[Pose2] = []

@@ -250,9 +250,11 @@ def _segment_box_distances(
     # Liang-Barsky clip of the segment (t in [0, 1]) against the rectangle
     flat = np.abs(d) < 1e-15
     inside = np.abs(a) <= halves
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-halves - a) / d
-        t2 = (halves - a) / d
+    # flat axes are decided by ``inside``; dividing by 1 there keeps a
+    # zero or subnormal d from overflowing
+    safe_d = np.where(flat, 1.0, d)
+    t1 = (-halves - a) / safe_d
+    t2 = (halves - a) / safe_d
     lo = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2)).max(axis=-1)
     hi = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2)).min(axis=-1)
     crosses = np.maximum(lo, 0.0) <= np.minimum(hi, 1.0)

@@ -1,8 +1,11 @@
 import json
+import math
+
 import pytest
 
 from amr_navkit.cli import main
 from amr_navkit.config import (
+    OracleParams,
     RunConfig,
     apply_env_overrides,
     config_from_dict,
@@ -68,6 +71,37 @@ class TestConfig:
 
     def test_load_missing_returns_defaults(self):
         assert load_config(None) == RunConfig()
+
+    @pytest.mark.parametrize("field", ["v_ref", "omega_ref"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+    def test_oracle_speeds_must_be_finite_positive(self, field, value):
+        with pytest.raises(ValueError):
+            OracleParams(**{field: value})
+
+    def test_oracle_zero_speed_env_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AMR_ORACLE_V_REF", "0")
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_config_file_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"executor": {"speed": %s}}' % text)
+        with pytest.raises(ValueError, match="finite"):
+            load_config(str(path))
+        assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("AMR_EXECUTOR_SPEED", "NaN"),
+            ("AMR_EXECUTOR_SPEED", "nan"),
+            ("AMR_SENSOR_MAX_RANGE", "Infinity"),
+            ("AMR_EXECUTOR_MAX_STEPS", "Infinity"),
+        ],
+    )
+    def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
+        monkeypatch.setenv(key, raw)
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
 
 
 class TestGenScenes:
@@ -242,6 +276,13 @@ class TestEval:
         traces = [json.loads(l) for l in (tmp_path / "report.traces.jsonl").read_text().splitlines()]
         assert len(traces) == 1
         assert traces[0]["outcome"] == "reached"
+
+    @pytest.mark.parametrize("n_tasks", ["0", "-3"])
+    def test_non_positive_n_tasks_exits_2(self, tmp_path, n_tasks):
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--scenes", str(tmp_path), "--n-tasks", n_tasks, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
 
     def test_report_command_roundtrip(self, tmp_path, fast_config, capsys):
         scenes = tmp_path / "scenes"

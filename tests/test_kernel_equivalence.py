@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amr_navkit.geometry import OrientedBox, Pose2, rot2, wrap_angle
@@ -147,6 +147,8 @@ def sweep_cases(draw):
 
 class TestSweepEquivalence:
     @given(sweep_cases())
+    # a subnormal segment once made the clip's division overflow (a warning)
+    @example((scene_for(0), 0.5, 0.01, [(np.zeros(2), np.zeros(2)), (np.zeros(2), np.array([0.0, 5e-324]))]))
     @settings(max_examples=400, deadline=None)
     def test_batch_equals_sampled_reference(self, case):
         scene, radius, step, segs = case

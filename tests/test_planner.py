@@ -347,6 +347,26 @@ class TestWaypoints:
         with pytest.raises(ValueError):
             waypoints_from_path(path, Pose2(0, 0, 0), v_ref=1.5, dt=0.2)
 
+    @pytest.mark.parametrize(
+        "v_ref, omega_ref",
+        [
+            (0.0, 1.0),
+            (-0.5, 1.0),
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (0.5, 0.0),
+            (0.5, -1.0),
+            (0.5, math.nan),
+            (0.5, math.inf),
+        ],
+    )
+    def test_reference_speeds_must_be_finite_positive(self, v_ref, omega_ref):
+        start = Pose2(0, 0, 0)
+        segs = [Translate(1.0), Rotate(math.pi / 2)]
+        path = PlannedPath(start, segs, rollout(start, segs), 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            waypoints_from_path(path, start, v_ref=v_ref, omega_ref=omega_ref)
+
     def test_mixed_path_reaches_segment_boundaries(self):
         start = Pose2(0, 0, 0)
         segs = [Rotate(math.pi / 2), Translate(1.0)]
