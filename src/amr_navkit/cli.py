@@ -11,7 +11,6 @@ import argparse
 import datetime
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -27,14 +26,14 @@ from .errors import (
 )
 from .evaluation import (
     PolicySpec,
+    evaluate,
     report_export,
     report_from_dict,
-    run_task,
-    summarize,
 )
 from .pipeline import (
     generate_episode,
     load_scene,
+    parallel_map,
     sample_task,
     save_scene,
     write_dataset,
@@ -140,14 +139,9 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     for si, scene in enumerate(scenes):
         for e in range(args.episodes_per_scene):
             jobs.append((cfg, scene, _task_seed(cfg.master_seed, si * 1000 + e)))
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            results = pool.map(_gen_one, jobs)
-    else:
-        results = [_gen_one(j) for j in jobs]
 
     records = []
-    for task_seed, record, err in results:
+    for task_seed, record, err in parallel_map(_gen_one, jobs, cfg.workers):
         if record is None:
             log.warning("task seed %d skipped: %s", task_seed, err)
         else:
@@ -195,33 +189,24 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         log.error("only sampled %d of %d tasks", len(tasks), args.n_tasks)
         return 3
 
-    jobs = [
-        (
-            i,
-            by_seed[t.scene_seed],
-            t,
-            spec,
-            cfg.executor,
-            cfg.camera.model(),
-            cfg.sensor.num_rays,
-            cfg.sensor.max_range,
-        )
-        for i, t in enumerate(tasks)
-    ]
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            outputs = pool.starmap(run_task, jobs)
-    else:
-        outputs = [run_task(*j) for j in jobs]
-
-    summaries = [s for s, _ in outputs]
-    report = summarize(summaries, cfg.eval.success_pos_tol, cfg.eval.success_ang_tol_deg)
+    report, episodes = evaluate(
+        tasks,
+        by_seed,
+        spec,
+        cfg.executor,
+        cfg.camera.model(),
+        cfg.workers,
+        cfg.sensor.num_rays,
+        cfg.sensor.max_range,
+        cfg.eval.success_pos_tol,
+        cfg.eval.success_ang_tol_deg,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report_export(report, "json", str(out.with_suffix(".json")))
     report_export(report, "csv", str(out.with_suffix(".csv")))
     with open(out.with_suffix(".traces.jsonl"), "w") as fh:
-        for summary, result in outputs:
+        for summary, result in episodes:
             fh.write(
                 json.dumps(
                     {

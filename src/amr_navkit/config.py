@@ -2,8 +2,9 @@
 
 The config is a JSON file of flat sections. Any scalar field can be
 overridden with AMR_<SECTION>_<FIELD> (e.g. AMR_EXECUTOR_SPEED=0.4,
-AMR_RUN_MASTER_SEED=7). The canonical hash of the resolved config is
-recorded in dataset manifests.
+AMR_RUN_MASTER_SEED=7). Every field is an int, float or str, and file and
+env values alike are checked against that type. The canonical hash of the
+resolved config is recorded in dataset manifests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class PlannerParams:
     w_lookat: float = 0.5
     batches: int = 4
     batch_size: int = 24
-    k_neighbors: int = 8
     probe_batches: int = 1
     probe_batch_size: int = 16
     safety_margin: float = 0.1
@@ -106,21 +106,37 @@ _SECTIONS = {
 }
 
 
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _convert(value, hint, where: str):
+    """Return a file or env value as its field's type: int, float or str.
+
+    An int field takes an integral number, a float field any finite number;
+    neither takes a bool, and a str field takes only a string.
+    """
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"config value {where} must be finite, got {value}")
+        return value
+    if hint is int and not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"config value {where} must be {hint.__name__}, got {value!r}")
+
+
 def _section_from_dict(cls, d: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
+    types = _field_types(cls)
+    unknown = set(d) - set(types)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in config section {where!r}")
-    return cls(**d)
-
-
-def _check_finite(cfg: RunConfig) -> RunConfig:
-    """Reject NaN and infinite values, which json parses but no field accepts."""
-    for name in _SECTIONS:
-        for field, value in dataclasses.asdict(getattr(cfg, name)).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"config value {name}.{field} must be finite, got {value}")
-    return cfg
+    return cls(**{k: _convert(v, types[k], f"{where}.{k}") for k, v in d.items()})
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -129,14 +145,13 @@ def config_from_dict(d: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     kwargs = {}
-    if "master_seed" in d:
-        kwargs["master_seed"] = int(d["master_seed"])
-    if "workers" in d:
-        kwargs["workers"] = int(d["workers"])
+    for name in ("master_seed", "workers"):
+        if name in d:
+            kwargs[name] = _convert(d[name], int, name)
     for name, cls in _SECTIONS.items():
         if name in d:
             kwargs[name] = _section_from_dict(cls, d[name], name)
-    return _check_finite(RunConfig(**kwargs))
+    return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -154,18 +169,13 @@ def load_config(path: str | None) -> RunConfig:
         return config_from_dict(json.load(fh))
 
 
-def _parse_scalar(raw: str, hint) -> object:
-    if raw.lower() in ("none", "null"):
-        return None
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    if hint is int and not isinstance(value, bool):
-        return int(value)
-    if hint is float:
-        return float(value)
-    return value
+def _env_value(raw: str, hint, where: str):
+    if hint is not str:
+        try:
+            raw = int(raw)
+        except ValueError:
+            raw = float(raw)
+    return _convert(raw, hint, where)
 
 
 def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:
@@ -176,24 +186,21 @@ def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:
         rest = key[len("AMR_"):].lower()
         if rest in ("run_master_seed", "run_workers"):
             field = rest[len("run_"):]
-            cfg = replace(cfg, **{field: int(raw)})
+            cfg = replace(cfg, **{field: _env_value(raw, int, field)})
             continue
-        matched = False
         for name, cls in _SECTIONS.items():
             prefix = name + "_"
             if rest.startswith(prefix):
                 field = rest[len(prefix):]
-                names = {f.name for f in dataclasses.fields(cls)}
-                if field not in names:
+                types = _field_types(cls)
+                if field not in types:
                     raise ValueError(f"env override {key} names unknown field {field!r}")
-                hints = get_type_hints(cls)
-                section = replace(getattr(cfg, name), **{field: _parse_scalar(raw, hints.get(field))})
-                cfg = replace(cfg, **{name: section})
-                matched = True
+                value = _env_value(raw, types[field], f"{name}.{field}")
+                cfg = replace(cfg, **{name: replace(getattr(cfg, name), **{field: value})})
                 break
-        if not matched:
+        else:
             raise ValueError(f"env override {key} names no config section")
-    return _check_finite(cfg)
+    return cfg
 
 
 def config_hash(cfg: RunConfig) -> str:

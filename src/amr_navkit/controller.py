@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .codec import TokenizedStep, decode_trajectory, encode_trajectory
-from .errors import EmptyTrajectory, InvalidCommand, NoPathFound
+from .errors import EmptyTrajectory, NoPathFound
 from .geometry import (
     CameraModel,
     Pose2,
@@ -28,10 +28,11 @@ from .geometry import (
 from .planner import (
     CostWeights,
     PlannerBudget,
-    plan,
+    plan_with_margin,
     waypoints_from_path,
 )
 from .scene import (
+    KINEMATICS_KINDS,
     Command,
     DiffDrive,
     LidarScan,
@@ -60,7 +61,6 @@ class ExecutorConfig:
     stop_ang_tol: float = math.radians(0.5)
     max_steps: int = 600
     kinematics: str = "omnidirectional"
-    wheelbase: float | None = None
     omega_gain: float = 2.0
     tilt_rate: float = math.radians(90.0)  # slew limit, rad/s
     tilt_limit: float = math.radians(60.0)
@@ -72,6 +72,8 @@ class ExecutorConfig:
             raise ValueError("replan_every must not exceed horizon_n")
         if min(self.stop_pos_tol, self.stop_ang_tol) <= 0:
             raise ValueError("stop tolerances must be positive")
+        if self.kinematics not in KINEMATICS_KINDS:
+            raise ValueError(f"unknown kinematics {self.kinematics!r}")
 
     @property
     def limits(self) -> SpeedLimits:
@@ -112,12 +114,6 @@ class TrajectoryPolicy(Protocol):
         ...
 
 
-def _zero_command(kinematics: str) -> Command:
-    if kinematics == "omnidirectional":
-        return OmniDrive(0.0, 0.0, 0.0)
-    return DiffDrive(0.0, 0.0)
-
-
 def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: ExecutorConfig) -> Command:
     """Track a world-frame waypoint list with the pure-pursuit steering law.
 
@@ -128,8 +124,6 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     """
     if len(trajectory_world) == 0:
         raise EmptyTrajectory("pure pursuit needs at least one waypoint")
-    if state.kinematics not in ("differential", "omnidirectional"):
-        raise InvalidCommand(f"pure pursuit does not support {state.kinematics} kinematics")
 
     pos = np.array([state.pose.x, state.pose.y])
     pts = np.array([[p.x, p.y] for p in trajectory_world])
@@ -160,7 +154,7 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
 
     if goal_dist <= cfg.stop_pos_tol:
         if abs(heading_err) <= cfg.stop_ang_tol:
-            return _zero_command(state.kinematics)
+            return DiffDrive(0.0, 0.0)
         omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
         return DiffDrive(0.0, omega)
 
@@ -208,7 +202,6 @@ def run_episode(
         radius=task.robot_radius,
         tilt=0.0,
         kinematics=cfg.kinematics,
-        wheelbase=cfg.wheelbase,
     )
     target = scene.object_by_id(task.target_id)
     lowest = (target.box.cx, target.box.cy, target.base_height)
@@ -290,30 +283,23 @@ class OraclePolicy:
     queries: int = 0
 
     def _plan(self, state: RobotState, task):
-        from .errors import InvalidEndpoint
-
         target = self.scene.object_by_id(task.target_id)
         plan_seed = (self.seed * 1000003 + self.queries) % (2**63)
         # escalate the sampling budget (with fresh seeds) before giving up
-        attempts = []
         for level, factor in enumerate((1, 3, 8)):
-            budget = PlannerBudget(factor * self.budget.batches, self.budget.batch_size)
-            seed = (plan_seed + level * 7_777_777) % (2**63)
-            attempts.append((state.radius + self.safety_margin, budget, seed))
-            attempts.append((state.radius, budget, seed))
-        for radius, budget, seed in attempts:
             try:
-                return plan(
+                return plan_with_margin(
                     self.scene,
                     state.pose,
                     task.goal_pose,
-                    radius,
+                    state.radius,
                     target.box.center,
                     self.weights,
-                    budget,
-                    seed=seed,
+                    PlannerBudget(factor * self.budget.batches, self.budget.batch_size),
+                    seed=(plan_seed + level * 7_777_777) % (2**63),
+                    safety_margin=self.safety_margin,
                 )
-            except (NoPathFound, InvalidEndpoint):
+            except NoPathFound:
                 continue
         raise NoPathFound("oracle could not plan to the goal")
 

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
@@ -29,7 +28,7 @@ from .controller import (
 from .errors import IoFailure
 from .geometry import CameraModel
 from .planner import CostWeights, PlannerBudget
-from .pipeline import Task
+from .pipeline import Task, parallel_map
 from .scene import Scene
 
 CSV_SCHEMA = "# amr-navkit-report-v1"
@@ -165,8 +164,8 @@ def run_task(
     return _episode_summary(index, scene, task, result), result
 
 
-def _worker(args) -> EpisodeSummary:
-    return run_task(*args)[0]
+def _run_job(job) -> tuple[EpisodeSummary, EpisodeResult]:
+    return run_task(*job)
 
 
 def summarize(
@@ -248,20 +247,17 @@ def evaluate(
     max_range: float = 10.0,
     success_pos_tol: float = 0.1,
     success_ang_tol_deg: float = 10.0,
-) -> MetricsReport:
-    """Run one episode per task and aggregate the error distributions."""
+) -> tuple[MetricsReport, list[tuple[EpisodeSummary, EpisodeResult]]]:
+    """Run one episode per task; return the aggregate report and each episode."""
     if not tasks:
         raise ValueError("tasks must be nonempty")
     jobs = [
         (i, scenes[t.scene_seed], t, policy_spec, cfg, camera, num_rays, max_range)
         for i, t in enumerate(tasks)
     ]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            summaries = pool.map(_worker, jobs)
-    else:
-        summaries = [_worker(j) for j in jobs]
-    return summarize(summaries, success_pos_tol, success_ang_tol_deg)
+    episodes = parallel_map(_run_job, jobs, workers)
+    report = summarize([s for s, _ in episodes], success_pos_tol, success_ang_tol_deg)
+    return report, episodes
 
 
 # ---------------------------------------------------------------------------

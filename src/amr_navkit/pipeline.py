@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import multiprocessing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ from . import __version__ as _generator_version
 from .codec import TokenizedStep, encode_trajectory
 from .errors import (
     AmbiguousView,
-    InvalidEndpoint,
     NoPathFound,
     SamplingExhausted,
     SchemaMismatch,
@@ -38,9 +37,8 @@ from .geometry import (
 )
 from .planner import (
     CostWeights,
-    PlannedPath,
     PlannerBudget,
-    plan,
+    plan_with_margin,
     resample_keyframes,
     waypoints_from_path,
 )
@@ -116,25 +114,12 @@ def _sample_free_pose(rng, scene: Scene, radius: float, tries: int = 50) -> Pose
     return None
 
 
-def plan_with_margin(
-    scene: Scene,
-    start: Pose2,
-    goal: Pose2,
-    radius: float,
-    target_center,
-    weights: CostWeights,
-    budget: PlannerBudget,
-    seed: int,
-    safety_margin: float = 0.1,
-) -> PlannedPath:
-    """Plan with an inflated footprint, falling back to the true radius."""
-    last_error: Exception | None = None
-    for r in (radius + safety_margin, radius):
-        try:
-            return plan(scene, start, goal, r, target_center, weights, budget, seed=seed)
-        except (NoPathFound, InvalidEndpoint) as err:
-            last_error = err
-    raise NoPathFound(str(last_error))
+def parallel_map(fn, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, over a pool of ``workers`` processes if above 1."""
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, jobs)
+    return [fn(job) for job in jobs]
 
 
 def sample_task(

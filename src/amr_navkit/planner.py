@@ -422,6 +422,28 @@ def plan(
     return PlannedPath(start=start, segments=segments, states=rollout(start, segments), cost=best_cost)
 
 
+def plan_with_margin(
+    scene: Scene,
+    start: Pose2,
+    goal: Pose2,
+    radius: float,
+    target_center,
+    weights: CostWeights,
+    budget: PlannerBudget,
+    seed: int,
+    safety_margin: float = 0.1,
+) -> PlannedPath:
+    """Plan with an inflated footprint, falling back to the true radius."""
+    for r in (radius + safety_margin, radius):
+        try:
+            return plan(scene, start, goal, r, target_center, weights, budget, seed=seed)
+        except (NoPathFound, InvalidEndpoint) as err:
+            # keep the message only: the exception's traceback would hold the
+            # failed attempt's roadmap alive through the next attempt
+            message = str(err)
+    raise NoPathFound(message)
+
+
 def resample_keyframes(
     path: PlannedPath, trans_gap: float = 0.2, rot_gap: float = math.radians(5.0)
 ) -> list[Pose2]:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GenerationFailed, InvalidCommand
 from .geometry import OrientedBox, Pose2, rot2, wrap_angle
 
-KINEMATICS_KINDS = ("differential", "omnidirectional", "ackermann")
+KINEMATICS_KINDS = ("differential", "omnidirectional")
 
 _CATEGORIES = (
     "table", "chair", "couch", "shelf", "cabinet", "drawers", "picture", "unlabeled",
@@ -100,15 +100,12 @@ class RobotState:
     radius: float
     tilt: float = 0.0
     kinematics: str = "differential"
-    wheelbase: float | None = None
 
     def __post_init__(self):
         if not 0.1 <= self.radius <= 0.5:
             raise ValueError(f"radius {self.radius} outside [0.1, 0.5]")
         if self.kinematics not in KINEMATICS_KINDS:
             raise ValueError(f"unknown kinematics {self.kinematics!r}")
-        if self.kinematics == "ackermann" and not self.wheelbase:
-            raise ValueError("ackermann kinematics needs a wheelbase")
 
 
 @dataclass(frozen=True)
@@ -147,13 +144,7 @@ class OmniDrive:
     omega: float
 
 
-@dataclass(frozen=True)
-class AckermannDrive:
-    v: float
-    steer: float
-
-
-Command = DiffDrive | OmniDrive | AckermannDrive
+Command = DiffDrive | OmniDrive
 
 
 @dataclass(frozen=True)
@@ -169,8 +160,6 @@ def command_speed(cmd: Command) -> float:
 
 
 def command_omega(cmd: Command) -> float:
-    if isinstance(cmd, AckermannDrive):
-        return abs(cmd.steer)
     return abs(cmd.omega)
 
 
@@ -456,14 +445,14 @@ def step_kinematics(
     if limits is not None:
         if command_speed(cmd) > limits.v_max + 1e-9:
             raise InvalidCommand(f"speed {command_speed(cmd):.3f} exceeds {limits.v_max}")
-        if not isinstance(cmd, AckermannDrive) and command_omega(cmd) > limits.omega_max + 1e-9:
+        if command_omega(cmd) > limits.omega_max + 1e-9:
             raise InvalidCommand(f"yaw rate {command_omega(cmd):.3f} exceeds {limits.omega_max}")
 
     if state.kinematics == "differential":
         if not isinstance(cmd, DiffDrive):
             raise InvalidCommand(f"differential drive got {type(cmd).__name__}")
         pose = _arc_step(state.pose, cmd.v, cmd.omega, dt)
-    elif state.kinematics == "omnidirectional":
+    else:
         if not isinstance(cmd, OmniDrive):
             raise InvalidCommand(f"omnidirectional drive got {type(cmd).__name__}")
         pose = Pose2(
@@ -471,13 +460,6 @@ def step_kinematics(
             state.pose.y + cmd.vy * dt,
             state.pose.heading + cmd.omega * dt,
         )
-    else:
-        if not isinstance(cmd, AckermannDrive):
-            raise InvalidCommand(f"ackermann drive got {type(cmd).__name__}")
-        if abs(cmd.steer) >= math.pi / 2:
-            raise InvalidCommand(f"steering angle {cmd.steer:.3f} out of range")
-        omega = cmd.v * math.tan(cmd.steer) / state.wheelbase
-        pose = _arc_step(state.pose, cmd.v, omega, dt)
     return replace(state, pose=pose)
 
 

@@ -82,13 +82,33 @@ class TestConfig:
         monkeypatch.setenv("AMR_ORACLE_V_REF", "0")
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
 
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
-    def test_non_finite_config_file_rejected(self, tmp_path, text):
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            *(
+                pytest.param('{"executor": {"speed": %s}}' % text, "finite", id=text)
+                for text in ("NaN", "Infinity", "-Infinity", "1e400")
+            ),
+            pytest.param('{"executor": {"speed": "fast"}}', "must be float", id="str-for-float"),
+            pytest.param('{"sensor": {"max_range": true}}', "must be float", id="bool-for-float"),
+            pytest.param('{"executor": {"max_steps": 8.5}}', "must be int", id="fraction-for-int"),
+            pytest.param('{"sensor": {"num_rays": true}}', "must be int", id="bool-for-int"),
+            pytest.param('{"workers": 1.5}', "must be int", id="fraction-for-workers"),
+            pytest.param('{"executor": {"kinematics": 1}}', "must be str", id="number-for-str"),
+        ],
+    )
+    def test_non_finite_config_file_rejected(self, tmp_path, body, match):
         path = tmp_path / "cfg.json"
-        path.write_text('{"executor": {"speed": %s}}' % text)
-        with pytest.raises(ValueError, match="finite"):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=match):
             load_config(str(path))
         assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    def test_config_file_numbers_take_field_type(self):
+        cfg = config_from_dict({"executor": {"speed": 1, "max_steps": 8.0}, "workers": 2.0})
+        assert (cfg.executor.speed, cfg.executor.max_steps, cfg.workers) == (1.0, 8, 2)
+        assert type(cfg.executor.speed) is float
+        assert type(cfg.executor.max_steps) is int and type(cfg.workers) is int
 
     @pytest.mark.parametrize(
         "key, raw",
@@ -97,6 +117,11 @@ class TestConfig:
             ("AMR_EXECUTOR_SPEED", "nan"),
             ("AMR_SENSOR_MAX_RANGE", "Infinity"),
             ("AMR_EXECUTOR_MAX_STEPS", "Infinity"),
+            ("AMR_EXECUTOR_MAX_STEPS", "8.5"),
+            ("AMR_EXECUTOR_KINEMATICS", "ackermann"),
+            ("AMR_EXECUTOR_KINEMATICS", "unicycle"),
+            ("AMR_EXECUTOR_WHEELBASE", "0.5"),
+            ("AMR_PLANNER_K_NEIGHBORS", "8"),
         ],
     )
     def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
@@ -246,6 +271,24 @@ class TestGenData:
             ]
         )
         assert rc == 3
+
+
+def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
+    scenes = tmp_path / "scenes"
+    assert run(["--config", fast_config, "gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        common = ["--config", fast_config, "--workers", workers]
+        assert run([*common, "gen-data", "--scenes", str(scenes), "--episodes-per-scene", "2",
+                    "--out", str(out / "data.jsonl")]) == 0
+        assert run([*common, "eval", "--scenes", str(scenes), "--n-tasks", "3",
+                    "--out", str(out / "report")]) == 0
+        names = ("data.jsonl", "report.json", "report.csv", "report.traces.jsonl")
+        outputs[workers] = {name: (out / name).read_bytes() for name in names}
+    assert outputs["1"] == outputs["2"]
+    assert len(read_dataset(str(tmp_path / "w2" / "data.jsonl"))) > 0
 
 
 class TestEval:

@@ -14,8 +14,10 @@ from amr_navkit.controller import (
     run_episode,
     tilt_step,
 )
-from amr_navkit.errors import EmptyTrajectory, InvalidCommand, NoPathFound
+from amr_navkit import planner
+from amr_navkit.errors import EmptyTrajectory, InvalidEndpoint, NoPathFound
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt
+from amr_navkit.planner import PlannerBudget
 from amr_navkit.scene import (
     Bounds,
     DiffDrive,
@@ -109,11 +111,6 @@ class TestPurePursuit:
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
             pure_pursuit(RobotState(Pose2(0, 0, 0), 0.3), [], CFG_DIFF)
-
-    def test_ackermann_unsupported(self):
-        state = RobotState(Pose2(0, 0, 0), 0.3, kinematics="ackermann", wheelbase=0.5)
-        with pytest.raises(InvalidCommand):
-            pure_pursuit(state, [Pose2(1, 0, 0)], CFG_DIFF)
 
     def test_commands_respect_limits(self):
         rng = np.random.default_rng(0)
@@ -280,3 +277,32 @@ class TestRunEpisode:
             assert res.distance_error <= tol + 1e-9
             errors.append(res.distance_error)
         assert errors[-1] <= errors[0] + 1e-9
+
+
+class TestOraclePlanLadder:
+    @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
+    def test_attempt_order(self, monkeypatch, error):
+        attempts = []
+
+        def failing_plan(scene, start, goal, radius, target_center, w, budget, seed):
+            attempts.append((radius, budget, seed))
+            raise error("refused")
+
+        monkeypatch.setattr(planner, "plan", failing_plan)
+        scene = room_with_target()
+        task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
+        policy = OraclePolicy(scene=scene, budget=PlannerBudget(2, 16), safety_margin=0.1, seed=5, queries=3)
+        with pytest.raises(NoPathFound):
+            policy.query(RobotState(Pose2(0, 0, 0), 0.3), None, task, 0)
+        # inflated then true radius at each budget level x1, x3, x8, with the
+        # level's seed (5 * 1000003 + 3) + level * 7777777
+        inflated = 0.3 + 0.1
+        assert attempts == [
+            (inflated, PlannerBudget(2, 16), 5_000_018),
+            (0.3, PlannerBudget(2, 16), 5_000_018),
+            (inflated, PlannerBudget(6, 16), 12_777_795),
+            (0.3, PlannerBudget(6, 16), 12_777_795),
+            (inflated, PlannerBudget(16, 16), 20_555_572),
+            (0.3, PlannerBudget(16, 16), 20_555_572),
+        ]
+        assert policy.queries == 3

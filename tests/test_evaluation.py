@@ -95,8 +95,10 @@ class TestEvaluate:
         scene = sample_scene(50)
         task = sample_task(scene, 1)
         cfg = ExecutorConfig()
-        rep = evaluate([task], {scene.seed: scene}, PolicySpec(kind="oracle"), cfg)
+        rep, episodes = evaluate([task], {scene.seed: scene}, PolicySpec(kind="oracle"), cfg)
         assert rep.n_episodes == 1
+        [(summary, result)] = episodes
+        assert (summary.task_index, summary.outcome) == (0, result.outcome)
         assert rep.outcomes.get("reached", 0) == 1
         assert rep.median_distance_error <= cfg.stop_pos_tol + 1e-9
 
@@ -104,8 +106,8 @@ class TestEvaluate:
         scene = sample_scene(51)
         tasks = [sample_task(scene, s) for s in range(2)]
         cfg = ExecutorConfig()
-        r1 = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
-        r2 = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
+        r1, _ = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
+        r2, _ = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
         assert report_to_dict(r1) == report_to_dict(r2)
 
     def test_empty_tasks_rejected(self):
@@ -116,9 +118,10 @@ class TestEvaluate:
         scene = sample_scene(52)
         tasks = [sample_task(scene, s) for s in range(3)]
         cfg = ExecutorConfig()
-        seq = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=1)
-        par = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=2)
+        seq, seq_episodes = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=1)
+        par, par_episodes = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=2)
         assert report_to_dict(seq) == report_to_dict(par)
+        assert seq_episodes == par_episodes
 
 
 class TestExport:

@@ -8,7 +8,6 @@ from amr_navkit.errors import GenerationFailed, InvalidCommand
 from amr_navkit.geometry import OrientedBox, Pose2, rot2, se2_compose
 from amr_navkit.pipeline import scene_to_dict
 from amr_navkit.scene import (
-    AckermannDrive,
     Bounds,
     DiffDrive,
     OmniDrive,
@@ -199,17 +198,13 @@ class TestKinematics:
         assert (out.pose.x, out.pose.y) == (1, 2)
         assert abs(abs(out.pose.heading) - math.pi) < 1e-12
 
-    def test_ackermann_arc_against_integration_oracle(self):
-        wheelbase = 0.8
-        s = RobotState(Pose2(0, 0, 0.3), 0.3, kinematics="ackermann", wheelbase=wheelbase)
-        v, steer, dt = 1.0, 0.4, 0.7
-        out = step_kinematics(s, AckermannDrive(v, steer), dt)
-        # turning radius L/tan(steer)
-        assert wheelbase / math.tan(steer) == pytest.approx(v / (v * math.tan(steer) / wheelbase))
+    def test_differential_arc_against_integration_oracle(self):
+        s = RobotState(Pose2(0, 0, 0.3), 0.3)
+        v, omega, dt = 1.0, 0.53, 0.7
+        out = step_kinematics(s, DiffDrive(v, omega), dt)
         # fine-step Euler integration oracle
         n = 70000
         x, y, h = 0.0, 0.0, 0.3
-        omega = v * math.tan(steer) / wheelbase
         for _ in range(n):
             x += v * (dt / n) * math.cos(h)
             y += v * (dt / n) * math.sin(h)
@@ -223,10 +218,6 @@ class TestKinematics:
         [
             (RobotState(Pose2(0.3, -1, 0.9), 0.2), DiffDrive(0.7, 1.3)),
             (RobotState(Pose2(0.3, -1, 0.9), 0.2, kinematics="omnidirectional"), OmniDrive(0.4, -0.2, 0.8)),
-            (
-                RobotState(Pose2(0.3, -1, 0.9), 0.2, kinematics="ackermann", wheelbase=0.6),
-                AckermannDrive(0.5, -0.3),
-            ),
         ],
     )
     def test_composition_exactness(self, state, cmd):
