@@ -497,23 +497,31 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
 def scene_from_dict(d: dict) -> Scene:
+    """Scene from its JSON dict; any missing field or non-finite number is a
+    SchemaMismatch, since one NaN would make every collision check pass."""
     if d.get("version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCHEMA_VERSION!r}")
+
+    def box(b: dict) -> OrientedBox:
+        return OrientedBox(*(_finite(b[k]) for k in ("cx", "cy", "hx", "hy", "yaw")))
+
     try:
         return Scene(
-            bounds=Bounds(float(d["bounds"]["w"]), float(d["bounds"]["h"])),
-            walls=[
-                OrientedBox(float(b["cx"]), float(b["cy"]), float(b["hx"]), float(b["hy"]), float(b["yaw"]))
-                for b in d["walls"]
-            ],
+            bounds=Bounds(_finite(d["bounds"]["w"]), _finite(d["bounds"]["h"])),
+            walls=[box(b) for b in d["walls"]],
             objects=[
                 SceneObject(
                     id=int(o["id"]),
-                    box=OrientedBox(
-                        float(o["cx"]), float(o["cy"]), float(o["hx"]), float(o["hy"]), float(o["yaw"])
-                    ),
-                    base_height=float(o["base_height"]),
+                    box=box(o),
+                    base_height=_finite(o["base_height"]),
                     category=str(o["category"]),
                     target_eligible=bool(o["target_eligible"]),
                 )
@@ -521,7 +529,7 @@ def scene_from_dict(d: dict) -> Scene:
             ],
             seed=int(d["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaMismatch(f"scene: {err}") from err
 
 

@@ -258,6 +258,16 @@ class TestGenData:
         assert read_dataset(str(out)) == []
         assert "skipped" in caplog.text
 
+    def test_non_finite_scene_file_exits_3(self, tmp_path, fast_config):
+        scenes = tmp_path / "scenes"
+        assert run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        path = next(scenes.glob("scene_*.json"))
+        d = json.loads(path.read_text())
+        d["walls"][0]["cx"] = math.nan
+        path.write_text(json.dumps(d))
+        rc = run(["--config", fast_config, "gen-data", "--scenes", str(scenes), "--out", str(tmp_path / "d.jsonl")])
+        assert rc == 3
+
     def test_missing_scenes_dir_exits_3(self, tmp_path, fast_config):
         rc = run(
             [

@@ -1,10 +1,10 @@
 """The batched collision and cost shortcuts decide exactly as the loops they replace.
 
 Edge sweeps decide on exact segment-to-box distances and sample only near
-the decision radius, A* skips look-at costs that the rotate-translate bound
-rules out, and visibility casts all sight lines in one call. None of these
-may change a verdict or a plan; the reference implementations below are the
-per-edge and per-sight-line code they replaced.
+the decision radius, the roadmap search weighs unevaluated edges by the
+rotate-translate bound, and visibility casts all sight lines in one call.
+None of these may change a verdict or a plan; the reference implementations
+below are the per-edge and per-sight-line code they replaced.
 """
 
 import math
@@ -186,7 +186,8 @@ class TestLookatBound:
     )
     @settings(max_examples=500, deadline=None)
     def test_rs0_lower_bounds_connection_cost(self, a, b, target, weights):
-        """A* skips a connection on this bound, so it must never exceed the cost."""
+        """An unevaluated roadmap edge weighs this bound in the lazy search,
+        so it must never exceed the edge's exact cost."""
         pa, pb, w = Pose2(*a), Pose2(*b), CostWeights(*weights)
         assert rs0_distance(pa, pb, w) <= segments_cost(pa, steer(pa, pb, w=w), target, w) + 1e-9
 

@@ -271,6 +271,14 @@ class TestSceneIO:
         with pytest.raises(SchemaMismatch):
             scene_from_dict({"version": "9", "seed": 0})
 
+    @pytest.mark.parametrize("where, key, value", [("walls", "cx", math.nan), ("objects", "hx", math.inf)])
+    def test_non_finite_number_rejected(self, where, key, value):
+        # a NaN wall center once passed every collision check of the scene
+        d = json.loads(json.dumps(scene_to_dict(sample_scene(45))))
+        d[where][0][key] = value
+        with pytest.raises(SchemaMismatch, match="non-finite"):
+            scene_from_dict(json.loads(json.dumps(d)))
+
     def test_scene_dict_is_json_clean(self):
         blob = json.dumps(scene_to_dict(sample_scene(46)))
         assert "NaN" not in blob

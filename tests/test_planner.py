@@ -91,6 +91,15 @@ class TestRS0Distance:
             assert rs0_distance(a, b, w) <= two_leg + 1e-9
 
 
+    def test_triangle_inequality_fails(self):
+        """rs0 is not a metric: a sideways shift costs two quarter turns
+        directly, but little via a pose just ahead. So the A* heuristic can
+        overestimate the cost left on a roadmap path."""
+        a, b, c = Pose2(0, 0, 0), Pose2(0.1, 0.005, 0.05), Pose2(0, 0.01, 0)
+        assert rs0_distance(a, c, self.W) == pytest.approx(0.952, abs=1e-3)
+        assert rs0_distance(a, b, self.W) + rs0_distance(b, c, self.W) == pytest.approx(0.460, abs=1e-3)
+
+
 class TestSteer:
     def test_same_pose_empty(self):
         a = Pose2(1, 1, 0.3)
