@@ -1,8 +1,9 @@
 """Batch entry points: scene generation, dataset generation, eval, reporting.
 
 Exit codes: 0 success, 2 config/usage error, 3 generation or eval hard
-failure. All commands are deterministic under an identical resolved config
-(timestamps appear only inside manifest metadata).
+failure, or an unreadable or malformed scene or report file. All commands
+are deterministic under an identical resolved config (timestamps appear
+only inside manifest metadata).
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from .errors import (
     NavkitError,
     NoPathFound,
     SamplingExhausted,
+    SchemaMismatch,
 )
 from .evaluation import (
     PolicySpec,
     evaluate,
     report_export,
     report_from_dict,
+    report_to_csv,
+    report_to_dict,
 )
 from .pipeline import (
     generate_episode,
@@ -42,11 +46,9 @@ from .scene import sample_scene
 
 log = logging.getLogger("amr_navkit")
 
-_POLICIES = {
-    "oracle": ("oracle", True),
-    "codec": ("codec_roundtrip", True),
-    "codec-noresidual": ("codec_roundtrip", False),
-}
+# policy name -> use_residual; the oracle's horizon always goes through the
+# codec, so "codec" is the oracle under another name
+_POLICIES = {"oracle": True, "codec": True, "codec-noresidual": False}
 
 
 def _scene_seed(master_seed: int, index: int) -> int:
@@ -71,20 +73,6 @@ def _load_scene_dir(scenes_dir: str):
     return [load_scene(str(p)) for p in paths]
 
 
-def _policy_spec(cfg: RunConfig, name: str) -> PolicySpec:
-    kind, residual = _POLICIES[name]
-    return PolicySpec(
-        kind=kind,
-        use_residual=residual,
-        weights=cfg.planner.weights(),
-        budget=cfg.planner.budget(),
-        v_ref=cfg.oracle.v_ref,
-        omega_ref=cfg.oracle.omega_ref,
-        safety_margin=cfg.planner.safety_margin,
-        seed=cfg.master_seed,
-    )
-
-
 def cmd_gen_scenes(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
     try:
@@ -103,30 +91,11 @@ def cmd_gen_scenes(cfg: RunConfig, args) -> int:
 
 def _gen_one(job):
     cfg, scene, task_seed = job
+    expert, camera = cfg.expert(), cfg.camera.model()
     try:
-        task = sample_task(
-            scene,
-            task_seed,
-            cfg.task,
-            cfg.planner.weights(),
-            cfg.planner.probe_budget(),
-            cfg.camera.model(),
-            cfg.planner.safety_margin,
-        )
+        task = sample_task(scene, task_seed, cfg.task, expert, cfg.planner.probe_budget(), camera)
         record = generate_episode(
-            scene,
-            task,
-            cfg.planner.weights(),
-            cfg.planner.budget(),
-            cfg.camera.model(),
-            seed=task_seed,
-            horizon_n=cfg.executor.horizon_n,
-            dt=cfg.executor.dt,
-            v_ref=cfg.oracle.v_ref,
-            omega_ref=cfg.oracle.omega_ref,
-            safety_margin=cfg.planner.safety_margin,
-            num_rays=cfg.sensor.num_rays,
-            max_range=cfg.sensor.max_range,
+            scene, task, expert, camera, task_seed, cfg.sensor.num_rays, cfg.sensor.max_range
         )
         return task_seed, record, None
     except (SamplingExhausted, NoPathFound, GenerationFailed) as err:
@@ -162,7 +131,8 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 def cmd_eval(cfg: RunConfig, args) -> int:
     scenes = _load_scene_dir(args.scenes)
     by_seed = {s.seed: s for s in scenes}
-    spec = _policy_spec(cfg, args.policy)
+    expert = cfg.expert()
+    spec = PolicySpec(expert, cfg.master_seed, _POLICIES[args.policy])
 
     tasks = []
     seed_index = 0
@@ -173,13 +143,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         try:
             tasks.append(
                 sample_task(
-                    scene,
-                    task_seed,
-                    cfg.task,
-                    cfg.planner.weights(),
-                    cfg.planner.probe_budget(),
-                    cfg.camera.model(),
-                    cfg.planner.safety_margin,
+                    scene, task_seed, cfg.task, expert, cfg.planner.probe_budget(), cfg.camera.model()
                 )
             )
             log.info("task %d sampled with seed %d", len(tasks) - 1, task_seed)
@@ -236,18 +200,21 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    with open(args.report) as fh:
-        report = report_from_dict(json.load(fh))
+    try:
+        with open(args.report) as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise IoFailure(f"cannot read report {args.report}: {err}") from err
+    except ValueError as err:  # invalid JSON or text encoding
+        raise SchemaMismatch(f"report {args.report}: {err}") from err
+    report = report_from_dict(data)
     if args.out:
         report_export(report, args.format, args.out)
+    elif args.format == "csv":
+        sys.stdout.write(report_to_csv(report))
     else:
-        from .evaluation import report_to_csv, report_to_dict
-
-        if args.format == "csv":
-            sys.stdout.write(report_to_csv(report))
-        else:
-            json.dump(report_to_dict(report), sys.stdout, sort_keys=True, indent=2)
-            sys.stdout.write("\n")
+        json.dump(report_to_dict(report), sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -262,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scenes", help="write procedural scene JSON files")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_scenes)
 
     p = sub.add_parser("gen-data", help="generate an expert demonstration dataset")
     p.add_argument("--scenes", required=True, help="directory of scene_*.json")
-    p.add_argument("--episodes-per-scene", type=int, default=10)
+    p.add_argument("--episodes-per-scene", type=_positive_int, default=10)
     p.add_argument("--out", required=True, help="output dataset .jsonl path")
     p.set_defaults(func=cmd_gen_data)
 

@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 from .controller import ExecutorConfig
 from .geometry import CameraModel
-from .pipeline import TaskParams
+from .pipeline import Expert, TaskParams
 from .planner import CostWeights, PlannerBudget
 from .scene import SceneGenParams
 
@@ -34,12 +34,6 @@ class PlannerParams:
     probe_batches: int = 1
     probe_batch_size: int = 16
     safety_margin: float = 0.1
-
-    def weights(self) -> CostWeights:
-        return CostWeights(self.w_translate, self.w_rotate, self.w_backward, self.w_lookat)
-
-    def budget(self) -> PlannerBudget:
-        return PlannerBudget(self.batches, self.batch_size)
 
     def probe_budget(self) -> PlannerBudget:
         return PlannerBudget(self.probe_batches, self.probe_batch_size)
@@ -92,6 +86,23 @@ class RunConfig:
     sensor: SensorParams = SensorParams()
     oracle: OracleParams = OracleParams()
     eval: EvalParams = EvalParams()
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
+    def expert(self) -> Expert:
+        """The expert that plans and labels, for gen-data and the eval oracle alike."""
+        p = self.planner
+        return Expert(
+            weights=CostWeights(p.w_translate, p.w_rotate, p.w_backward, p.w_lookat),
+            budget=PlannerBudget(p.batches, p.batch_size),
+            safety_margin=p.safety_margin,
+            horizon_n=self.executor.horizon_n,
+            dt=self.executor.dt,
+            v_ref=self.oracle.v_ref,
+            omega_ref=self.oracle.omega_ref,
+        )
 
 
 _SECTIONS = {

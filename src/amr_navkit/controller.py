@@ -25,12 +25,8 @@ from .geometry import (
     se2_relative,
     wrap_angle,
 )
-from .planner import (
-    CostWeights,
-    PlannerBudget,
-    plan_with_margin,
-    waypoints_from_path,
-)
+from .pipeline import Expert
+from .planner import PlannerBudget
 from .scene import (
     KINEMATICS_KINDS,
     Command,
@@ -266,18 +262,15 @@ class OraclePolicy:
 
     Planning uses a safety-margin-inflated footprint when possible so the
     tracked rollout keeps clearance; falls back to the true radius when the
-    inflated problem has no solution.
+    inflated problem has no solution. The horizon always goes through the
+    codec; ``use_residual=False`` drops the residuals, so the decoded
+    trajectory snaps to bin centers and exposes the raw quantization error.
     """
 
     scene: Scene
-    weights: CostWeights = CostWeights()
-    budget: PlannerBudget = PlannerBudget(batches=2, batch_size=16)
+    expert: Expert = Expert()
     camera: CameraModel = CameraModel.pinhole()
-    horizon_n: int = 12
-    dt: float = 0.2
-    v_ref: float = 0.5
-    omega_ref: float = 1.0
-    safety_margin: float = 0.1
+    use_residual: bool = True
     snap_dist: float = 0.01
     seed: int = 0
     queries: int = 0
@@ -285,19 +278,18 @@ class OraclePolicy:
     def _plan(self, state: RobotState, task):
         target = self.scene.object_by_id(task.target_id)
         plan_seed = (self.seed * 1000003 + self.queries) % (2**63)
+        budget = self.expert.budget
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
             try:
-                return plan_with_margin(
+                return self.expert.plan(
                     self.scene,
                     state.pose,
                     task.goal_pose,
                     state.radius,
                     target.box.center,
-                    self.weights,
-                    PlannerBudget(factor * self.budget.batches, self.budget.batch_size),
                     seed=(plan_seed + level * 7_777_777) % (2**63),
-                    safety_margin=self.safety_margin,
+                    budget=PlannerBudget(factor * budget.batches, budget.batch_size),
                 )
             except NoPathFound:
                 continue
@@ -311,12 +303,13 @@ class OraclePolicy:
         an arbitrary hop bearing on every replan.
         """
         goal = task.goal_pose
+        max_turn = self.expert.omega_ref * self.expert.dt
         steps = []
         prev = state.pose
         h = state.pose.heading
-        for _ in range(self.horizon_n):
+        for _ in range(self.expert.horizon_n):
             err = wrap_angle(goal.heading - h)
-            h = h + float(np.clip(err, -self.omega_ref * self.dt, self.omega_ref * self.dt))
+            h = h + float(np.clip(err, -max_turn, max_turn))
             pose = Pose2(goal.x, goal.y, h)
             steps.append(pose)
         out = []
@@ -328,13 +321,13 @@ class OraclePolicy:
     def query(self, state: RobotState, scan: LidarScan, task, step: int) -> PolicyAction:
         goal_dist = math.hypot(task.goal_pose.x - state.pose.x, task.goal_pose.y - state.pose.y)
         if goal_dist <= self.snap_dist:
-            waypoints = self._terminal_rotation(state, task)
+            steps = encode_trajectory(self._terminal_rotation(state, task))
         else:
             path = self._plan(state, task)
             self.queries += 1
-            waypoints = waypoints_from_path(
-                path, state.pose, self.horizon_n, self.dt, self.v_ref, self.omega_ref
-            )
+            steps = self.expert.label(path, state.pose)
+        if not self.use_residual:
+            steps = [s.without_residual() for s in steps]
         target = self.scene.object_by_id(task.target_id)
         tilt = compute_tilt(
             self.camera,
@@ -342,24 +335,4 @@ class OraclePolicy:
             (target.box.cx, target.box.cy, target.base_height),
             tilt_limit=None,
         )
-        return PolicyAction(steps=encode_trajectory(waypoints), tilt=tilt)
-
-
-@dataclass
-class CodecRoundtripPolicy:
-    """Oracle filtered through the codec, optionally dropping the residuals.
-
-    With residuals kept the roundtrip is exact; with them zeroed the decoded
-    trajectory snaps to bin centers, exposing the raw quantization error.
-    """
-
-    inner: OraclePolicy
-    use_residual: bool = True
-
-    def query(self, state: RobotState, scan: LidarScan, task, step: int) -> PolicyAction:
-        action = self.inner.query(state, scan, task, step)
-        if self.use_residual:
-            return action
-        return PolicyAction(
-            steps=[s.without_residual() for s in action.steps], tilt=action.tilt
-        )
+        return PolicyAction(steps=steps, tilt=tilt)

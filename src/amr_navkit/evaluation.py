@@ -13,22 +13,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from .controller import (
-    CodecRoundtripPolicy,
-    EpisodeResult,
-    ExecutorConfig,
-    OraclePolicy,
-    run_episode,
-)
-from .errors import IoFailure
+from .controller import EpisodeResult, ExecutorConfig, OraclePolicy, run_episode
+from .errors import IoFailure, SchemaMismatch
 from .geometry import CameraModel
-from .planner import CostWeights, PlannerBudget
-from .pipeline import Task, parallel_map
+from .pipeline import Expert, Task, parallel_map
 from .scene import Scene
 
 CSV_SCHEMA = "# amr-navkit-report-v1"
@@ -59,35 +52,14 @@ def bucket_label(start_target_dist: float) -> str:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Named built-in policy configuration (picklable for worker pools)."""
+    """The built-in oracle policy's configuration (picklable for worker pools)."""
 
-    kind: str = "oracle"  # oracle | codec_roundtrip
-    use_residual: bool = True
-    weights: CostWeights = CostWeights()
-    budget: PlannerBudget = PlannerBudget()
-    v_ref: float = 0.5
-    omega_ref: float = 1.0
-    safety_margin: float = 0.1
+    expert: Expert = Expert()
     seed: int = 0
+    use_residual: bool = True
 
-    def build(self, scene: Scene, cfg: ExecutorConfig, camera: CameraModel):
-        oracle = OraclePolicy(
-            scene=scene,
-            weights=self.weights,
-            budget=self.budget,
-            camera=camera,
-            horizon_n=cfg.horizon_n,
-            dt=cfg.dt,
-            v_ref=self.v_ref,
-            omega_ref=self.omega_ref,
-            safety_margin=self.safety_margin,
-            seed=self.seed,
-        )
-        if self.kind == "oracle":
-            return oracle
-        if self.kind == "codec_roundtrip":
-            return CodecRoundtripPolicy(inner=oracle, use_residual=self.use_residual)
-        raise ValueError(f"unknown policy kind {self.kind!r}")
+    def build(self, scene: Scene, camera: CameraModel) -> OraclePolicy:
+        return OraclePolicy(scene, self.expert, camera, self.use_residual, seed=self.seed)
 
 
 @dataclass
@@ -159,7 +131,7 @@ def run_task(
     num_rays: int = 360,
     max_range: float = 10.0,
 ) -> tuple[EpisodeSummary, EpisodeResult]:
-    policy = policy_spec.build(scene, cfg, camera)
+    policy = policy_spec.build(scene, camera)
     result = run_episode(scene, task, policy, cfg, camera, num_rays, max_range)
     return _episode_summary(index, scene, task, result), result
 
@@ -280,7 +252,17 @@ def report_to_dict(report: MetricsReport) -> dict:
     return d
 
 
+_REPORT_KEYS = {f.name for f in fields(MetricsReport)}
+_BUCKET_KEYS = {f.name for f in fields(BucketStats)}
+
+
 def report_from_dict(d: dict) -> MetricsReport:
+    """Report from its JSON dict; missing or unknown fields are a SchemaMismatch."""
+    if not isinstance(d, dict) or set(d) != _REPORT_KEYS or not isinstance(d["buckets"], dict):
+        raise SchemaMismatch(f"report: expected an object with fields {sorted(_REPORT_KEYS)}")
+    for k, b in d["buckets"].items():
+        if not isinstance(b, dict) or set(b) != _BUCKET_KEYS:
+            raise SchemaMismatch(f"report bucket {k!r}: expected fields {sorted(_BUCKET_KEYS)}")
     buckets = {k: BucketStats(**b) for k, b in d["buckets"].items()}
     kwargs = {k: v for k, v in d.items() if k != "buckets"}
     return MetricsReport(buckets=buckets, **kwargs)

@@ -34,9 +34,11 @@ from .geometry import (
     compute_tilt,
     derive_goal_pose,
     determine_front_side,
+    wrap_angle,
 )
 from .planner import (
     CostWeights,
+    PlannedPath,
     PlannerBudget,
     plan_with_margin,
     resample_keyframes,
@@ -92,6 +94,39 @@ class EpisodeRecord:
 
 
 @dataclass(frozen=True)
+class Expert:
+    """How the expert plans and labels: one value for gen-data and the eval oracle.
+
+    ``plan`` is ``plan_with_margin`` with these weights, budget and margin;
+    ``label`` turns a planned path into the tokenized waypoint horizon seen
+    from ``pose``, traversed at ``v_ref``/``omega_ref`` and sampled every ``dt``.
+    """
+
+    weights: CostWeights = CostWeights()
+    budget: PlannerBudget = PlannerBudget()
+    safety_margin: float = 0.1
+    horizon_n: int = 12
+    dt: float = 0.2
+    v_ref: float = 0.5
+    omega_ref: float = 1.0
+
+    def plan(
+        self, scene: Scene, start: Pose2, goal: Pose2, radius: float, target_center,
+        seed: int, budget: PlannerBudget | None = None,
+    ) -> PlannedPath:
+        return plan_with_margin(
+            scene, start, goal, radius, target_center, self.weights,
+            self.budget if budget is None else budget,
+            seed=seed, safety_margin=self.safety_margin,
+        )
+
+    def label(self, path: PlannedPath, pose: Pose2) -> list[TokenizedStep]:
+        return encode_trajectory(
+            waypoints_from_path(path, pose, self.horizon_n, self.dt, self.v_ref, self.omega_ref)
+        )
+
+
+@dataclass(frozen=True)
 class TaskParams:
     d_min: float = 0.1
     d_max: float = 0.5
@@ -126,10 +161,9 @@ def sample_task(
     scene: Scene,
     rng_seed: int,
     params: TaskParams = TaskParams(),
-    weights: CostWeights = CostWeights(),
+    expert: Expert = Expert(),
     probe_budget: PlannerBudget = PlannerBudget(batches=1, batch_size=16),
     camera: CameraModel = CameraModel.pinhole(),
-    safety_margin: float = 0.1,
 ) -> Task:
     """Rejection-sample a feasible task in a scene; deterministic per seed.
 
@@ -184,9 +218,9 @@ def sample_task(
         if collision_check(scene, goal, radius):
             continue
         try:
-            plan_with_margin(
-                scene, start, goal, radius, target.box.center, weights, probe_budget,
-                seed=rng_seed * 1000003 + attempt, safety_margin=safety_margin,
+            expert.plan(
+                scene, start, goal, radius, target.box.center,
+                seed=rng_seed * 1000003 + attempt, budget=probe_budget,
             )
         except NoPathFound:
             continue
@@ -208,15 +242,9 @@ def sample_task(
 def generate_episode(
     scene: Scene,
     task: Task,
-    weights: CostWeights = CostWeights(),
-    budget: PlannerBudget = PlannerBudget(),
+    expert: Expert = Expert(),
     camera: CameraModel = CameraModel.pinhole(),
     seed: int = 0,
-    horizon_n: int = 12,
-    dt: float = 0.2,
-    v_ref: float = 0.5,
-    omega_ref: float = 1.0,
-    safety_margin: float = 0.1,
     num_rays: int = 360,
     max_range: float = 10.0,
 ) -> EpisodeRecord:
@@ -226,23 +254,19 @@ def generate_episode(
     point even when the object would be out of view.
     """
     target = scene.object_by_id(task.target_id)
-    path = plan_with_margin(
-        scene, task.start, task.goal_pose, task.robot_radius, target.box.center,
-        weights, budget, seed=seed, safety_margin=safety_margin,
+    path = expert.plan(
+        scene, task.start, task.goal_pose, task.robot_radius, target.box.center, seed
     )
     lowest = (target.box.cx, target.box.cy, target.base_height)
     keyframes = []
     for pose in resample_keyframes(path):
-        steps = encode_trajectory(
-            waypoints_from_path(path, pose, horizon_n, dt, v_ref, omega_ref)
-        )
         tilt = compute_tilt(camera, pose, lowest, tilt_limit=None)
         keyframes.append(
             Keyframe(
                 pose=pose,
                 tilt=tilt,
                 lidar=raycast_lidar(scene, pose, num_rays, max_range),
-                expert_steps=steps,
+                expert_steps=expert.label(path, pose),
                 expert_tilt_target=tilt,
             )
         )
@@ -253,24 +277,13 @@ def relabel_from_state(
     scene: Scene,
     task: Task,
     state: RobotState,
-    weights: CostWeights = CostWeights(),
-    budget: PlannerBudget = PlannerBudget(),
+    expert: Expert = Expert(),
     seed: int = 0,
-    horizon_n: int = 12,
-    dt: float = 0.2,
-    v_ref: float = 0.5,
-    omega_ref: float = 1.0,
-    safety_margin: float = 0.1,
 ) -> list[TokenizedStep]:
     """Expert relabeling query: replan to the goal from an arbitrary state."""
     target = scene.object_by_id(task.target_id)
-    path = plan_with_margin(
-        scene, state.pose, task.goal_pose, state.radius, target.box.center,
-        weights, budget, seed=seed, safety_margin=safety_margin,
-    )
-    return encode_trajectory(
-        waypoints_from_path(path, state.pose, horizon_n, dt, v_ref, omega_ref)
-    )
+    path = expert.plan(scene, state.pose, task.goal_pose, state.radius, target.box.center, seed)
+    return expert.label(path, state.pose)
 
 
 def audit_keyframe_gaps(
@@ -280,8 +293,6 @@ def audit_keyframe_gaps(
 
     The final pair is exempt (the path end is always emitted).
     """
-    from .geometry import wrap_angle
-
     kfs = record.keyframes
     for a, b in zip(kfs[:-2], kfs[1:-1]):
         dp = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
@@ -504,8 +515,23 @@ def _finite(value) -> float:
     return x
 
 
+def _integral(value, name: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON dict; any missing field or non-finite number is a
+    """Scene from its JSON dict; any missing field, non-finite number, id or
+    seed that is not an integer, or target_eligible that is not a bool is a
     SchemaMismatch, since one NaN would make every collision check pass."""
     if d.get("version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCHEMA_VERSION!r}")
@@ -519,15 +545,15 @@ def scene_from_dict(d: dict) -> Scene:
             walls=[box(b) for b in d["walls"]],
             objects=[
                 SceneObject(
-                    id=int(o["id"]),
+                    id=_integral(o["id"], "id"),
                     box=box(o),
                     base_height=_finite(o["base_height"]),
                     category=str(o["category"]),
-                    target_eligible=bool(o["target_eligible"]),
+                    target_eligible=_flag(o["target_eligible"], "target_eligible"),
                 )
                 for o in d["objects"]
             ],
-            seed=int(d["seed"]),
+            seed=_integral(d["seed"], "seed"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaMismatch(f"scene: {err}") from err

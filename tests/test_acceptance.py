@@ -31,7 +31,7 @@ from amr_navkit.codec import (
 from amr_navkit.controller import ExecutorConfig
 from amr_navkit.evaluation import PolicySpec, run_task, summarize
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt, project_to_pixel, se2_relative
-from amr_navkit.pipeline import audit_keyframe_gaps, generate_episode, sample_task
+from amr_navkit.pipeline import Expert, audit_keyframe_gaps, generate_episode, sample_task
 from amr_navkit.planner import PlannerBudget, plan
 from amr_navkit.scene import (
     collision_check,
@@ -47,9 +47,9 @@ N_TASKS = 200
 N_SCENES = 20
 
 EXEC_CFG = ExecutorConfig(max_steps=400)
-ORACLE_SPEC = PolicySpec(kind="oracle", budget=PlannerBudget(2, 16), safety_margin=0.12)
-CODEC_ON = replace(ORACLE_SPEC, kind="codec_roundtrip", use_residual=True)
-CODEC_OFF = replace(ORACLE_SPEC, kind="codec_roundtrip", use_residual=False)
+ORACLE_SPEC = PolicySpec(Expert(budget=PlannerBudget(2, 16), safety_margin=0.12))
+CODEC_ON = replace(ORACLE_SPEC, use_residual=True)
+CODEC_OFF = replace(ORACLE_SPEC, use_residual=False)
 CAMERA = CameraModel.pinhole()
 
 

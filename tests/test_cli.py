@@ -1,5 +1,6 @@
 import json
 import math
+from operator import attrgetter
 
 import pytest
 
@@ -13,7 +14,8 @@ from amr_navkit.config import (
     config_to_dict,
     load_config,
 )
-from amr_navkit.pipeline import read_dataset
+from amr_navkit.evaluation import report_to_dict, summarize
+from amr_navkit.pipeline import Expert, read_dataset
 
 
 def run(args) -> int:
@@ -69,6 +71,30 @@ class TestConfig:
         c = apply_env_overrides(a, {"AMR_EXECUTOR_SPEED": "0.4"})
         assert config_hash(c) != config_hash(a)
 
+    def test_default_expert_is_the_config_default(self):
+        assert RunConfig().expert() == Expert()
+
+    @pytest.mark.parametrize(
+        "key, raw, field",
+        [
+            ("AMR_PLANNER_W_TRANSLATE", "1.5", "weights.w_translate"),
+            ("AMR_PLANNER_W_ROTATE", "0.7", "weights.w_rotate"),
+            ("AMR_PLANNER_W_BACKWARD", "3.5", "weights.w_backward"),
+            ("AMR_PLANNER_W_LOOKAT", "0.25", "weights.w_lookat"),
+            ("AMR_PLANNER_BATCHES", "7", "budget.batches"),
+            ("AMR_PLANNER_BATCH_SIZE", "40", "budget.batch_size"),
+            ("AMR_PLANNER_SAFETY_MARGIN", "0.2", "safety_margin"),
+            ("AMR_ORACLE_V_REF", "0.8", "v_ref"),
+            ("AMR_ORACLE_OMEGA_REF", "1.5", "omega_ref"),
+            ("AMR_EXECUTOR_HORIZON_N", "10", "horizon_n"),
+            ("AMR_EXECUTOR_DT", "0.25", "dt"),
+        ],
+    )
+    def test_env_override_reaches_expert(self, key, raw, field):
+        read = attrgetter(field)
+        assert read(apply_env_overrides(RunConfig(), {key: raw}).expert()) == float(raw)
+        assert read(RunConfig().expert()) != float(raw)
+
     def test_load_missing_returns_defaults(self):
         assert load_config(None) == RunConfig()
 
@@ -103,6 +129,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             load_config(str(path))
         assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    def test_workers_flag_below_one_exits_2(self, tmp_path):
+        assert run(["--workers", "-4", "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_workers_config_file_below_one_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"workers": 0}')
+        with pytest.raises(ValueError, match="workers"):
+            load_config(str(path))
+        assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    def test_workers_env_below_one_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AMR_RUN_WORKERS", "0")
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
 
     def test_config_file_numbers_take_field_type(self):
         cfg = config_from_dict({"executor": {"speed": 1, "max_steps": 8.0}, "workers": 2.0})
@@ -141,8 +182,17 @@ class TestGenScenes:
 
     def test_count_zero(self, tmp_path, fast_config):
         out = tmp_path / "none"
-        assert run(["--config", fast_config, "gen-scenes", "--count", "0", "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", fast_config, "gen-scenes", "--count", "0", "--out", str(out)])
+        assert exc.value.code == 2
         assert list(out.glob("*.json")) == []
+
+    def test_negative_count_exits_2(self, tmp_path, fast_config):
+        out = tmp_path / "none"
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", fast_config, "gen-scenes", "--count", "-3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_invalid_out_dir(self, tmp_path, fast_config, capsys, caplog):
         blocker = tmp_path / "blocker"
@@ -268,6 +318,28 @@ class TestGenData:
         rc = run(["--config", fast_config, "gen-data", "--scenes", str(scenes), "--out", str(tmp_path / "d.jsonl")])
         assert rc == 3
 
+    def test_zero_episodes_per_scene_exits_2(self, tmp_path, fast_config):
+        scenes = tmp_path / "scenes"
+        assert run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        out = tmp_path / "d.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", fast_config, "gen-data", "--scenes", str(scenes),
+                 "--episodes-per-scene", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_string_target_flag_in_scene_file_exits_3(self, tmp_path, fast_config):
+        scenes = tmp_path / "scenes"
+        assert run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        path = next(scenes.glob("scene_*.json"))
+        d = json.loads(path.read_text())
+        d["objects"][0]["target_eligible"] = "false"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "d.jsonl"
+        rc = run(["--config", fast_config, "gen-data", "--scenes", str(scenes), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
     def test_missing_scenes_dir_exits_3(self, tmp_path, fast_config):
         rc = run(
             [
@@ -360,6 +432,47 @@ class TestEval:
         assert rc == 0
         printed = capsys.readouterr().out
         assert printed.startswith("# amr-navkit-report-v1")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(None, id="missing"),
+            pytest.param("not json {", id="not-json"),
+            pytest.param('{"x": 1}', id="unknown-fields"),
+            pytest.param("[1, 2]", id="not-an-object"),
+        ],
+    )
+    def test_report_bad_input_exits_3(self, tmp_path, content):
+        path = tmp_path / "rep.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["report", "--report", str(path)]) == 3
+
+    @pytest.mark.parametrize("edit", ["add", "drop"])
+    def test_report_bucket_fields_checked(self, tmp_path, capsys, edit):
+        d = report_to_dict(summarize([]))
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(d))
+        assert run(["report", "--report", str(path)]) == 0
+        bucket = d["buckets"][next(iter(d["buckets"]))]
+        if edit == "add":
+            bucket["bogus"] = 1
+        else:
+            del bucket["count"]
+        path.write_text(json.dumps(d))
+        assert run(["report", "--report", str(path)]) == 3
+
+    def test_codec_is_the_oracle(self, tmp_path, fast_config):
+        # the oracle's horizon already goes through the codec
+        scenes = tmp_path / "scenes"
+        assert run(["--config", fast_config, "gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
+        outputs = {}
+        for policy in ("oracle", "codec"):
+            out = tmp_path / policy / "report"
+            assert run(["--config", fast_config, "eval", "--scenes", str(scenes), "--n-tasks", "2",
+                        "--policy", policy, "--out", str(out)]) == 0
+            outputs[policy] = [out.with_suffix(ext).read_bytes() for ext in (".json", ".csv", ".traces.jsonl")]
+        assert outputs["oracle"] == outputs["codec"]
 
     def test_codec_policy_names(self, tmp_path, fast_config):
         scenes = tmp_path / "scenes"

@@ -6,7 +6,6 @@ import pytest
 
 from amr_navkit.codec import encode_trajectory
 from amr_navkit.controller import (
-    CodecRoundtripPolicy,
     ExecutorConfig,
     OraclePolicy,
     PolicyAction,
@@ -31,12 +30,14 @@ from amr_navkit.scene import (
     command_speed,
     sample_scene,
 )
-from amr_navkit.pipeline import Task, sample_task
+from amr_navkit.pipeline import Expert, Task, sample_task
 from amr_navkit.geometry import GoalSpec, SideLabels
 
 
 CFG_DIFF = ExecutorConfig(kinematics="differential")
 CFG_OMNI = ExecutorConfig(kinematics="omnidirectional")
+# a small planning budget keeps the closed-loop tests fast
+EXPERT = Expert(budget=PlannerBudget(2, 16))
 
 
 def make_task(scene, start, goal, target_id=0, radius=0.3) -> Task:
@@ -191,7 +192,7 @@ class TestRunEpisode:
         start = Pose2(0.0, 0.0, 0.0)
         goal = Pose2(3.0, 0.0, 0.0)
         task = make_task(scene, start, goal)
-        res = run_episode(scene, task, OraclePolicy(scene=scene), CFG_OMNI)
+        res = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT), CFG_OMNI)
         assert res.outcome == "reached"
         assert res.distance_error <= CFG_OMNI.stop_pos_tol + 1e-9
         assert res.angle_error <= math.degrees(CFG_OMNI.stop_ang_tol) + 1e-9
@@ -199,7 +200,7 @@ class TestRunEpisode:
     def test_differential_tracking_also_reaches(self):
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0.6, 0.3))
-        res = run_episode(scene, task, OraclePolicy(scene=scene), CFG_DIFF)
+        res = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT), CFG_DIFF)
         assert res.outcome == "reached"
         assert res.distance_error <= CFG_DIFF.stop_pos_tol + 1e-9
 
@@ -234,7 +235,7 @@ class TestRunEpisode:
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
         CountingOracle.calls = 0
-        policy = CountingOracle(scene=scene)
+        policy = CountingOracle(scene=scene, expert=EXPERT)
         res = run_episode(scene, task, policy, CFG_OMNI)
         assert res.outcome == "reached"
         assert CountingOracle.calls == math.ceil(res.steps / CFG_OMNI.replan_every)
@@ -245,8 +246,8 @@ class TestRunEpisode:
     def test_episode_deterministic(self):
         scene = sample_scene(30)
         task = sample_task(scene, 5)
-        r1 = run_episode(scene, task, OraclePolicy(scene=scene, seed=4), CFG_OMNI)
-        r2 = run_episode(scene, task, OraclePolicy(scene=scene, seed=4), CFG_OMNI)
+        r1 = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT, seed=4), CFG_OMNI)
+        r2 = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT, seed=4), CFG_OMNI)
         assert r1.outcome == r2.outcome
         assert r1.distance_error == r2.distance_error
         assert [e.pose for e in r1.trace] == [e.pose for e in r2.trace]
@@ -255,10 +256,20 @@ class TestRunEpisode:
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
         res = run_episode(
-            scene, task, CodecRoundtripPolicy(OraclePolicy(scene=scene), use_residual=True), CFG_OMNI
+            scene, task, OraclePolicy(scene=scene, expert=EXPERT, use_residual=True), CFG_OMNI
         )
         assert res.outcome == "reached"
         assert res.distance_error <= CFG_OMNI.stop_pos_tol + 1e-9
+
+    def test_without_residual_drops_only_the_residuals(self):
+        scene = room_with_target()
+        task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
+        state = RobotState(task.start, task.robot_radius)
+        exact = OraclePolicy(scene=scene, expert=EXPERT).query(state, None, task, 0)
+        snapped = OraclePolicy(scene=scene, expert=EXPERT, use_residual=False).query(state, None, task, 0)
+        assert snapped.steps == [s.without_residual() for s in exact.steps]
+        assert snapped.steps != exact.steps
+        assert snapped.tilt == exact.tilt
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -272,7 +283,7 @@ class TestRunEpisode:
         errors = []
         for tol in (0.05, 0.02, 0.01):
             cfg = replace(CFG_OMNI, stop_pos_tol=tol)
-            res = run_episode(scene, task, OraclePolicy(scene=scene), cfg)
+            res = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT), cfg)
             assert res.outcome == "reached"
             assert res.distance_error <= tol + 1e-9
             errors.append(res.distance_error)
@@ -291,7 +302,8 @@ class TestOraclePlanLadder:
         monkeypatch.setattr(planner, "plan", failing_plan)
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
-        policy = OraclePolicy(scene=scene, budget=PlannerBudget(2, 16), safety_margin=0.1, seed=5, queries=3)
+        expert = Expert(budget=PlannerBudget(2, 16), safety_margin=0.1)
+        policy = OraclePolicy(scene=scene, expert=expert, seed=5, queries=3)
         with pytest.raises(NoPathFound):
             policy.query(RobotState(Pose2(0, 0, 0), 0.3), None, task, 0)
         # inflated then true radius at each budget level x1, x3, x8, with the

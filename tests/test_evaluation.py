@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amr_navkit.controller import ExecutorConfig
+from amr_navkit.errors import SchemaMismatch
 from amr_navkit.evaluation import (
     CSV_SCHEMA,
     EpisodeSummary,
@@ -95,7 +96,7 @@ class TestEvaluate:
         scene = sample_scene(50)
         task = sample_task(scene, 1)
         cfg = ExecutorConfig()
-        rep, episodes = evaluate([task], {scene.seed: scene}, PolicySpec(kind="oracle"), cfg)
+        rep, episodes = evaluate([task], {scene.seed: scene}, PolicySpec(), cfg)
         assert rep.n_episodes == 1
         [(summary, result)] = episodes
         assert (summary.task_index, summary.outcome) == (0, result.outcome)
@@ -137,6 +138,18 @@ class TestExport:
         assert back.n_episodes == rep.n_episodes
         assert back.median_distance_error == pytest.approx(rep.median_distance_error, rel=1e-5)
         assert set(back.buckets) == set(rep.buckets)
+
+    @pytest.mark.parametrize("where", ["top", "bucket"])
+    @pytest.mark.parametrize("edit", ["add", "drop"])
+    def test_from_dict_checks_field_names(self, where, edit):
+        d = report_to_dict(self._report())
+        target = d if where == "top" else next(iter(d["buckets"].values()))
+        if edit == "add":
+            target["bogus"] = 1
+        else:
+            del target["count" if where == "bucket" else "n_episodes"]
+        with pytest.raises(SchemaMismatch):
+            report_from_dict(d)
 
     def test_csv_header_fixed_and_versioned(self, tmp_path):
         rep = self._report()

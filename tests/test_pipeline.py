@@ -279,6 +279,36 @@ class TestSceneIO:
         with pytest.raises(SchemaMismatch, match="non-finite"):
             scene_from_dict(json.loads(json.dumps(d)))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("target_eligible", "false"),
+            ("target_eligible", 0),
+            ("target_eligible", None),
+            ("id", 20.7),
+            ("id", "20"),
+            ("id", True),
+            ("seed", 3.9),
+            ("seed", "3"),
+            ("seed", False),
+        ],
+    )
+    def test_mistyped_field_rejected(self, key, value):
+        # "false" once loaded as a target-eligible object, and 20.7 as id 20
+        d = json.loads(json.dumps(scene_to_dict(sample_scene(45))))
+        (d if key == "seed" else d["objects"][0])[key] = value
+        with pytest.raises(SchemaMismatch, match=f"{key} must be"):
+            scene_from_dict(d)
+
+    def test_integral_float_id_and_seed_accepted(self):
+        d = json.loads(json.dumps(scene_to_dict(sample_scene(45))))
+        d["seed"] = 45.0
+        d["objects"][0]["id"] = float(d["objects"][0]["id"])
+        scene = scene_from_dict(d)
+        assert scene == scene_from_dict(scene_to_dict(sample_scene(45)))
+        assert type(scene.seed) is int and type(scene.objects[0].id) is int
+        assert type(scene.seed) is int and type(scene.objects[0].id) is int
+
     def test_scene_dict_is_json_clean(self):
         blob = json.dumps(scene_to_dict(sample_scene(46)))
         assert "NaN" not in blob
