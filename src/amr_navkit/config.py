@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 from .controller import ExecutorConfig
+from .errors import checked
 from .geometry import CameraModel
 from .pipeline import Expert, TaskParams
 from .planner import CostWeights, PlannerBudget
@@ -122,32 +123,12 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _convert(value, hint, where: str):
-    """Return a file or env value as its field's type: int, float or str.
-
-    An int field takes an integral number, a float field any finite number;
-    neither takes a bool, and a str field takes only a string.
-    """
-    if hint is str and isinstance(value, str):
-        return value
-    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"config value {where} must be finite, got {value}")
-        return value
-    if hint is int and not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        return int(value)
-    raise ValueError(f"config value {where} must be {hint.__name__}, got {value!r}")
-
-
 def _section_from_dict(cls, d: dict, where: str):
     types = _field_types(cls)
     unknown = set(d) - set(types)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in config section {where!r}")
-    return cls(**{k: _convert(v, types[k], f"{where}.{k}") for k, v in d.items()})
+    return cls(**{k: checked(v, types[k], f"{where}.{k}") for k, v in d.items()})
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -158,7 +139,7 @@ def config_from_dict(d: dict) -> RunConfig:
     kwargs = {}
     for name in ("master_seed", "workers"):
         if name in d:
-            kwargs[name] = _convert(d[name], int, name)
+            kwargs[name] = checked(d[name], int, name)
     for name, cls in _SECTIONS.items():
         if name in d:
             kwargs[name] = _section_from_dict(cls, d[name], name)
@@ -186,7 +167,7 @@ def _env_value(raw: str, hint, where: str):
             raw = int(raw)
         except ValueError:
             raw = float(raw)
-    return _convert(raw, hint, where)
+    return checked(raw, hint, where)
 
 
 def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:

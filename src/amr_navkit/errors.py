@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the value check that every
+file reader (config, scene, dataset, report) applies."""
+
+import math
 
 
 class NavkitError(Exception):
@@ -47,3 +50,25 @@ class SchemaMismatch(NavkitError):
 
 class IoFailure(NavkitError):
     """Filesystem error raised by a batch command."""
+
+
+def checked(value, kind: type, where: str):
+    """Return a value parsed from a file as ``kind``: float, int, bool or str.
+
+    A float takes any finite number and an int an integral number; neither
+    takes a bool or a string. A bool takes only true or false, a str only a
+    string. Anything else raises ValueError naming ``where``. Types are
+    matched exactly, as JSON parsing yields them: dataset files hold
+    thousands of numbers per record, and this is the cheaper test.
+    """
+    t = type(value)
+    if kind is float and (t is float or t is int):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+        raise ValueError(f"{where}: non-finite number {value}")
+    if kind is int and (t is int or t is float and value.is_integer()):
+        return int(value)
+    if t is kind and (kind is bool or kind is str):
+        return value
+    raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")

@@ -14,12 +14,12 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
 from .controller import EpisodeResult, ExecutorConfig, OraclePolicy, run_episode
-from .errors import IoFailure, SchemaMismatch
+from .errors import IoFailure, SchemaMismatch, checked
 from .geometry import CameraModel
 from .pipeline import Expert, Task, parallel_map
 from .scene import Scene
@@ -254,18 +254,35 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 _REPORT_KEYS = {f.name for f in fields(MetricsReport)}
 _BUCKET_KEYS = {f.name for f in fields(BucketStats)}
+_BUCKET_NAMES = {f"{r}/{f}/{v}" for r in BUCKET_LABELS for f in ("ffr", "nonffr") for v in ("visible", "hidden")}
 
 
 def report_from_dict(d: dict) -> MetricsReport:
-    """Report from its JSON dict; missing or unknown fields are a SchemaMismatch."""
+    """Report from its JSON dict. Missing or unknown fields, a bucket label
+    that ``summarize`` does not write, a count that is not an integer and a
+    number that is not finite are each a SchemaMismatch."""
     if not isinstance(d, dict) or set(d) != _REPORT_KEYS or not isinstance(d["buckets"], dict):
         raise SchemaMismatch(f"report: expected an object with fields {sorted(_REPORT_KEYS)}")
+    if not isinstance(d["outcomes"], dict):
+        raise SchemaMismatch("report: outcomes must be an object")
     for k, b in d["buckets"].items():
+        if k not in _BUCKET_NAMES:
+            raise SchemaMismatch(f"report bucket {k!r}: expected <range>/<ffr|nonffr>/<visible|hidden>")
         if not isinstance(b, dict) or set(b) != _BUCKET_KEYS:
             raise SchemaMismatch(f"report bucket {k!r}: expected fields {sorted(_BUCKET_KEYS)}")
-    buckets = {k: BucketStats(**b) for k, b in d["buckets"].items()}
-    kwargs = {k: v for k, v in d.items() if k != "buckets"}
-    return MetricsReport(buckets=buckets, **kwargs)
+    report_types, bucket_types = get_type_hints(MetricsReport), get_type_hints(BucketStats)
+    try:
+        buckets = {
+            k: BucketStats(**{f: checked(v, bucket_types[f], f"buckets[{k!r}].{f}") for f, v in b.items()})
+            for k, b in d["buckets"].items()
+        }
+        outcomes = {k: checked(v, int, f"outcomes[{k!r}]") for k, v in d["outcomes"].items()}
+        scalars = {
+            k: checked(v, report_types[k], k) for k, v in d.items() if k not in ("outcomes", "buckets")
+        }
+    except (ValueError, OverflowError) as err:
+        raise SchemaMismatch(f"report: {err}") from err
+    return MetricsReport(**scalars, outcomes=outcomes, buckets=buckets)
 
 
 def report_to_csv(report: MetricsReport) -> str:

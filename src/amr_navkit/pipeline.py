@@ -22,6 +22,7 @@ from .errors import (
     NoPathFound,
     SamplingExhausted,
     SchemaMismatch,
+    checked,
 )
 from .geometry import (
     GOAL_ANGLES,
@@ -310,8 +311,8 @@ def _pose_to_list(p: Pose2) -> list[float]:
     return [p.x, p.y, p.heading]
 
 
-def _pose_from_list(v) -> Pose2:
-    return Pose2(float(v[0]), float(v[1]), float(v[2]))
+def _pose_from_list(v, where: str) -> Pose2:
+    return Pose2(checked(v[0], float, where), checked(v[1], float, where), checked(v[2], float, where))
 
 
 def task_to_dict(task: Task) -> dict:
@@ -334,21 +335,23 @@ def task_to_dict(task: Task) -> dict:
 
 
 def task_from_dict(d: dict) -> Task:
+    """Task from its JSON dict; a value ``errors.checked`` refuses raises ValueError."""
+    g = d["goal_spec"]
     return Task(
-        scene_seed=int(d["scene_seed"]),
-        start=_pose_from_list(d["start"]),
-        robot_radius=float(d["robot_radius"]),
-        reference_view=_pose_from_list(d["reference_view"]),
-        target_id=int(d["target_id"]),
-        side_labels=SideLabels(**{k: int(v) for k, v in d["side_labels"].items()}),
+        scene_seed=checked(d["scene_seed"], int, "scene_seed"),
+        start=_pose_from_list(d["start"], "start"),
+        robot_radius=checked(d["robot_radius"], float, "robot_radius"),
+        reference_view=_pose_from_list(d["reference_view"], "reference_view"),
+        target_id=checked(d["target_id"], int, "target_id"),
+        side_labels=SideLabels(**{k: checked(v, int, f"side_labels.{k}") for k, v in d["side_labels"].items()}),
         goal_spec=GoalSpec(
-            side=d["goal_spec"]["side"],
-            distance_d=float(d["goal_spec"]["distance_d"]),
-            angle_theta=float(d["goal_spec"]["angle_theta"]),
+            side=checked(g["side"], str, "goal_spec.side"),
+            distance_d=checked(g["distance_d"], float, "goal_spec.distance_d"),
+            angle_theta=checked(g["angle_theta"], float, "goal_spec.angle_theta"),
         ),
-        goal_pose=_pose_from_list(d["goal_pose"]),
-        ffr=bool(d["ffr"]),
-        initially_visible=bool(d["initially_visible"]),
+        goal_pose=_pose_from_list(d["goal_pose"], "goal_pose"),
+        ffr=checked(d["ffr"], bool, "ffr"),
+        initially_visible=checked(d["initially_visible"], bool, "initially_visible"),
     )
 
 
@@ -390,6 +393,8 @@ _STEP_KEYS = {"psi_bin", "r_bin", "phi_bin", "psi_res", "r_res", "phi_res"}
 
 
 def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
+    """Record from its JSON dict; a wrong version, a missing or unknown field,
+    or a value ``errors.checked`` refuses is a SchemaMismatch."""
     where = f"record {index}" if index >= 0 else "record"
     if d.get("version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"{where}: version {d.get('version')!r} != {SCHEMA_VERSION!r}")
@@ -401,38 +406,41 @@ def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
             for s in kf["expert_steps"]:
                 if set(s.keys()) != _STEP_KEYS:
                     raise SchemaMismatch(f"{where}: step fields {sorted(s.keys())}")
+            ranges = np.array(kf["lidar"]["ranges"], dtype=float)
+            if not np.isfinite(ranges).all():
+                raise ValueError("lidar.ranges: non-finite number")
             keyframes.append(
                 Keyframe(
-                    pose=_pose_from_list(kf["pose"]),
-                    tilt=float(kf["tilt"]),
+                    pose=_pose_from_list(kf["pose"], "pose"),
+                    tilt=checked(kf["tilt"], float, "tilt"),
                     lidar=LidarScan(
-                        num_rays=int(kf["lidar"]["num_rays"]),
-                        ranges=np.array(kf["lidar"]["ranges"], dtype=float),
-                        max_range=float(kf["lidar"]["max_range"]),
+                        num_rays=checked(kf["lidar"]["num_rays"], int, "lidar.num_rays"),
+                        ranges=ranges,
+                        max_range=checked(kf["lidar"]["max_range"], float, "lidar.max_range"),
                     ),
                     expert_steps=[
                         TokenizedStep(
-                            psi_bin=int(s["psi_bin"]),
-                            r_bin=int(s["r_bin"]),
-                            phi_bin=int(s["phi_bin"]),
-                            psi_res=float(s["psi_res"]),
-                            r_res=float(s["r_res"]),
-                            phi_res=float(s["phi_res"]),
+                            psi_bin=checked(s["psi_bin"], int, "psi_bin"),
+                            r_bin=checked(s["r_bin"], int, "r_bin"),
+                            phi_bin=checked(s["phi_bin"], int, "phi_bin"),
+                            psi_res=checked(s["psi_res"], float, "psi_res"),
+                            r_res=checked(s["r_res"], float, "r_res"),
+                            phi_res=checked(s["phi_res"], float, "phi_res"),
                         )
                         for s in kf["expert_steps"]
                     ],
-                    expert_tilt_target=float(kf["expert_tilt_target"]),
+                    expert_tilt_target=checked(kf["expert_tilt_target"], float, "expert_tilt_target"),
                 )
             )
         return EpisodeRecord(
             task=task_from_dict(d["task"]),
             keyframes=keyframes,
-            planner_cost=float(d["planner_cost"]),
-            generator_version=str(d["generator_version"]),
+            planner_cost=checked(d["planner_cost"], float, "planner_cost"),
+            generator_version=checked(d["generator_version"], str, "generator_version"),
         )
     except SchemaMismatch:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaMismatch(f"{where}: {err}") from err
 
 
@@ -508,52 +516,32 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {value!r}")
-    return x
-
-
-def _integral(value, name: str) -> int:
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON dict; any missing field, non-finite number, id or
-    seed that is not an integer, or target_eligible that is not a bool is a
-    SchemaMismatch, since one NaN would make every collision check pass."""
+    """Scene from its JSON dict; any missing field or value ``errors.checked``
+    refuses (a non-finite number, an id or seed that is not an integer, a
+    target_eligible that is not a bool) is a SchemaMismatch, since one NaN
+    would make every collision check pass."""
     if d.get("version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCHEMA_VERSION!r}")
 
     def box(b: dict) -> OrientedBox:
-        return OrientedBox(*(_finite(b[k]) for k in ("cx", "cy", "hx", "hy", "yaw")))
+        return OrientedBox(*(checked(b[k], float, k) for k in ("cx", "cy", "hx", "hy", "yaw")))
 
     try:
         return Scene(
-            bounds=Bounds(_finite(d["bounds"]["w"]), _finite(d["bounds"]["h"])),
+            bounds=Bounds(checked(d["bounds"]["w"], float, "bounds.w"), checked(d["bounds"]["h"], float, "bounds.h")),
             walls=[box(b) for b in d["walls"]],
             objects=[
                 SceneObject(
-                    id=_integral(o["id"], "id"),
+                    id=checked(o["id"], int, "id"),
                     box=box(o),
-                    base_height=_finite(o["base_height"]),
-                    category=str(o["category"]),
-                    target_eligible=_flag(o["target_eligible"], "target_eligible"),
+                    base_height=checked(o["base_height"], float, "base_height"),
+                    category=checked(o["category"], str, "category"),
+                    target_eligible=checked(o["target_eligible"], bool, "target_eligible"),
                 )
                 for o in d["objects"]
             ],
-            seed=_integral(d["seed"], "seed"),
+            seed=checked(d["seed"], int, "seed"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaMismatch(f"scene: {err}") from err

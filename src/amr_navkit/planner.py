@@ -237,17 +237,18 @@ class _Roadmap:
             self.weight[key] = self._conn[key][0]
         return self._conn[key]
 
-    def evaluate(self, chain: list[int], nbrs: list[set[int]]) -> bool:
+    def evaluate(self, chain: list[int], positions: np.ndarray, nbrs: list[list[int]]) -> bool:
         """Sweep every unswept edge at a chain vertex in one batch (the next
         chain mostly passes the same vertices), then cost the free chain
-        edges. False when the chain's edges were all evaluated already."""
+        edges. False when the chain's edges were all evaluated already.
+        ``positions`` holds the (x, y) of every pose, as ``nbrs`` was built from."""
         todo = [e for e in zip(chain, chain[1:]) if e not in self._conn]
         if not todo:
             return False
         new = sorted({(min(i, j), max(i, j)) for i in chain for j in nbrs[i]} - self._swept)
         if new:
             self._swept.update(new)
-            ends = np.array([[[self.poses[k].x, self.poses[k].y] for k in key] for key in new])
+            ends = positions[np.array(new)]  # (E, 2, 2)
             r = self.radius + LIN_STEP / 2  # so every pose between samples is free
             hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r, LIN_STEP)
             for (a, b), hit in zip(new, hits.tolist()):
@@ -259,25 +260,31 @@ class _Roadmap:
         return True
 
 
-def _neighbor_lists(positions: np.ndarray, k: int) -> list[set[int]]:
+def _neighbor_lists(positions: np.ndarray, k: int) -> list[list[int]]:
+    """Symmetric k-nearest-neighbour graph, plus the start-goal edge (0, 1).
+
+    Each list is in ascending vertex order. The order does not affect any
+    result: A* relaxes each neighbour on its own and pops by (f, v), and
+    ``_Roadmap.evaluate`` sorts the edges it sweeps.
+    """
     n = len(positions)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
     if n < 2:
-        return nbrs
-    d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+        return [[] for _ in range(n)]
+    dx = positions[:, 0, None] - positions[:, 0]
+    dy = positions[:, 1, None] - positions[:, 1]
+    d = np.sqrt(dx * dx + dy * dy)  # what norm(axis=2) computes, without its reduction
     np.fill_diagonal(d, np.inf)
     kk = min(k, n - 1)
-    nearest = np.argpartition(d, kk - 1, axis=1)[:, :kk].tolist()
-    for i, row in enumerate(nearest):
-        for j in row:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    nbrs[0].add(1)
-    nbrs[1].add(0)
-    return nbrs
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], np.argpartition(d, kk - 1, axis=1)[:, :kk]] = True
+    adj |= adj.T
+    adj[0, 1] = adj[1, 0] = True
+    cols = np.nonzero(adj)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    return [cols[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _shortest_path(rm: _Roadmap, nbrs: list[set[int]]) -> tuple[float, list[int]]:
+def _shortest_path(rm: _Roadmap, positions: np.ndarray, nbrs: list[list[int]]) -> tuple[float, list[int]]:
     """Lazy shortest path from vertex 0 to vertex 1 (Lazy PRM, LazySP).
 
     Each pass runs A* on ``rm.weight``, where unevaluated edges weigh their
@@ -320,32 +327,36 @@ def _shortest_path(rm: _Roadmap, nbrs: list[set[int]]) -> tuple[float, list[int]
         while chain[-1] != 0:
             chain.append(prev[chain[-1]])
         chain.reverse()
-        if not rm.evaluate(chain, nbrs):
+        if not rm.evaluate(chain, positions, nbrs):
             return dist[1], chain
 
 
 def _sample_positions(
-    rng: np.random.Generator, scene: Scene, n: int, informed: tuple[np.ndarray, np.ndarray, float] | None
+    rng: np.random.Generator, scene: Scene, n: int, informed: tuple[np.ndarray, np.ndarray, tuple] | None
 ) -> np.ndarray:
-    """n free-space positions, uniform in bounds or in the informed ellipse."""
+    """n positions, uniform in bounds or in the informed ellipse.
+
+    Ellipse samples outside the bounds are rejected, up to 50 n tries. Draws
+    are batched but read the stream exactly as far as one (x, y) or
+    (u, angle) pair per try would: a batch holds at most as many tries as
+    points still missing, so no try past the last needed one is drawn.
+    """
     b = scene.bounds
-    out = np.empty((n, 2))
-    got = 0
+    if informed is None:
+        return rng.uniform((b.xmin, b.ymin), (b.xmax, b.ymax), size=(n, 2))
+    center, axes_rot, (sa, sb) = informed
+    out = []
     tries = 0
-    while got < n and tries < 50 * n:
-        tries += 1
-        if informed is None:
-            pt = np.array([rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)])
-        else:
-            center, axes_rot, (sa, sb) = informed[0], informed[1], informed[2]
-            r = math.sqrt(rng.uniform())
-            ang = rng.uniform(0.0, 2 * math.pi)
+    while len(out) < n and tries < 50 * n:
+        m = min(n - len(out), 50 * n - tries)
+        tries += m
+        for u, ang in rng.uniform(0.0, (1.0, 2 * math.pi), size=(m, 2)).tolist():
+            # per point, as numpy's vectorized sin/cos/matmul may round differently
+            r = math.sqrt(u)
             pt = center + axes_rot @ np.array([sa * r * math.cos(ang), sb * r * math.sin(ang)])
-            if not (b.xmin <= pt[0] <= b.xmax and b.ymin <= pt[1] <= b.ymax):
-                continue
-        out[got] = pt
-        got += 1
-    return out[:got]
+            if b.xmin <= pt[0] <= b.xmax and b.ymin <= pt[1] <= b.ymax:
+                out.append(pt)
+    return np.array(out).reshape(-1, 2)
 
 
 def plan(
@@ -406,7 +417,7 @@ def plan(
 
         positions = np.array([[p.x, p.y] for p in rm.poses])
         nbrs = _neighbor_lists(positions, K_NEIGHBORS)
-        cost, chain = _shortest_path(rm, nbrs)
+        cost, chain = _shortest_path(rm, positions, nbrs)
         if cost < best_cost:
             best_cost, best_chain = cost, chain
         if best_cost <= lower_bound + 1e-9:

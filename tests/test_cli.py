@@ -462,6 +462,46 @@ class TestEval:
         path.write_text(json.dumps(d))
         assert run(["report", "--report", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            pytest.param("bucket", "median_distance", "x", id="bucket-string"),
+            pytest.param("bucket", "p90_angle", math.nan, id="bucket-nan"),
+            pytest.param("bucket", "max_distance", math.inf, id="bucket-inf"),
+            pytest.param("bucket", "count", 1.5, id="count-fraction"),
+            pytest.param("bucket", "count", "3", id="count-string"),
+            pytest.param("top", "median_distance_error", "x", id="report-string"),
+            pytest.param("top", "collision_rate", math.nan, id="report-nan"),
+            pytest.param("top", "n_episodes", 2.5, id="n-episodes-fraction"),
+            pytest.param("top", "outcomes", {"reached": "x"}, id="outcome-count-string"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_values_checked(self, tmp_path, capsys, where, field, value, fmt):
+        d = report_to_dict(summarize([]))
+        target = d if where == "top" else d["buckets"]["0-2/ffr/visible"]
+        target[field] = value
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(d))
+        assert run(["report", "--report", str(path), "--format", fmt]) == 3
+
+    @pytest.mark.parametrize("label", ["nolabel", "0-2/ffr", "0-3/ffr/visible", "0-2/ffr/visible/x"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_bucket_labels_checked(self, tmp_path, capsys, label, fmt):
+        d = report_to_dict(summarize([]))
+        d["buckets"][label] = d["buckets"].pop("0-2/ffr/visible")
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(d))
+        assert run(["report", "--report", str(path), "--format", fmt]) == 3
+
+    def test_report_integral_float_count_accepted(self, tmp_path, capsys):
+        d = report_to_dict(summarize([]))
+        d["buckets"]["0-2/ffr/visible"]["count"] = 0.0
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(d))
+        assert run(["report", "--report", str(path), "--format", "csv"]) == 0
+        assert "\n0-2,1,1,0,0," in capsys.readouterr().out
+
     def test_codec_is_the_oracle(self, tmp_path, fast_config):
         # the oracle's horizon already goes through the codec
         scenes = tmp_path / "scenes"

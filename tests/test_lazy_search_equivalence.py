@@ -47,7 +47,7 @@ def reference_edges_free(rm, valid: dict, i: int, js: list[int]) -> list[bool]:
     return [valid[key] for key in keys]
 
 
-def reference_shortest_path(rm, nbrs):
+def reference_shortest_path(rm, positions, nbrs):
     """Eager A* from vertex 0 to vertex 1, with sweep verdicts kept per roadmap."""
     valid = rm.__dict__.setdefault("reference_valid", {})
     n = len(rm.poses)

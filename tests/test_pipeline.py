@@ -199,6 +199,16 @@ class TestRelabel:
             found += 1
 
 
+def _with_field(d: dict, field: str, value) -> dict:
+    """``d`` with the value at a dotted path such as ``keyframes.0.tilt`` replaced."""
+    *path, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    parent = d
+    for key in path:
+        parent = parent[key]
+    parent[last] = value
+    return d
+
+
 class TestDatasetIO:
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -242,6 +252,56 @@ class TestDatasetIO:
         d["version"] = "0"
         with pytest.raises(SchemaMismatch):
             record_from_dict(d, index=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "task.start.0",
+            "task.goal_pose.2",
+            "task.reference_view.1",
+            "task.robot_radius",
+            "planner_cost",
+            "keyframes.0.pose.1",
+            "keyframes.0.tilt",
+            "keyframes.0.expert_tilt_target",
+            "keyframes.0.expert_steps.0.psi_res",
+            "keyframes.0.expert_steps.0.r_res",
+            "keyframes.0.expert_steps.0.phi_res",
+            "keyframes.0.lidar.ranges.7",
+        ],
+    )
+    def test_non_finite_number_rejected(self, one_episode, tmp_path, field, value):
+        _, _, record = one_episode
+        d = _with_field(record_to_dict(record), field, value)
+        with pytest.raises(SchemaMismatch, match="record 0"):
+            record_from_dict(json.loads(json.dumps(d)), index=0)
+        data = tmp_path / "nan.jsonl"
+        data.write_text(json.dumps(d) + "\n")
+        with pytest.raises(SchemaMismatch):
+            read_dataset(str(data))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("task.ffr", "false"),
+            ("task.initially_visible", 0),
+            ("task.target_id", 2.7),
+            ("task.scene_seed", "3"),
+            ("task.side_labels.front", True),
+            ("task.goal_spec.side", 1),
+            ("task.robot_radius", "0.3"),
+            ("keyframes.0.expert_steps.0.psi_bin", 1.5),
+            ("keyframes.0.lidar.num_rays", None),
+            ("generator_version", 1),
+        ],
+    )
+    def test_mistyped_field_rejected(self, one_episode, field, value):
+        # "false" once loaded as ffr=True, and 2.7 as target 2
+        _, _, record = one_episode
+        d = _with_field(record_to_dict(record), field, value)
+        with pytest.raises(SchemaMismatch, match="must be"):
+            record_from_dict(json.loads(json.dumps(d)), index=0)
 
     def test_task_dict_roundtrip(self, sampled_tasks):
         _, tasks = sampled_tasks
@@ -291,6 +351,8 @@ class TestSceneIO:
             ("seed", 3.9),
             ("seed", "3"),
             ("seed", False),
+            ("cx", "1.5"),
+            ("base_height", True),
         ],
     )
     def test_mistyped_field_rejected(self, key, value):

@@ -15,8 +15,12 @@ Usage, from the root of the tree to check::
     PYTHONPATH=src python3 tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
 
 runs eval rounds 0-5 and gen-data rounds 0-11, then every ``--seeds`` master
-seed of both, and prints ``<workload> <master seed> <sha256>`` per round. Run
-it on two trees and ``diff`` the outputs.
+seed of both, and prints ``<workload> <master seed> <sha256>`` per round. To
+compare two trees, save the output of one and ``diff`` the other against it;
+``diff`` prints every round that differs and exits 1 if any does::
+
+    PYTHONPATH=src python3 tools/digest_sweep.py --seeds 8001000 > before.txt
+    PYTHONPATH=src python3 tools/digest_sweep.py --seeds 8001000 | diff before.txt -
 """
 
 from __future__ import annotations
