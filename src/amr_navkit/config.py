@@ -68,6 +68,12 @@ class SensorParams:
     num_rays: int = 360
     max_range: float = 10.0
 
+    def __post_init__(self):
+        if self.num_rays < 1:
+            raise ValueError(f"sensor num_rays must be at least 1, got {self.num_rays}")
+        if not 0 < self.max_range < math.inf:
+            raise ValueError(f"sensor max_range must be finite and positive, got {self.max_range}")
+
 
 @dataclass(frozen=True)
 class EvalParams:

@@ -56,7 +56,9 @@ from .scene import (
     visible_from,
 )
 
-SCHEMA_VERSION = "1"
+SCENE_VERSION = "1"
+DATASET_VERSION = "2"
+LIDAR_UNIT = 1e-4  # metres per stored LiDAR range step (0.1 mm)
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,9 @@ def generate_episode(
     """Plan the expert path and record keyframed observations and actions.
 
     The tilt target follows the geometric gaze rule from the target's lowest
-    point even when the object would be out of view.
+    point even when the object would be out of view. LiDAR ranges are
+    recorded as the nearest multiple of ``LIDAR_UNIT``, as a dataset stores
+    them, so a record reads back field for field.
     """
     target = scene.object_by_id(task.target_id)
     path = expert.plan(
@@ -262,11 +266,12 @@ def generate_episode(
     keyframes = []
     for pose in resample_keyframes(path):
         tilt = compute_tilt(camera, pose, lowest, tilt_limit=None)
+        ranges = raycast_lidar(scene, pose, num_rays, max_range).ranges
         keyframes.append(
             Keyframe(
                 pose=pose,
                 tilt=tilt,
-                lidar=raycast_lidar(scene, pose, num_rays, max_range),
+                lidar=LidarScan(num_rays, _range_steps(ranges) * LIDAR_UNIT, max_range),
                 expert_steps=expert.label(path, pose),
                 expert_tilt_target=tilt,
             )
@@ -305,6 +310,36 @@ def audit_keyframe_gaps(
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _range_steps(ranges: np.ndarray) -> np.ndarray:
+    """LiDAR ranges as whole steps of ``LIDAR_UNIT``, rounded to nearest."""
+    return np.rint(ranges / LIDAR_UNIT).astype(np.int64)
+
+
+def _ranges_from_steps(steps, num_rays: int, max_range: float) -> np.ndarray:
+    """LiDAR ranges from their stored steps, ``num_rays`` ints in ``0..rint(max_range / LIDAR_UNIT)``.
+
+    One pass tests each value with ``type(q) is int`` and the bounds; only
+    when a value fails does a second pass apply ``errors.checked`` to find
+    it and word the error (which also lets an integral float through, as it
+    does for every int field).
+    """
+    if len(steps) != num_rays:
+        raise ValueError(f"lidar.ranges: {len(steps)} values for {num_rays} rays")
+    top = round(max_range / LIDAR_UNIT)
+    for q in steps:
+        if type(q) is not int or not 0 <= q <= top:
+            break
+    else:
+        return np.array(steps, dtype=np.int64) * LIDAR_UNIT
+    ints = []
+    for i, v in enumerate(steps):
+        q = checked(v, int, f"lidar.ranges.{i}")
+        if not 0 <= q <= top:
+            raise ValueError(f"lidar.ranges.{i}: {q} is outside 0..{top} (max_range {max_range} m)")
+        ints.append(q)
+    return np.array(ints, dtype=np.int64) * LIDAR_UNIT
 
 
 def _pose_to_list(p: Pose2) -> list[float]:
@@ -357,7 +392,7 @@ def task_from_dict(d: dict) -> Task:
 
 def record_to_dict(record: EpisodeRecord) -> dict:
     return {
-        "version": SCHEMA_VERSION,
+        "version": DATASET_VERSION,
         "task": task_to_dict(record.task),
         "keyframes": [
             {
@@ -366,7 +401,7 @@ def record_to_dict(record: EpisodeRecord) -> dict:
                 "lidar": {
                     "num_rays": kf.lidar.num_rays,
                     "max_range": kf.lidar.max_range,
-                    "ranges": kf.lidar.ranges.tolist(),
+                    "ranges": _range_steps(kf.lidar.ranges).tolist(),
                 },
                 "expert_steps": [
                     {
@@ -394,10 +429,11 @@ _STEP_KEYS = {"psi_bin", "r_bin", "phi_bin", "psi_res", "r_res", "phi_res"}
 
 def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
     """Record from its JSON dict; a wrong version, a missing or unknown field,
-    or a value ``errors.checked`` refuses is a SchemaMismatch."""
+    a value ``errors.checked`` refuses or a LiDAR step ``_ranges_from_steps``
+    refuses is a SchemaMismatch."""
     where = f"record {index}" if index >= 0 else "record"
-    if d.get("version") != SCHEMA_VERSION:
-        raise SchemaMismatch(f"{where}: version {d.get('version')!r} != {SCHEMA_VERSION!r}")
+    if d.get("version") != DATASET_VERSION:
+        raise SchemaMismatch(f"{where}: dataset version {d.get('version')!r} != {DATASET_VERSION!r}")
     try:
         keyframes = []
         for kf in d["keyframes"]:
@@ -406,17 +442,15 @@ def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
             for s in kf["expert_steps"]:
                 if set(s.keys()) != _STEP_KEYS:
                     raise SchemaMismatch(f"{where}: step fields {sorted(s.keys())}")
-            ranges = np.array(kf["lidar"]["ranges"], dtype=float)
-            if not np.isfinite(ranges).all():
-                raise ValueError("lidar.ranges: non-finite number")
+            lidar = kf["lidar"]
+            num_rays = checked(lidar["num_rays"], int, "lidar.num_rays")
+            max_range = checked(lidar["max_range"], float, "lidar.max_range")
             keyframes.append(
                 Keyframe(
                     pose=_pose_from_list(kf["pose"], "pose"),
                     tilt=checked(kf["tilt"], float, "tilt"),
                     lidar=LidarScan(
-                        num_rays=checked(kf["lidar"]["num_rays"], int, "lidar.num_rays"),
-                        ranges=ranges,
-                        max_range=checked(kf["lidar"]["max_range"], float, "lidar.max_range"),
+                        num_rays, _ranges_from_steps(lidar["ranges"], num_rays, max_range), max_range
                     ),
                     expert_steps=[
                         TokenizedStep(
@@ -456,12 +490,17 @@ def write_dataset(
     config_hash: str = "",
     created_at: str = "",
 ) -> None:
-    """Write records as JSONL plus a manifest; floats keep full precision."""
+    """Write records as compact JSONL plus a manifest.
+
+    LiDAR ranges are stored as integer steps of ``LIDAR_UNIT``; every other
+    float keeps full precision.
+    """
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+            line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+            fh.write(line + "\n")
     manifest = {
-        "version": SCHEMA_VERSION,
+        "version": DATASET_VERSION,
         "master_seed": master_seed,
         "scene_count": scene_count,
         "record_count": len(records),
@@ -499,7 +538,7 @@ def scene_to_dict(scene: Scene) -> dict:
         return {"cx": b.cx, "cy": b.cy, "hx": b.hx, "hy": b.hy, "yaw": b.yaw}
 
     return {
-        "version": SCHEMA_VERSION,
+        "version": SCENE_VERSION,
         "seed": scene.seed,
         "bounds": {"w": scene.bounds.w, "h": scene.bounds.h},
         "walls": [box(b) for b in scene.walls],
@@ -521,8 +560,8 @@ def scene_from_dict(d: dict) -> Scene:
     refuses (a non-finite number, an id or seed that is not an integer, a
     target_eligible that is not a bool) is a SchemaMismatch, since one NaN
     would make every collision check pass."""
-    if d.get("version") != SCHEMA_VERSION:
-        raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCHEMA_VERSION!r}")
+    if d.get("version") != SCENE_VERSION:
+        raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCENE_VERSION!r}")
 
     def box(b: dict) -> OrientedBox:
         return OrientedBox(*(checked(b[k], float, k) for k in ("cx", "cy", "hx", "hy", "yaw")))

@@ -8,6 +8,7 @@ from amr_navkit.cli import main
 from amr_navkit.config import (
     OracleParams,
     RunConfig,
+    SensorParams,
     apply_env_overrides,
     config_from_dict,
     config_hash,
@@ -168,6 +169,45 @@ class TestConfig:
     def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
         monkeypatch.setenv(key, raw)
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_rays", 0), ("num_rays", -4), ("max_range", -1), ("max_range", 0), ("max_range", math.nan),
+         ("max_range", math.inf)],
+    )
+    def test_sensor_params_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"sensor {field}"):
+            SensorParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "body", ['{"sensor": {"num_rays": 0}}', '{"sensor": {"num_rays": -4}}',
+                 '{"sensor": {"max_range": -1}}', '{"sensor": {"max_range": 0.0}}'],
+    )
+    def test_bad_sensor_config_file_exits_2(self, tmp_path, body):
+        # max_range -1 once wrote a dataset of -1.0 ranges; num_rays 0 and -4 crashed
+        path = tmp_path / "cfg.json"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="sensor"):
+            load_config(str(path))
+        scenes = tmp_path / "scenes"
+        assert run(["gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        out = tmp_path / "d.jsonl"
+        assert run(["--config", str(path), "gen-data", "--scenes", str(scenes), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("AMR_SENSOR_NUM_RAYS", "0"), ("AMR_SENSOR_NUM_RAYS", "-4"), ("AMR_SENSOR_MAX_RANGE", "-1"),
+         ("AMR_SENSOR_MAX_RANGE", "0")],
+    )
+    def test_bad_sensor_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
+        scenes = tmp_path / "scenes"
+        assert run(["gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        monkeypatch.setenv(key, raw)
+        out = tmp_path / "d.jsonl"
+        assert run(["gen-data", "--scenes", str(scenes), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert run(["eval", "--scenes", str(scenes), "--n-tasks", "1", "--out", str(tmp_path / "r")]) == 2
 
 
 class TestGenScenes:

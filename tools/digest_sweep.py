@@ -10,12 +10,16 @@ config with ``--workers 1``, sized like the benchmark's suite rounds:
   --episodes-per-scene 1``; the digest covers the dataset file (its manifest
   holds a timestamp and is left out).
 
+Each round also gets a ``scenes`` digest over the ``gen-scenes`` output
+(the scene files in name order).
+
 Usage, from the root of the tree to check::
 
     PYTHONPATH=src python3 tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
 
 runs eval rounds 0-5 and gen-data rounds 0-11, then every ``--seeds`` master
-seed of both, and prints ``<workload> <master seed> <sha256>`` per round. To
+seed of both, and prints ``scenes <master seed> <sha256>`` and then
+``<workload> <master seed> <sha256>`` per round. To
 compare two trees, save the output of one and ``diff`` the other against it;
 ``diff`` prints every round that differs and exits 1 if any does::
 
@@ -55,9 +59,14 @@ def _digest(*paths: Path) -> str:
     return h.hexdigest()
 
 
-def eval_digest(work: Path, master_seed: int) -> str:
+def gen_scenes(work: Path, master_seed: int) -> tuple[Path, str]:
+    """The round's scene directory and the digest of its files."""
     scenes = work / "scenes"
     _cli(master_seed, "gen-scenes", "--count", str(SCENES), "--out", str(scenes))
+    return scenes, _digest(*sorted(scenes.glob("scene_*.json")))
+
+
+def eval_digest(scenes: Path, work: Path, master_seed: int) -> str:
     report = work / "report"
     _cli(
         master_seed, "eval", "--scenes", str(scenes), "--n-tasks", str(EVAL_TASKS),
@@ -66,9 +75,7 @@ def eval_digest(work: Path, master_seed: int) -> str:
     return _digest(*(report.with_suffix(s) for s in (".json", ".csv", ".traces.jsonl")))
 
 
-def gen_digest(work: Path, master_seed: int) -> str:
-    scenes = work / "scenes"
-    _cli(master_seed, "gen-scenes", "--count", str(SCENES), "--out", str(scenes))
+def gen_digest(scenes: Path, work: Path, master_seed: int) -> str:
     data = work / "data.jsonl"
     _cli(
         master_seed, "gen-data", "--scenes", str(scenes),
@@ -90,7 +97,9 @@ def main(argv=None) -> int:
     run = {"eval": eval_digest, "gen-data": gen_digest}
     for workload, seed in rounds:
         with tempfile.TemporaryDirectory() as tmp:
-            print(workload, seed, run[workload](Path(tmp), seed), flush=True)
+            scenes, digest = gen_scenes(Path(tmp), seed)
+            print("scenes", seed, digest, flush=True)
+            print(workload, seed, run[workload](scenes, Path(tmp), seed), flush=True)
     return 0
 
 
