@@ -24,7 +24,6 @@ from .errors import (
     NavkitError,
     NoPathFound,
     SamplingExhausted,
-    SchemaMismatch,
 )
 from .evaluation import (
     PolicySpec,
@@ -38,6 +37,7 @@ from .pipeline import (
     generate_episode,
     load_scene,
     parallel_map,
+    read_json,
     sample_task,
     save_scene,
     write_dataset,
@@ -200,14 +200,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    try:
-        with open(args.report) as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise IoFailure(f"cannot read report {args.report}: {err}") from err
-    except ValueError as err:  # invalid JSON or text encoding
-        raise SchemaMismatch(f"report {args.report}: {err}") from err
-    report = report_from_dict(data)
+    report = report_from_dict(read_json(args.report))
     if args.out:
         report_export(report, args.format, args.out)
     elif args.format == "csv":

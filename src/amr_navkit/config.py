@@ -14,14 +14,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import get_type_hints
 
 from .controller import ExecutorConfig
-from .errors import checked
+from .errors import checked, field_types
 from .geometry import CameraModel
 from .pipeline import Expert, TaskParams
 from .planner import CostWeights, PlannerBudget
-from .scene import SceneGenParams
+from .scene import SceneGenParams, check_lidar_params
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,7 @@ class SensorParams:
     max_range: float = 10.0
 
     def __post_init__(self):
-        if self.num_rays < 1:
-            raise ValueError(f"sensor num_rays must be at least 1, got {self.num_rays}")
-        if not 0 < self.max_range < math.inf:
-            raise ValueError(f"sensor max_range must be finite and positive, got {self.max_range}")
+        check_lidar_params(self.num_rays, self.max_range, "sensor")
 
 
 @dataclass(frozen=True)
@@ -112,51 +108,19 @@ class RunConfig:
         )
 
 
-_SECTIONS = {
-    "scene_gen": SceneGenParams,
-    "planner": PlannerParams,
-    "task": TaskParams,
-    "executor": ExecutorConfig,
-    "camera": CameraParams,
-    "sensor": SensorParams,
-    "oracle": OracleParams,
-    "eval": EvalParams,
-}
-
-
-def _field_types(cls) -> dict:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
-def _section_from_dict(cls, d: dict, where: str):
-    types = _field_types(cls)
-    unknown = set(d) - set(types)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in config section {where!r}")
-    return cls(**{k: checked(v, types[k], f"{where}.{k}") for k, v in d.items()})
-
-
 def config_from_dict(d: dict) -> RunConfig:
-    known = set(_SECTIONS) | {"master_seed", "workers"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for name in ("master_seed", "workers"):
-        if name in d:
-            kwargs[name] = checked(d[name], int, name)
-    for name, cls in _SECTIONS.items():
-        if name in d:
-            kwargs[name] = _section_from_dict(cls, d[name], name)
-    return RunConfig(**kwargs)
+    """Config from its JSON dict, read by ``errors.checked`` once every absent
+    key and section field is filled in with its default."""
+    if type(d) is dict:
+        full = config_to_dict(RunConfig())
+        for k, v in d.items():
+            full[k] = {**full[k], **v} if type(v) is dict and type(full.get(k)) is dict else v
+        d = full
+    return checked(d, RunConfig, "")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {"master_seed": cfg.master_seed, "workers": cfg.workers}
-    for name in _SECTIONS:
-        out[name] = dataclasses.asdict(getattr(cfg, name))
-    return out
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -186,11 +150,11 @@ def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:
             field = rest[len("run_"):]
             cfg = replace(cfg, **{field: _env_value(raw, int, field)})
             continue
-        for name, cls in _SECTIONS.items():
+        for name, cls in field_types(RunConfig).items():
             prefix = name + "_"
-            if rest.startswith(prefix):
+            if dataclasses.is_dataclass(cls) and rest.startswith(prefix):
                 field = rest[len(prefix):]
-                types = _field_types(cls)
+                types = field_types(cls)
                 if field not in types:
                     raise ValueError(f"env override {key} names unknown field {field!r}")
                 value = _env_value(raw, types[field], f"{name}.{field}")

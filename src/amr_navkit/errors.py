@@ -1,7 +1,13 @@
-"""Exception types shared across the toolkit, and the value check that every
-file reader (config, scene, dataset, report) applies."""
+"""Exception types shared across the toolkit, and ``checked``, the one rule by
+which every file reader (config, scene, dataset, report) reads parsed JSON:
+exact scalar types, and at every level of a file an object with exactly its
+dataclass's fields, each read by the field's type hint."""
 
+import dataclasses
+import functools
 import math
+from types import MappingProxyType
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 
 class NavkitError(Exception):
@@ -52,14 +58,41 @@ class IoFailure(NavkitError):
     """Filesystem error raised by a batch command."""
 
 
-def checked(value, kind: type, where: str):
-    """Return a value parsed from a file as ``kind``: float, int, bool or str.
+@functools.cache
+def field_types(cls) -> dict:
+    """``{field name: resolved type hint}`` of a dataclass, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _prefix(where: str) -> str:
+    return f"{where}: " if where else ""
+
+
+def require_fields(value, names, where: str) -> None:
+    """Refuse ``value`` unless it is a JSON object whose keys are exactly ``names``."""
+    if type(value) is not dict:
+        raise ValueError(f"{_prefix(where)}expected an object, got {type(value).__name__}")
+    if value.keys() != names:
+        unknown, missing = sorted(value.keys() - names), sorted(set(names) - value.keys())
+        wrong = [f"{what} fields {keys}" for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
+        raise ValueError(_prefix(where) + ", ".join(wrong))
+
+
+_NO_SHAPES: Mapping = MappingProxyType({})
+
+
+def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
+    """Return ``value``, parsed from a file, read as ``kind``.
 
     A float takes any finite number and an int an integral number; neither
     takes a bool or a string. A bool takes only true or false, a str only a
-    string. Anything else raises ValueError naming ``where``. Types are
-    matched exactly, as JSON parsing yields them: dataset files hold
-    thousands of numbers per record, and this is the cheaper test.
+    string; types are matched exactly, as JSON parsing yields them, which is
+    the cheaper test. A dataclass takes an object with exactly its fields, a
+    ``list[X]`` a list and a ``dict[str, X]`` an object, each value read in
+    turn, except that ``shapes`` maps a type whose file form differs (a pose
+    stored as ``[x, y, heading]``, say) to its reader ``read(value, where)``.
+    Anything else raises ValueError naming ``where``, the value's dotted path.
     """
     t = type(value)
     if kind is float and (t is float or t is int):
@@ -71,4 +104,34 @@ def checked(value, kind: type, where: str):
         return int(value)
     if t is kind and (kind is bool or kind is str):
         return value
-    raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+    if kind in (float, int, bool, str):
+        raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+    read = shapes.get(kind)
+    if read is not None:
+        return read(value, where)
+    if dataclasses.is_dataclass(kind):
+        types = field_types(kind)
+        if t is not dict or value.keys() != types.keys():
+            require_fields(value, types.keys(), where)
+        fields = {}
+        for k, hint in types.items():
+            v = value[k]
+            vt = type(v)
+            # a value of exactly its scalar type, tested inline: a dataset record holds thousands
+            if vt is hint and (vt is int or vt is str or vt is bool or vt is float and math.isfinite(v)):
+                fields[k] = v
+            else:
+                fields[k] = checked(v, hint, f"{where}.{k}" if where else k, shapes)
+        try:
+            return kind(**fields)
+        except ValueError as err:  # a rule of the type itself, such as unique ids
+            raise ValueError(f"{_prefix(where)}{err}") from err
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list and t is list:
+        return [checked(v, args[0], f"{where}.{i}", shapes) for i, v in enumerate(value)]
+    if origin is dict and t is dict:
+        return {k: checked(v, args[1], f"{where}[{k!r}]", shapes) for k, v in value.items()}
+    if origin is list or origin is dict:
+        form = "a list" if origin is list else "an object"
+        raise ValueError(f"{_prefix(where)}expected {form}, got {t.__name__}")
+    raise TypeError(f"{where}: no file form for {kind!r}")

@@ -13,8 +13,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Mapping, get_type_hints
+from dataclasses import asdict, dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -252,37 +252,22 @@ def report_to_dict(report: MetricsReport) -> dict:
     return d
 
 
-_REPORT_KEYS = {f.name for f in fields(MetricsReport)}
-_BUCKET_KEYS = {f.name for f in fields(BucketStats)}
 _BUCKET_NAMES = {f"{r}/{f}/{v}" for r in BUCKET_LABELS for f in ("ffr", "nonffr") for v in ("visible", "hidden")}
 
 
 def report_from_dict(d: dict) -> MetricsReport:
-    """Report from its JSON dict. Missing or unknown fields, a bucket label
-    that ``summarize`` does not write, a count that is not an integer and a
-    number that is not finite are each a SchemaMismatch."""
-    if not isinstance(d, dict) or set(d) != _REPORT_KEYS or not isinstance(d["buckets"], dict):
-        raise SchemaMismatch(f"report: expected an object with fields {sorted(_REPORT_KEYS)}")
-    if not isinstance(d["outcomes"], dict):
-        raise SchemaMismatch("report: outcomes must be an object")
-    for k, b in d["buckets"].items():
-        if k not in _BUCKET_NAMES:
-            raise SchemaMismatch(f"report bucket {k!r}: expected <range>/<ffr|nonffr>/<visible|hidden>")
-        if not isinstance(b, dict) or set(b) != _BUCKET_KEYS:
-            raise SchemaMismatch(f"report bucket {k!r}: expected fields {sorted(_BUCKET_KEYS)}")
-    report_types, bucket_types = get_type_hints(MetricsReport), get_type_hints(BucketStats)
+    """Report from its JSON dict. A value ``errors.checked`` refuses (a missing
+    or unknown field, a count that is not an integer, a number that is not
+    finite) and a bucket label that ``summarize`` does not write are each a
+    SchemaMismatch."""
     try:
-        buckets = {
-            k: BucketStats(**{f: checked(v, bucket_types[f], f"buckets[{k!r}].{f}") for f, v in b.items()})
-            for k, b in d["buckets"].items()
-        }
-        outcomes = {k: checked(v, int, f"outcomes[{k!r}]") for k, v in d["outcomes"].items()}
-        scalars = {
-            k: checked(v, report_types[k], k) for k, v in d.items() if k not in ("outcomes", "buckets")
-        }
+        report = checked(d, MetricsReport, "")
     except (ValueError, OverflowError) as err:
         raise SchemaMismatch(f"report: {err}") from err
-    return MetricsReport(**scalars, outcomes=outcomes, buckets=buckets)
+    for k in report.buckets:
+        if k not in _BUCKET_NAMES:
+            raise SchemaMismatch(f"report bucket {k!r}: expected <range>/<ffr|nonffr>/<visible|hidden>")
+    return report
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -19,10 +19,13 @@ from . import __version__ as _generator_version
 from .codec import TokenizedStep, encode_trajectory
 from .errors import (
     AmbiguousView,
+    IoFailure,
     NoPathFound,
     SamplingExhausted,
     SchemaMismatch,
     checked,
+    field_types,
+    require_fields,
 )
 from .geometry import (
     GOAL_ANGLES,
@@ -46,11 +49,11 @@ from .planner import (
     waypoints_from_path,
 )
 from .scene import (
-    Bounds,
     LidarScan,
     RobotState,
     Scene,
     SceneObject,
+    check_lidar_params,
     collision_check,
     raycast_lidar,
     visible_from,
@@ -325,6 +328,8 @@ def _ranges_from_steps(steps, num_rays: int, max_range: float) -> np.ndarray:
     it and word the error (which also lets an integral float through, as it
     does for every int field).
     """
+    if type(steps) is not list:
+        raise ValueError(f"lidar.ranges must be a list, got {type(steps).__name__}")
     if len(steps) != num_rays:
         raise ValueError(f"lidar.ranges: {len(steps)} values for {num_rays} rays")
     top = round(max_range / LIDAR_UNIT)
@@ -347,7 +352,32 @@ def _pose_to_list(p: Pose2) -> list[float]:
 
 
 def _pose_from_list(v, where: str) -> Pose2:
-    return Pose2(checked(v[0], float, where), checked(v[1], float, where), checked(v[2], float, where))
+    if type(v) is not list or len(v) != 3:
+        raise ValueError(f"{where} must be [x, y, heading], got {v!r}")
+    return Pose2(*(checked(x, float, f"{where}.{i}") for i, x in enumerate(v)))
+
+
+def _lidar_from_dict(d, where: str) -> LidarScan:
+    require_fields(d, field_types(LidarScan).keys(), where)
+    num_rays = checked(d["num_rays"], int, f"{where}.num_rays")
+    max_range = checked(d["max_range"], float, f"{where}.max_range")
+    check_lidar_params(num_rays, max_range, where)
+    return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range), max_range)
+
+
+def _object_from_dict(d, where: str) -> SceneObject:
+    # a scene object stores its box fields inline, beside its own
+    box_fields = field_types(OrientedBox).keys()
+    own = {k: hint for k, hint in field_types(SceneObject).items() if k != "box"}
+    require_fields(d, own.keys() | box_fields, where)
+    return SceneObject(
+        box=checked({k: d[k] for k in box_fields}, OrientedBox, where),
+        **{k: checked(d[k], hint, f"{where}.{k}") for k, hint in own.items()},
+    )
+
+
+# the file-format types that are not stored as an object of their fields
+_SHAPES = {Pose2: _pose_from_list, LidarScan: _lidar_from_dict, SceneObject: _object_from_dict}
 
 
 def task_to_dict(task: Task) -> dict:
@@ -371,23 +401,7 @@ def task_to_dict(task: Task) -> dict:
 
 def task_from_dict(d: dict) -> Task:
     """Task from its JSON dict; a value ``errors.checked`` refuses raises ValueError."""
-    g = d["goal_spec"]
-    return Task(
-        scene_seed=checked(d["scene_seed"], int, "scene_seed"),
-        start=_pose_from_list(d["start"], "start"),
-        robot_radius=checked(d["robot_radius"], float, "robot_radius"),
-        reference_view=_pose_from_list(d["reference_view"], "reference_view"),
-        target_id=checked(d["target_id"], int, "target_id"),
-        side_labels=SideLabels(**{k: checked(v, int, f"side_labels.{k}") for k, v in d["side_labels"].items()}),
-        goal_spec=GoalSpec(
-            side=checked(g["side"], str, "goal_spec.side"),
-            distance_d=checked(g["distance_d"], float, "goal_spec.distance_d"),
-            angle_theta=checked(g["angle_theta"], float, "goal_spec.angle_theta"),
-        ),
-        goal_pose=_pose_from_list(d["goal_pose"], "goal_pose"),
-        ffr=checked(d["ffr"], bool, "ffr"),
-        initially_visible=checked(d["initially_visible"], bool, "initially_visible"),
-    )
+    return checked(d, Task, "", _SHAPES)
 
 
 def record_to_dict(record: EpisodeRecord) -> dict:
@@ -423,59 +437,28 @@ def record_to_dict(record: EpisodeRecord) -> dict:
     }
 
 
-_KEYFRAME_KEYS = {"pose", "tilt", "lidar", "expert_steps", "expert_tilt_target"}
-_STEP_KEYS = {"psi_bin", "r_bin", "phi_bin", "psi_res", "r_res", "phi_res"}
+def _read_versioned(d, kind: type, version: str, where: str, what: str):
+    """``d`` read as ``kind`` by ``errors.checked``, once its ``version`` key is
+    checked (against ``version``, naming the file ``what``) and dropped;
+    anything refused is a SchemaMismatch naming ``where``."""
+    if type(d) is not dict:
+        raise SchemaMismatch(f"{where}: expected an object, got {type(d).__name__}")
+    if d.get("version") != version:
+        raise SchemaMismatch(f"{what} version {d.get('version')!r} != {version!r}")
+    body = dict(d)
+    del body["version"]
+    try:
+        return checked(body, kind, "", _SHAPES)
+    except (ValueError, OverflowError) as err:
+        raise SchemaMismatch(f"{where}: {err}") from err
 
 
 def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
-    """Record from its JSON dict; a wrong version, a missing or unknown field,
-    a value ``errors.checked`` refuses or a LiDAR step ``_ranges_from_steps``
-    refuses is a SchemaMismatch."""
+    """Record from its JSON dict; a wrong version, a value ``errors.checked``
+    refuses (a missing or unknown field at any level included) or a LiDAR
+    scan ``_lidar_from_dict`` refuses is a SchemaMismatch."""
     where = f"record {index}" if index >= 0 else "record"
-    if d.get("version") != DATASET_VERSION:
-        raise SchemaMismatch(f"{where}: dataset version {d.get('version')!r} != {DATASET_VERSION!r}")
-    try:
-        keyframes = []
-        for kf in d["keyframes"]:
-            if set(kf.keys()) != _KEYFRAME_KEYS:
-                raise SchemaMismatch(f"{where}: keyframe fields {sorted(kf.keys())}")
-            for s in kf["expert_steps"]:
-                if set(s.keys()) != _STEP_KEYS:
-                    raise SchemaMismatch(f"{where}: step fields {sorted(s.keys())}")
-            lidar = kf["lidar"]
-            num_rays = checked(lidar["num_rays"], int, "lidar.num_rays")
-            max_range = checked(lidar["max_range"], float, "lidar.max_range")
-            keyframes.append(
-                Keyframe(
-                    pose=_pose_from_list(kf["pose"], "pose"),
-                    tilt=checked(kf["tilt"], float, "tilt"),
-                    lidar=LidarScan(
-                        num_rays, _ranges_from_steps(lidar["ranges"], num_rays, max_range), max_range
-                    ),
-                    expert_steps=[
-                        TokenizedStep(
-                            psi_bin=checked(s["psi_bin"], int, "psi_bin"),
-                            r_bin=checked(s["r_bin"], int, "r_bin"),
-                            phi_bin=checked(s["phi_bin"], int, "phi_bin"),
-                            psi_res=checked(s["psi_res"], float, "psi_res"),
-                            r_res=checked(s["r_res"], float, "r_res"),
-                            phi_res=checked(s["phi_res"], float, "phi_res"),
-                        )
-                        for s in kf["expert_steps"]
-                    ],
-                    expert_tilt_target=checked(kf["expert_tilt_target"], float, "expert_tilt_target"),
-                )
-            )
-        return EpisodeRecord(
-            task=task_from_dict(d["task"]),
-            keyframes=keyframes,
-            planner_cost=checked(d["planner_cost"], float, "planner_cost"),
-            generator_version=checked(d["generator_version"], str, "generator_version"),
-        )
-    except SchemaMismatch:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise SchemaMismatch(f"{where}: {err}") from err
+    return _read_versioned(d, EpisodeRecord, DATASET_VERSION, where, f"{where}: dataset")
 
 
 def manifest_path(dataset_path: str) -> str:
@@ -512,8 +495,24 @@ def write_dataset(
         fh.write("\n")
 
 
+def read_json(path: str):
+    """A parsed JSON file; an unreadable file is an IoFailure, one that is not
+    UTF-8 JSON a SchemaMismatch."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise IoFailure(f"cannot read {path}: {err}") from err
+    except ValueError as err:  # invalid JSON or text encoding
+        raise SchemaMismatch(f"{path}: {err}") from err
+
+
 def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
-    """Read a JSONL dataset; strict mode re-audits the keyframe gap rule."""
+    """Read a JSONL dataset; strict mode re-audits the keyframe gap rule.
+
+    After the records, the manifest must exist, carry ``DATASET_VERSION`` and
+    count exactly the records read, so a truncated dataset is a SchemaMismatch.
+    """
     records = []
     with open(path) as fh:
         for i, line in enumerate(fh):
@@ -527,6 +526,16 @@ def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
             if strict and not audit_keyframe_gaps(record):
                 raise SchemaMismatch(f"record {i}: keyframe gap rule violated")
             records.append(record)
+    mpath = manifest_path(path)
+    try:
+        manifest = read_json(mpath)
+        if type(manifest) is not dict or manifest.get("version") != DATASET_VERSION:
+            raise ValueError(f"not a version {DATASET_VERSION!r} manifest")
+        count = checked(manifest.get("record_count"), int, "record_count")
+    except (IoFailure, ValueError) as err:
+        raise SchemaMismatch(f"dataset manifest {mpath}: {err}") from err
+    if count != len(records):
+        raise SchemaMismatch(f"{path}: {len(records)} records read, manifest says {count}")
     return records
 
 
@@ -556,34 +565,11 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON dict; any missing field or value ``errors.checked``
-    refuses (a non-finite number, an id or seed that is not an integer, a
-    target_eligible that is not a bool) is a SchemaMismatch, since one NaN
-    would make every collision check pass."""
-    if d.get("version") != SCENE_VERSION:
-        raise SchemaMismatch(f"scene version {d.get('version')!r} != {SCENE_VERSION!r}")
-
-    def box(b: dict) -> OrientedBox:
-        return OrientedBox(*(checked(b[k], float, k) for k in ("cx", "cy", "hx", "hy", "yaw")))
-
-    try:
-        return Scene(
-            bounds=Bounds(checked(d["bounds"]["w"], float, "bounds.w"), checked(d["bounds"]["h"], float, "bounds.h")),
-            walls=[box(b) for b in d["walls"]],
-            objects=[
-                SceneObject(
-                    id=checked(o["id"], int, "id"),
-                    box=box(o),
-                    base_height=checked(o["base_height"], float, "base_height"),
-                    category=checked(o["category"], str, "category"),
-                    target_eligible=checked(o["target_eligible"], bool, "target_eligible"),
-                )
-                for o in d["objects"]
-            ],
-            seed=checked(d["seed"], int, "seed"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise SchemaMismatch(f"scene: {err}") from err
+    """Scene from its JSON dict; a wrong version or a value ``errors.checked``
+    refuses (a missing or unknown field, a non-finite number, an id or seed
+    that is not an integer, a target_eligible that is not a bool) is a
+    SchemaMismatch, since one NaN would make every collision check pass."""
+    return _read_versioned(d, Scene, SCENE_VERSION, "scene", "scene")
 
 
 def save_scene(scene: Scene, path: str) -> None:
@@ -593,5 +579,4 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str) -> Scene:
-    with open(path) as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_json(path))

@@ -356,10 +356,19 @@ def _ray_box_entries(
     return entry
 
 
+def check_lidar_params(num_rays: int, max_range: float, what: str = "lidar") -> None:
+    """Refuse a scan with no rays or a ``max_range`` that is not finite and positive (ValueError)."""
+    if num_rays < 1:
+        raise ValueError(f"{what} num_rays must be at least 1, got {num_rays}")
+    if not 0 < max_range < math.inf:
+        raise ValueError(f"{what} max_range must be finite and positive, got {max_range}")
+
+
 def raycast_lidar(
     scene: Scene, pose: Pose2, num_rays: int = 360, max_range: float = 10.0
 ) -> LidarScan:
     """Exact ray-vs-oriented-box LiDAR scan from a collision-free pose."""
+    check_lidar_params(num_rays, max_range)
     centers, halves, cy, sy = scene._box_params
     angles = pose.heading + np.arange(num_rays) * (2.0 * math.pi / num_rays)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -16,7 +16,8 @@ from amr_navkit.config import (
     load_config,
 )
 from amr_navkit.evaluation import report_to_dict, summarize
-from amr_navkit.pipeline import Expert, read_dataset
+from amr_navkit.pipeline import Expert, read_dataset, scene_to_dict
+from amr_navkit.scene import sample_scene
 
 
 def run(args) -> int:
@@ -393,6 +394,32 @@ class TestGenData:
             ]
         )
         assert rc == 3
+
+
+def _misspelled_key_scene() -> bytes:
+    d = scene_to_dict(sample_scene(45))
+    d["objects"][0]["target_eligble"] = False
+    return json.dumps(d).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"not json {", id="not-json"),
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[]", id="array"),
+        pytest.param(_misspelled_key_scene(), id="misspelled-key"),
+    ],
+)
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_bad_scene_file_exits_3(tmp_path, fast_config, command, content):
+    # not-JSON and not-UTF-8 once exited 1 with a traceback; the misspelled key ran to exit 0
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "scene_00000.json").write_bytes(content)
+    rc = run(["--config", fast_config, command, "--scenes", str(scenes), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
