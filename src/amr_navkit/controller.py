@@ -66,6 +66,8 @@ class ExecutorConfig:
     def __post_init__(self):
         if self.replan_every > self.horizon_n:
             raise ValueError("replan_every must not exceed horizon_n")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("executor dt must be finite and positive")
         if min(self.stop_pos_tol, self.stop_ang_tol) <= 0:
             raise ValueError("stop tolerances must be positive")
         if self.kinematics not in KINEMATICS_KINDS:

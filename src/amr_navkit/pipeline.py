@@ -320,18 +320,18 @@ def _range_steps(ranges: np.ndarray) -> np.ndarray:
     return np.rint(ranges / LIDAR_UNIT).astype(np.int64)
 
 
-def _ranges_from_steps(steps, num_rays: int, max_range: float) -> np.ndarray:
+def _ranges_from_steps(steps, num_rays: int, max_range: float, where: str) -> np.ndarray:
     """LiDAR ranges from their stored steps, ``num_rays`` ints in ``0..rint(max_range / LIDAR_UNIT)``.
 
     One pass tests each value with ``type(q) is int`` and the bounds; only
     when a value fails does a second pass apply ``errors.checked`` to find
     it and word the error (which also lets an integral float through, as it
-    does for every int field).
+    does for every int field). Errors name ``where``, the list's dotted path.
     """
     if type(steps) is not list:
-        raise ValueError(f"lidar.ranges must be a list, got {type(steps).__name__}")
+        raise ValueError(f"{where} must be a list, got {type(steps).__name__}")
     if len(steps) != num_rays:
-        raise ValueError(f"lidar.ranges: {len(steps)} values for {num_rays} rays")
+        raise ValueError(f"{where}: {len(steps)} values for {num_rays} rays")
     top = round(max_range / LIDAR_UNIT)
     for q in steps:
         if type(q) is not int or not 0 <= q <= top:
@@ -340,9 +340,9 @@ def _ranges_from_steps(steps, num_rays: int, max_range: float) -> np.ndarray:
         return np.array(steps, dtype=np.int64) * LIDAR_UNIT
     ints = []
     for i, v in enumerate(steps):
-        q = checked(v, int, f"lidar.ranges.{i}")
+        q = checked(v, int, f"{where}.{i}")
         if not 0 <= q <= top:
-            raise ValueError(f"lidar.ranges.{i}: {q} is outside 0..{top} (max_range {max_range} m)")
+            raise ValueError(f"{where}.{i}: {q} is outside 0..{top} (max_range {max_range} m)")
         ints.append(q)
     return np.array(ints, dtype=np.int64) * LIDAR_UNIT
 
@@ -362,18 +362,27 @@ def _lidar_from_dict(d, where: str) -> LidarScan:
     num_rays = checked(d["num_rays"], int, f"{where}.num_rays")
     max_range = checked(d["max_range"], float, f"{where}.max_range")
     check_lidar_params(num_rays, max_range, where)
-    return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range), max_range)
+    return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range, f"{where}.ranges"), max_range)
+
+
+# a scene object stores its box fields inline, beside its own
+_BOX_FIELDS = tuple(field_types(OrientedBox))
+_OWN_FIELDS = {k: hint for k, hint in field_types(SceneObject).items() if k != "box"}
+_OBJECT_FIELDS = frozenset(_OWN_FIELDS).union(_BOX_FIELDS)
 
 
 def _object_from_dict(d, where: str) -> SceneObject:
-    # a scene object stores its box fields inline, beside its own
-    box_fields = field_types(OrientedBox).keys()
-    own = {k: hint for k, hint in field_types(SceneObject).items() if k != "box"}
-    require_fields(d, own.keys() | box_fields, where)
-    return SceneObject(
-        box=checked({k: d[k] for k in box_fields}, OrientedBox, where),
-        **{k: checked(d[k], hint, f"{where}.{k}") for k, hint in own.items()},
-    )
+    require_fields(d, _OBJECT_FIELDS, where)
+    box = checked({k: d[k] for k in _BOX_FIELDS}, OrientedBox, where)
+    own = {}
+    for k, hint in _OWN_FIELDS.items():
+        v = d[k]
+        # as the walker does: a value of exactly its scalar type needs no call
+        if type(v) is hint and (hint is not float or math.isfinite(v)):
+            own[k] = v
+        else:
+            own[k] = checked(v, hint, f"{where}.{k}")
+    return SceneObject(box=box, **own)
 
 
 # the file-format types that are not stored as an object of their fields
@@ -579,4 +588,10 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str) -> Scene:
-    return scene_from_dict(read_json(path))
+    """The scene in a file; a SchemaMismatch names the file, so a command
+    reading a directory of scenes says which one is bad."""
+    d = read_json(path)
+    try:
+        return scene_from_dict(d)
+    except SchemaMismatch as err:
+        raise SchemaMismatch(f"{path}: {err}") from err

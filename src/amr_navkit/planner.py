@@ -9,15 +9,15 @@ lazy shortest-path search that sweeps and costs only candidate-path edges.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidEndpoint, NoPathFound, OffPath
-from .geometry import Pose2, se2_relative, wrap_angle
+from .geometry import TWO_PI, Pose2, se2_relative, wrap_angle
 from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
 
 LIN_STEP = 0.01  # dense-state spacing, meters
@@ -65,19 +65,28 @@ class PlannedPath:
     segments: list[PathSegment]
     states: np.ndarray  # (n, 3) rows of x, y, heading
     cost: float
+    # length and absolute turn of each consecutive state pair, for a prefix
+    # of the path that ``steps_to`` grows on demand; ``states`` must not change
+    _lengths: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
+    _turns: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
 
-    @cached_property
-    def step_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Length and absolute turn of each consecutive state pair, (n-1,) each.
+    def steps_to(self, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Length and absolute turn of state pairs 0..end-1 at least.
 
-        Computed once per path on first use; ``states`` must not change after.
+        Each pair is computed once, and the prefix at least doubles when it
+        grows, so the copies it makes stay linear in the path length.
         """
-        rows = self.states.tolist()
-        lengths, turns = [], []
-        for (x0, y0, h0), (x1, y1, h1) in zip(rows, rows[1:]):
-            lengths.append(math.hypot(x1 - x0, y1 - y0))
-            turns.append(abs(wrap_angle(h1 - h0)))
-        return np.array(lengths), np.array(turns)
+        have = len(self._lengths)
+        if end > have:
+            stop = min(max(end, 2 * have), len(self.states) - 1)
+            rows = self.states[have:stop + 1].tolist()
+            lengths, turns = [], []
+            for (x0, y0, h0), (x1, y1, h1) in zip(rows, rows[1:]):
+                lengths.append(math.hypot(x1 - x0, y1 - y0))
+                turns.append(abs(wrap_angle(h1 - h0)))
+            self._lengths = np.concatenate([self._lengths, lengths])
+            self._turns = np.concatenate([self._turns, turns])
+        return self._lengths, self._turns
 
 
 def apply_segment(pose: Pose2, seg: PathSegment) -> Pose2:
@@ -91,23 +100,32 @@ def apply_segment(pose: Pose2, seg: PathSegment) -> Pose2:
 
 
 def rollout(start: Pose2, segments: list[PathSegment]) -> np.ndarray:
-    """Dense states along a segment chain at <= 1 cm / 1 degree spacing."""
-    rows = [start.as_array()]
+    """Dense states along a segment chain at <= 1 cm / 1 degree spacing.
+
+    Each segment's rows are built at once from the per-state expressions:
+    fraction i / k, then the same products and sums, then ``wrap_angle``.
+    """
+    parts = [start.as_array()[None, :]]
     pose = start
     for seg in segments:
         if isinstance(seg, Rotate):
             k = max(1, int(math.ceil(abs(seg.dtheta) / ANG_STEP)))
-            for i in range(1, k + 1):
-                h = pose.heading + seg.dtheta * (i / k)
-                rows.append([pose.x, pose.y, wrap_angle(h)])
+            rows = np.empty((k, 3))
+            rows[:, 0] = pose.x
+            rows[:, 1] = pose.y
+            h = pose.heading + seg.dtheta * (np.arange(1, k + 1) / k)
+            rows[:, 2] = (h + math.pi) % TWO_PI - math.pi
         else:
             k = max(1, int(math.ceil(abs(seg.ds) / LIN_STEP)))
             c, s = math.cos(pose.heading), math.sin(pose.heading)
-            for i in range(1, k + 1):
-                d = seg.ds * (i / k)
-                rows.append([pose.x + d * c, pose.y + d * s, pose.heading])
+            d = seg.ds * (np.arange(1, k + 1) / k)
+            rows = np.empty((k, 3))
+            rows[:, 0] = pose.x + d * c
+            rows[:, 1] = pose.y + d * s
+            rows[:, 2] = pose.heading
+        parts.append(rows)
         pose = apply_segment(pose, seg)
-    return np.array(rows)
+    return np.concatenate(parts)
 
 
 def _branches(a: Pose2, b: Pose2) -> list[tuple[bool, float, float, float]]:
@@ -128,14 +146,23 @@ def _branches(a: Pose2, b: Pose2) -> list[tuple[bool, float, float, float]]:
 
 
 def rs0_distance(a: Pose2, b: Pose2, w: CostWeights = CostWeights()) -> float:
-    """Cost of the best rotate-translate-rotate connection between two poses."""
-    best = math.inf
-    for backward, rot1, dist, rot2 in _branches(a, b):
-        c = w.w_translate * dist + w.w_rotate * (abs(rot1) + abs(rot2))
-        if backward:
-            c += w.w_backward * dist
-        best = min(best, c)
-    return best
+    """Cost of the best rotate-translate-rotate connection between two poses.
+
+    A* calls this for every lower bound, so ``_branches`` and ``wrap_angle``
+    are written out here, with the same expressions and the same min order.
+    """
+    pi, ah, bh = math.pi, a.heading, b.heading
+    dx, dy = b.x - a.x, b.y - a.y
+    dist = math.hypot(dx, dy)
+    if dist < 1e-12:
+        rot = (bh - ah + pi) % TWO_PI - pi
+        return min(math.inf, w.w_translate * 0.0 + w.w_rotate * (abs(rot) + 0.0))
+    bearing = math.atan2(dy, dx)
+    td, wr = w.w_translate * dist, w.w_rotate
+    fwd = td + wr * (abs((bearing - ah + pi) % TWO_PI - pi) + abs((bh - bearing + pi) % TWO_PI - pi))
+    back = bearing + pi
+    bwd = td + wr * (abs((back - ah + pi) % TWO_PI - pi) + abs((bh - back + pi) % TWO_PI - pi))
+    return min(math.inf, fwd, bwd + w.w_backward * dist)
 
 
 def steer(
@@ -208,8 +235,9 @@ def path_cost(path: PlannedPath, target_center, w: CostWeights) -> float:
 class _Roadmap:
     """Growing vertex set with memoized edge weights, connections and sweeps.
 
-    ``weight`` holds a directed edge's rotate-translate lower bound until the
-    edge is evaluated, then its exact cost, or inf if its sweep collides.
+    ``weight[u][v]`` holds a directed edge's rotate-translate lower bound
+    until the edge is evaluated, then its exact cost, or inf if its sweep
+    collides. Rows are per vertex, so A* looks up an int, not a tuple.
     """
 
     def __init__(self, scene: Scene, radius: float, target, w: CostWeights):
@@ -218,10 +246,14 @@ class _Roadmap:
         self.target = target
         self.w = w
         self.poses: list[Pose2] = []
-        self.weight: dict[tuple[int, int], float] = {}
+        self.weight: list[dict[int, float]] = []
         self._conn: dict[tuple[int, int], tuple[float, list[PathSegment]]] = {}
         self._swept: set[tuple[int, int]] = set()
         self._to_goal: list[float] = []
+
+    def add(self, pose: Pose2) -> None:
+        self.poses.append(pose)
+        self.weight.append({})
 
     def heuristic(self) -> list[float]:
         """Rotate-translate distance from every vertex to the goal (vertex 1)."""
@@ -234,7 +266,7 @@ class _Roadmap:
         if key not in self._conn:
             segs = steer(self.poses[i], self.poses[j], allow_backward=True, w=self.w)
             self._conn[key] = (segments_cost(self.poses[i], segs, self.target, self.w), segs)
-            self.weight[key] = self._conn[key][0]
+            self.weight[i][j] = self._conn[key][0]
         return self._conn[key]
 
     def evaluate(self, chain: list[int], positions: np.ndarray, nbrs: list[list[int]]) -> bool:
@@ -253,9 +285,9 @@ class _Roadmap:
             hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r, LIN_STEP)
             for (a, b), hit in zip(new, hits.tolist()):
                 if hit:
-                    self.weight[a, b] = self.weight[b, a] = math.inf
+                    self.weight[a][b] = self.weight[b][a] = math.inf
         for i, j in todo:
-            if self.weight[i, j] < math.inf:
+            if self.weight[i][j] < math.inf:
                 self.connection(i, j)
         return True
 
@@ -299,7 +331,7 @@ def _shortest_path(rm: _Roadmap, positions: np.ndarray, nbrs: list[list[int]]) -
     """
     n = len(rm.poses)
     h = rm.heuristic()
-    weight, poses = rm.weight, rm.poses
+    weight, poses, w = rm.weight, rm.poses, rm.w
     while True:
         dist = [math.inf] * n
         prev = [-1] * n
@@ -312,10 +344,11 @@ def _shortest_path(rm: _Roadmap, positions: np.ndarray, nbrs: list[list[int]]) -
                 continue
             if u == 1:
                 break
+            wu, pu = weight[u], poses[u]
             for v in nbrs[u]:
-                wt = weight.get((u, v))
+                wt = wu.get(v)
                 if wt is None:
-                    wt = weight[u, v] = rs0_distance(poses[u], poses[v], rm.w)
+                    wt = wu[v] = rs0_distance(pu, poses[v], w)
                 nd = du + wt
                 if nd < dist[v] - 1e-12:
                     dist[v] = nd
@@ -351,7 +384,8 @@ def _sample_positions(
         m = min(n - len(out), 50 * n - tries)
         tries += m
         for u, ang in rng.uniform(0.0, (1.0, 2 * math.pi), size=(m, 2)).tolist():
-            # per point, as numpy's vectorized sin/cos/matmul may round differently
+            # per point, as numpy's vectorized sin/cos/matmul may round differently;
+            # nor is a scalar 2x2 product a drop-in: BLAS gemv fuses multiply-adds
             r = math.sqrt(u)
             pt = center + axes_rot @ np.array([sa * r * math.cos(ang), sb * r * math.sin(ang)])
             if b.xmin <= pt[0] <= b.xmax and b.ymin <= pt[1] <= b.ymax:
@@ -381,7 +415,8 @@ def plan(
 
     rng = np.random.default_rng(seed)
     rm = _Roadmap(scene, radius, np.asarray(target_center, dtype=float), w)
-    rm.poses += [start, goal]
+    rm.add(start)
+    rm.add(goal)
     # stage the goal approach: back off along the goal heading so tight
     # docking pockets are reachable without lucky uniform samples
     b = scene.bounds
@@ -393,7 +428,7 @@ def plan(
         )
         if b.xmin <= pose.x <= b.xmax and b.ymin <= pose.y <= b.ymax:
             if not collision_check(scene, pose, radius):
-                rm.poses.append(pose)
+                rm.add(pose)
     lower_bound = rs0_distance(start, goal, w)
     best_cost, best_chain = math.inf, []
 
@@ -413,7 +448,7 @@ def plan(
             keep = ~collision_mask(scene, pts, radius)
             for pt, h, ok in zip(pts, headings, keep):
                 if ok:
-                    rm.poses.append(Pose2(float(pt[0]), float(pt[1]), float(h)))
+                    rm.add(Pose2(float(pt[0]), float(pt[1]), float(h)))
 
         positions = np.array([[p.x, p.y] for p in rm.poses])
         nbrs = _neighbor_lists(positions, K_NEIGHBORS)
@@ -489,13 +524,16 @@ def waypoints_from_path(
     The remaining path (from the projection of ``current``) is traversed at
     v_ref / omega_ref and sampled every dt; each sample is expressed in its
     predecessor's frame (the first relative to ``current``), and the final
-    pose is held once the path ends. Step lengths and turns are sliced from
-    the path's ``step_table``, so labelling many poses on one path is linear
-    in its length. Raises ValueError unless v_ref and omega_ref are finite
-    and positive.
+    pose is held once the path ends. Step lengths and turns come from the
+    path's on-demand step prefix, from the projection only as far as the
+    horizon reaches, so labelling many poses on one path is linear in its
+    length. Raises ValueError unless v_ref, omega_ref and dt are finite and
+    positive.
     """
     if not (0 < v_ref < math.inf and 0 < omega_ref < math.inf):
         raise ValueError("v_ref and omega_ref must be finite and positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     if v_ref * dt > 0.2 + 1e-12:
         raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
     states = path.states
@@ -504,25 +542,37 @@ def waypoints_from_path(
     if math.sqrt(d2[proj]) > max_projection:
         raise OffPath(f"pose projects {math.sqrt(d2[proj]):.3f} m from the path")
 
-    rem = states[proj:]
-    lengths, turns = path.step_table
-    ds, dh = lengths[proj:], turns[proj:]
-    # the sum restarts at proj: a global cumsum minus its prefix rounds differently
-    durations = np.where(ds > 1e-12, ds / v_ref, dh / omega_ref)
-    tau = np.concatenate([[0.0], np.cumsum(durations)])
+    # Grow the slice proj..end in doubling chunks until the horizon n * dt
+    # ends strictly inside it (or the path ends). Every sample time is then
+    # below tau[-1], and tau is a prefix of the whole remaining path's tau,
+    # so each sample interpolates the same state pair as on the whole path.
+    # The first chunk covers the default 2.4 s horizon at 1 cm / 1 degree.
+    last, horizon, chunk = len(states) - 1, n * dt, 160
+    while True:
+        end = min(proj + chunk, last)
+        lengths, turns = path.steps_to(end)
+        ds, dh = lengths[proj:end], turns[proj:end]
+        # the sum restarts at proj: a global cumsum minus its prefix rounds differently
+        durations = np.where(ds > 1e-12, ds / v_ref, dh / omega_ref)
+        tau = np.concatenate([[0.0], np.cumsum(durations)])
+        if end == last or tau[-1] > horizon:
+            break
+        chunk *= 2
+    rem = states[proj:end + 1]
 
+    # Python floats from here: the same IEEE operations as on numpy scalars,
+    # and bisect_right is searchsorted(side="right") on the sorted tau
+    tau = tau.tolist()
     world: list[Pose2] = []
     for k in range(1, n + 1):
         t = k * dt
         if len(rem) == 1 or t >= tau[-1]:
             world.append(Pose2.from_array(rem[-1]))
             continue
-        i = int(np.searchsorted(tau, t, side="right"))
+        i = bisect.bisect_right(tau, t)
         f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
-        x = rem[i - 1, 0] + f * (rem[i, 0] - rem[i - 1, 0])
-        y = rem[i - 1, 1] + f * (rem[i, 1] - rem[i - 1, 1])
-        h = rem[i - 1, 2] + f * wrap_angle(rem[i, 2] - rem[i - 1, 2])
-        world.append(Pose2(x, y, h))
+        (x0, y0, h0), (x1, y1, h1) = rem[i - 1:i + 1].tolist()
+        world.append(Pose2(x0 + f * (x1 - x0), y0 + f * (y1 - y0), h0 + f * wrap_angle(h1 - h0)))
 
     steps = []
     prev = current

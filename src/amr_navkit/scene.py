@@ -82,6 +82,12 @@ class Scene:
         yaws = np.array([b.yaw for b in boxes])
         return centers, halves, np.cos(yaws), np.sin(yaws)
 
+    @cached_property
+    def _box_rows(self) -> list[tuple[float, float, float, float, float, float]]:
+        """``_box_params`` as one (cx, cy, hx, hy, cos yaw, sin yaw) tuple of Python floats per box."""
+        centers, halves, cy, sy = self._box_params
+        return list(zip(*centers.T.tolist(), *halves.T.tolist(), cy.tolist(), sy.tolist()))
+
     def object_by_id(self, object_id: int) -> SceneObject:
         for o in self.objects:
             if o.id == object_id:
@@ -193,16 +199,44 @@ def collision_mask(scene: Scene, points: np.ndarray, radius: float) -> np.ndarra
     return obstacle_distances(scene, points) < radius
 
 
+def _point_distance(scene: Scene, x: float, y: float) -> float:
+    """``obstacle_distances`` of one finite point, in scalar Python.
+
+    The same elementwise operations on the same floats, without numpy's
+    per-call overhead. A minimum of non-NaN values is exact in any order,
+    and sqrt is monotone, so the root of the least squared box distance is
+    the least box distance.
+    """
+    best = math.inf
+    for cx, cy, hx, hy, c, s in scene._box_rows:
+        dx, dy = x - cx, y - cy
+        ex = abs(dx * c + dy * s) - hx
+        ey = abs(-dx * s + dy * c) - hy
+        if ex < 0.0:
+            ex = 0.0
+        if ey < 0.0:
+            ey = 0.0
+        q = ex * ex + ey * ey
+        if q < best:
+            best = q
+    b = scene.bounds
+    return min(math.sqrt(best), x - b.xmin, b.xmax - x, y - b.ymin, b.ymax - y)
+
+
 def collision_check(scene: Scene, pose: Pose2, radius: float) -> bool:
     """True iff a disc at the pose intersects any box or exits the room.
 
     A disc exactly tangent to a face (distance == radius) is free.
     """
+    if math.isfinite(pose.x) and math.isfinite(pose.y):
+        return _point_distance(scene, pose.x, pose.y) < radius
     return bool(collision_mask(scene, np.array([[pose.x, pose.y]]), radius)[0])
 
 
 def clearance(scene: Scene, pose: Pose2, radius: float) -> float:
     """Signed clearance between the robot footprint and the nearest obstacle."""
+    if math.isfinite(pose.x) and math.isfinite(pose.y):
+        return _point_distance(scene, pose.x, pose.y) - radius
     return float(obstacle_distances(scene, np.array([[pose.x, pose.y]]))[0]) - radius
 
 

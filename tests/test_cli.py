@@ -165,6 +165,8 @@ class TestConfig:
             ("AMR_EXECUTOR_KINEMATICS", "unicycle"),
             ("AMR_EXECUTOR_WHEELBASE", "0.5"),
             ("AMR_PLANNER_K_NEIGHBORS", "8"),
+            ("AMR_EXECUTOR_DT", "-0.2"),
+            ("AMR_EXECUTOR_DT", "0"),
         ],
     )
     def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
@@ -380,6 +382,20 @@ class TestGenData:
         rc = run(["--config", fast_config, "gen-data", "--scenes", str(scenes), "--out", str(out)])
         assert rc == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval"])
+    def test_schema_error_names_the_scene_file(self, tmp_path, fast_config, caplog, command):
+        scenes = tmp_path / "scenes"
+        assert run(["--config", fast_config, "gen-scenes", "--count", "3", "--out", str(scenes)]) == 0
+        bad = sorted(scenes.glob("scene_*.json"))[1]
+        d = json.loads(bad.read_text())
+        d["objects"][0]["id"] = "0"
+        bad.write_text(json.dumps(d))
+        caplog.clear()
+        rc = run(["--config", fast_config, command, "--scenes", str(scenes), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"{bad}: scene: objects.0.id must be int" in caplog.text
+        assert "scene_00000.json" not in caplog.text and "scene_00002.json" not in caplog.text
 
     def test_missing_scenes_dir_exits_3(self, tmp_path, fast_config):
         rc = run(

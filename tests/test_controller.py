@@ -276,6 +276,9 @@ class TestRunEpisode:
             ExecutorConfig(replan_every=13, horizon_n=12)
         with pytest.raises(ValueError):
             ExecutorConfig(stop_pos_tol=0.0)
+        for dt in (0.0, -0.2, math.inf):
+            with pytest.raises(ValueError, match="executor dt"):
+                ExecutorConfig(dt=dt)
 
     def test_error_shrinks_with_stop_tolerance(self):
         scene = room_with_target()

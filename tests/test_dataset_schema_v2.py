@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,11 +144,12 @@ def test_bad_range_step_rejected(demos, tmp_path, value, match):
     _, _, record = demos[0]
     d = record_to_dict(record)
     _ranges_field(d)[7] = value
-    with pytest.raises(SchemaMismatch, match=f"record 0: {match}"):
+    # the message names the full path, keyframe included
+    with pytest.raises(SchemaMismatch, match=f"record 0: keyframes\\.0\\.{re.escape(match)}"):
         record_from_dict(json.loads(json.dumps(d)), index=0)
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(d) + "\n")
-    with pytest.raises(SchemaMismatch, match="lidar.ranges.7"):
+    with pytest.raises(SchemaMismatch, match=r"record 0: keyframes\.0\.lidar\.ranges\.7\b"):
         read_dataset(str(path))
 
 

@@ -1,6 +1,6 @@
-"""Keyframe labelling from the per-path step table matches the per-call loop bit for bit.
+"""Keyframe labelling from the per-path step prefix matches the per-call loop bit for bit.
 
-``waypoints_from_path`` slices ``PlannedPath.step_table`` instead of
+``waypoints_from_path`` slices ``PlannedPath``'s step prefix instead of
 re-deriving every remaining step's length and turn, and ``record_to_dict``
 builds step dicts directly instead of through ``dataclasses.asdict``. The
 references below are the code they replaced.
@@ -77,7 +77,7 @@ def assert_bit_identical(path, poses, speeds=SPEEDS):
 
 
 def fresh(path: PlannedPath) -> PlannedPath:
-    """The same path without a cached step table."""
+    """The same path without a computed step prefix."""
     return PlannedPath(path.start, path.segments, path.states.copy(), path.cost)
 
 
@@ -118,7 +118,7 @@ def test_pure_rotations():
     start = Pose2(0.5, -0.2, 0.3)
     segs = [Rotate(2.0), Translate(0.4), Rotate(-3.0), Translate(-0.7), Rotate(0.05)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
-    lengths, turns = path.step_table
+    lengths, turns = path.steps_to(len(path.states) - 1)
     assert (lengths <= 1e-12).sum() > 100 and (lengths > 1e-12).sum() > 100
     poses = [Pose2.from_array(s) for s in path.states[::7]]
     assert_bit_identical(path, poses)
@@ -128,7 +128,7 @@ def test_one_state_path():
     start = Pose2(1.0, 2.0, -0.5)
     path = PlannedPath(start, [], rollout(start, []), 0.0)
     assert len(path.states) == 1
-    assert all(len(a) == 0 for a in path.step_table)
+    assert all(len(a) == 0 for a in path.steps_to(0))
     assert_bit_identical(path, [start, Pose2(1.1, 2.0, 0.0)])
 
 
