@@ -82,6 +82,21 @@ def require_fields(value, names, where: str) -> None:
 _NO_SHAPES: Mapping = MappingProxyType({})
 
 
+@functools.cache
+def _file_form(kind) -> tuple:
+    """How ``checked`` reads a ``kind`` that is not a scalar: ("object", its
+    field types) for a dataclass, ("list" or "dict", the value type) for a
+    ``list[X]`` or ``dict[str, X]``, else (None, None). Resolved once per type."""
+    if dataclasses.is_dataclass(kind):
+        return "object", field_types(kind)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        return "list", args[0]
+    if origin is dict:
+        return "dict", args[1]
+    return None, None
+
+
 def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
     """Return ``value``, parsed from a file, read as ``kind``.
 
@@ -109,12 +124,12 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
     read = shapes.get(kind)
     if read is not None:
         return read(value, where)
-    if dataclasses.is_dataclass(kind):
-        types = field_types(kind)
-        if t is not dict or value.keys() != types.keys():
-            require_fields(value, types.keys(), where)
+    form, spec = _file_form(kind)
+    if form == "object":
+        if t is not dict or value.keys() != spec.keys():
+            require_fields(value, spec.keys(), where)
         fields = {}
-        for k, hint in types.items():
+        for k, hint in spec.items():
             v = value[k]
             vt = type(v)
             # a value of exactly its scalar type, tested inline: a dataset record holds thousands
@@ -126,12 +141,15 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
             return kind(**fields)
         except ValueError as err:  # a rule of the type itself, such as unique ids
             raise ValueError(f"{_prefix(where)}{err}") from err
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is list and t is list:
-        return [checked(v, args[0], f"{where}.{i}", shapes) for i, v in enumerate(value)]
-    if origin is dict and t is dict:
-        return {k: checked(v, args[1], f"{where}[{k!r}]", shapes) for k, v in value.items()}
-    if origin is list or origin is dict:
-        form = "a list" if origin is list else "an object"
+    if form == "list" and t is list:
+        try:
+            return [checked(v, spec, where, shapes) for v in value]
+        except (ValueError, TypeError):
+            pass  # read again with each element's path, formatted only to word the error
+        return [checked(v, spec, f"{where}.{i}", shapes) for i, v in enumerate(value)]
+    if form == "dict" and t is dict:
+        return {k: checked(v, spec, f"{where}[{k!r}]", shapes) for k, v in value.items()}
+    if form == "list" or form == "dict":
+        form = "a list" if form == "list" else "an object"
         raise ValueError(f"{_prefix(where)}expected {form}, got {t.__name__}")
     raise TypeError(f"{where}: no file form for {kind!r}")

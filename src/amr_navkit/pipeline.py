@@ -55,7 +55,7 @@ from .scene import (
     SceneObject,
     check_lidar_params,
     collision_check,
-    raycast_lidar,
+    raycast_scans,
     visible_from,
 )
 
@@ -266,15 +266,16 @@ def generate_episode(
         scene, task.start, task.goal_pose, task.robot_radius, target.box.center, seed
     )
     lowest = (target.box.cx, target.box.cy, target.base_height)
+    poses = resample_keyframes(path)
+    ranges = _range_steps(raycast_scans(scene, poses, num_rays, max_range)) * LIDAR_UNIT
     keyframes = []
-    for pose in resample_keyframes(path):
+    for pose, scan in zip(poses, ranges):
         tilt = compute_tilt(camera, pose, lowest, tilt_limit=None)
-        ranges = raycast_lidar(scene, pose, num_rays, max_range).ranges
         keyframes.append(
             Keyframe(
                 pose=pose,
                 tilt=tilt,
-                lidar=LidarScan(num_rays, _range_steps(ranges) * LIDAR_UNIT, max_range),
+                lidar=LidarScan(num_rays, scan, max_range),
                 expert_steps=expert.label(path, pose),
                 expert_tilt_target=tilt,
             )

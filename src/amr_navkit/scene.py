@@ -358,36 +358,54 @@ def sweep_collision_check(
 # raycasting
 
 
+def _to_box_frame(x, y, c, s):
+    """World vectors (x, y) in the frame of boxes with yaw cosine c and sine s (broadcasting)."""
+    return x * c + y * s, -x * s + y * c
+
+
+def _slabs(ox, oy, hx, hy) -> np.ndarray:
+    """Slab data (8, ...) of ray origins (ox, oy) in box-local coordinates.
+
+    Rows: the offsets -hx - ox, hx - ox, -hy - oy, hy - oy from the origin
+    to the x and y slab faces, then the (lo, hi) bounds of the x and then
+    the y slab for a ray parallel to it: (-inf, inf) inside it, else empty.
+    """
+    par_x = np.where(np.abs(ox) <= hx, -np.inf, np.inf)
+    par_y = np.where(np.abs(oy) <= hy, -np.inf, np.inf)
+    return np.array([-hx - ox, hx - ox, -hy - oy, hy - oy, par_x, -par_x, par_y, -par_y])
+
+
+def _slab_entries(slabs: np.ndarray, dx, dy) -> np.ndarray:
+    """Entry distance of rays into boxes, +inf for misses, elementwise over broadcast arrays.
+
+    The slab test (Williams et al., JGT 2005) of box-local ray directions
+    (dx, dy) against the ``_slabs`` of their origins.
+    """
+    ax, bx, ay, by, par_lo_x, par_hi_x, par_lo_y, par_hi_y = slabs
+    # a zero or subnormal direction component is parallel, and its quotients unused
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1x, t2x, t1y, t2y = ax / dx, bx / dx, ay / dy, by / dy
+    par_x = np.abs(dx) < 1e-15
+    lo_x = np.where(par_x, par_lo_x, np.minimum(t1x, t2x))
+    hi_x = np.where(par_x, par_hi_x, np.maximum(t1x, t2x))
+    par_y = np.abs(dy) < 1e-15
+    lo_y = np.where(par_y, par_lo_y, np.minimum(t1y, t2y))
+    hi_y = np.where(par_y, par_hi_y, np.maximum(t1y, t2y))
+
+    tmin = np.maximum(lo_x, lo_y)
+    tmax = np.minimum(hi_x, hi_y)
+    hit = (tmax >= tmin) & (tmax > 0)
+    return np.where(hit, np.maximum(tmin, 0.0), np.inf)
+
+
 def _ray_box_entries(
     origin: np.ndarray, dirs: np.ndarray, centers, halves, cy, sy
 ) -> np.ndarray:
     """Entry distance of each ray into each box, +inf for misses; (K, B)."""
     rel = origin[None, :] - centers  # (B, 2)
-    ox = rel[:, 0] * cy + rel[:, 1] * sy
-    oy = -rel[:, 0] * sy + rel[:, 1] * cy
-    dx = dirs[:, 0][:, None] * cy[None, :] + dirs[:, 1][:, None] * sy[None, :]
-    dy = -dirs[:, 0][:, None] * sy[None, :] + dirs[:, 1][:, None] * cy[None, :]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1x = (-halves[:, 0][None, :] - ox[None, :]) / dx
-        t2x = (halves[:, 0][None, :] - ox[None, :]) / dx
-        t1y = (-halves[:, 1][None, :] - oy[None, :]) / dy
-        t2y = (halves[:, 1][None, :] - oy[None, :]) / dy
-    # rays parallel to an axis: inside the slab -> (-inf, inf), else empty
-    par_x = np.abs(dx) < 1e-15
-    in_x = np.abs(ox)[None, :] <= halves[:, 0][None, :]
-    lo_x = np.where(par_x, np.where(in_x, -np.inf, np.inf), np.minimum(t1x, t2x))
-    hi_x = np.where(par_x, np.where(in_x, np.inf, -np.inf), np.maximum(t1x, t2x))
-    par_y = np.abs(dy) < 1e-15
-    in_y = np.abs(oy)[None, :] <= halves[:, 1][None, :]
-    lo_y = np.where(par_y, np.where(in_y, -np.inf, np.inf), np.minimum(t1y, t2y))
-    hi_y = np.where(par_y, np.where(in_y, np.inf, -np.inf), np.maximum(t1y, t2y))
-
-    tmin = np.maximum(lo_x, lo_y)
-    tmax = np.minimum(hi_x, hi_y)
-    hit = (tmax >= tmin) & (tmax > 0)
-    entry = np.where(hit, np.maximum(tmin, 0.0), np.inf)
-    return entry
+    ox, oy = _to_box_frame(rel[:, 0], rel[:, 1], cy, sy)
+    dx, dy = _to_box_frame(dirs[:, 0][:, None], dirs[:, 1][:, None], cy, sy)
+    return _slab_entries(_slabs(ox, oy, halves[:, 0], halves[:, 1]), dx, dy)
 
 
 def check_lidar_params(num_rays: int, max_range: float, what: str = "lidar") -> None:
@@ -398,21 +416,92 @@ def check_lidar_params(num_rays: int, max_range: float, what: str = "lidar") -> 
         raise ValueError(f"{what} max_range must be finite and positive, got {max_range}")
 
 
+# scans cast per batch: bounds the pair arrays of one batch to a few MB
+_SCAN_CHUNK = 16
+
+# a box whose corner bearings spread wider than this may contain the ray
+# origin or have it on its boundary, where the bearings bound nothing
+_FULL_SPREAD = math.pi - 1e-3
+
+
+def _scan_chunk(scene: Scene, poses: list[Pose2], num_rays: int) -> np.ndarray:
+    """Ray ranges (K, num_rays) of a few scans, +inf where no box is hit.
+
+    A ray from outside a convex box can hit it only at a bearing within the
+    hull of the bearings of the box's corners. For each (scan, box) the rays
+    from the one at or below that hull, less one, to the one at or above it,
+    plus one, are tested (the extra ray each side is a margin far above
+    rounding error), and all rays when the hull spans about half a turn or
+    more, as it does from inside or on the box. The bearings come from the
+    slab test's own box-local offsets, so they agree with its inside test.
+    Each tested pair takes the same float operations as testing all pairs,
+    and a minimum is exact in any order, so the ranges are bit for bit those
+    of testing every ray against every box.
+    """
+    centers, halves, cy, sy = scene._box_params
+    k_scans, n_boxes = len(poses), len(centers)
+    step = 2.0 * math.pi / num_rays
+    xs = np.array([p.x for p in poses])[:, None]
+    ys = np.array([p.y for p in poses])[:, None]
+    headings = np.array([p.heading for p in poses])
+    angles = headings[:, None] + np.arange(num_rays) * step
+    # each scan's rays twice over, so a run of rays that wraps past the
+    # last ray is one slice
+    trig = np.array([np.cos(angles), np.sin(angles)])
+    trig = np.concatenate([trig, trig], axis=2).reshape(2, -1)
+
+    ox, oy = _to_box_frame(xs - centers[:, 0], ys - centers[:, 1], cy, sy)  # (K, B)
+    slabs = _slabs(ox, oy, halves[:, 0], halves[:, 1])
+    # box-local corner bearings from the slab offsets, relative to corner 0 in [-pi, pi)
+    ax, bx, ay, by = slabs[:4]
+    bearings = np.arctan2(np.array([ay, by, ay, by]), np.array([ax, ax, bx, bx]))
+    rel = (bearings - bearings[0] + math.pi) % (2.0 * math.pi) - math.pi
+    lo, hi = rel.min(axis=0), rel.max(axis=0)
+    base = bearings[0] + np.arctan2(sy, cy) - headings[:, None]
+    first = np.floor((base + lo) / step) - 1
+    count = np.ceil((base + hi) / step) + 2 - first
+    full = (hi - lo > _FULL_SPREAD) | (count >= num_rays)
+    first = np.where(full, 0, first).astype(np.int64) % num_rays
+    count = np.where(full, num_rays, count).astype(np.int64).ravel()
+
+    # one column per tested (scan, box, ray) pair
+    row_start = np.arange(k_scans)[:, None] * (2 * num_rays)
+    group_first = (row_start + first).ravel()
+    ray = np.arange(count.sum()) + np.repeat(group_first - (np.cumsum(count) - count), count)
+    box_rot = np.broadcast_to(np.array([cy, sy])[:, None, :], (2, k_scans, n_boxes))
+    pairs = np.repeat(np.concatenate([slabs, box_rot]).reshape(10, -1), count, axis=1)
+    cos, sin = trig.take(ray, axis=1)
+    dx, dy = _to_box_frame(cos, sin, pairs[8], pairs[9])
+    ranges = np.full((k_scans, 2 * num_rays), np.inf)
+    np.minimum.at(ranges.reshape(-1), ray, _slab_entries(pairs[:8], dx, dy))
+    return np.minimum(ranges[:, :num_rays], ranges[:, num_rays:])
+
+
+def raycast_scans(
+    scene: Scene, poses: list[Pose2], num_rays: int = 360, max_range: float = 10.0
+) -> np.ndarray:
+    """Exact ray-vs-oriented-box LiDAR ranges (K, num_rays) from K poses.
+
+    Ray k of a scan points at its heading + 2*pi*k/num_rays; a ray that hits
+    nothing within ``max_range`` reads ``max_range``. A non-finite pose is a
+    ValueError.
+    """
+    check_lidar_params(num_rays, max_range)
+    for p in poses:
+        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.heading)):
+            raise ValueError(f"lidar pose must be finite, got {p}")
+    ranges = np.full((len(poses), num_rays), np.inf)
+    if scene._box_params[0].size:
+        for i in range(0, len(poses), _SCAN_CHUNK):
+            ranges[i : i + _SCAN_CHUNK] = _scan_chunk(scene, poses[i : i + _SCAN_CHUNK], num_rays)
+    return np.minimum(ranges, max_range)
+
+
 def raycast_lidar(
     scene: Scene, pose: Pose2, num_rays: int = 360, max_range: float = 10.0
 ) -> LidarScan:
     """Exact ray-vs-oriented-box LiDAR scan from a collision-free pose."""
-    check_lidar_params(num_rays, max_range)
-    centers, halves, cy, sy = scene._box_params
-    angles = pose.heading + np.arange(num_rays) * (2.0 * math.pi / num_rays)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    origin = np.array([pose.x, pose.y])
-    if centers.size:
-        entry = _ray_box_entries(origin, dirs, centers, halves, cy, sy)
-        ranges = entry.min(axis=1)
-    else:
-        ranges = np.full(num_rays, np.inf)
-    return LidarScan(num_rays, np.minimum(ranges, max_range), max_range)
+    return LidarScan(num_rays, raycast_scans(scene, [pose], num_rays, max_range)[0], max_range)
 
 
 def segment_blocked(scene: Scene, a: np.ndarray, b: np.ndarray, skip_box: OrientedBox | None = None) -> bool:

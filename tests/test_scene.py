@@ -184,6 +184,16 @@ class TestRaycast:
                 assert scan.ranges.min() >= radius
                 found += 1
 
+    @pytest.mark.parametrize(
+        "pose", [Pose2(math.nan, 0.0, 0.0), Pose2(0.0, math.inf, 0.0)], ids=["nan-x", "inf-y"]
+    )
+    def test_non_finite_pose_refused(self, pose):
+        with pytest.raises(ValueError, match=r"lidar pose must be finite, got Pose2\("):
+            raycast_lidar(empty_room(), pose)
+        # the scan parameters are checked first, with their own message
+        with pytest.raises(ValueError, match="lidar num_rays must be at least 1, got 0"):
+            raycast_lidar(empty_room(), pose, num_rays=0)
+
 
 class TestKinematics:
     def test_differential_straight(self):
