@@ -160,8 +160,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         cfg.executor,
         cfg.camera.model(),
         cfg.workers,
-        cfg.sensor.num_rays,
-        cfg.sensor.max_range,
         cfg.eval.success_pos_tol,
         cfg.eval.success_ang_tol_deg,
     )

@@ -35,6 +35,13 @@ class PlannerParams:
     probe_batch_size: int = 16
     safety_margin: float = 0.1
 
+    def __post_init__(self):
+        for name in ("batches", "batch_size", "probe_batches", "probe_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)}")
+        if self.safety_margin < 0:
+            raise ValueError(f"planner safety_margin must not be negative, got {self.safety_margin}")
+
     def probe_budget(self) -> PlannerBudget:
         return PlannerBudget(self.probe_batches, self.probe_batch_size)
 

@@ -31,7 +31,6 @@ from .scene import (
     KINEMATICS_KINDS,
     Command,
     DiffDrive,
-    LidarScan,
     OmniDrive,
     RobotState,
     Scene,
@@ -39,7 +38,6 @@ from .scene import (
     clearance,
     command_omega,
     command_speed,
-    raycast_lidar,
     step_kinematics,
 )
 
@@ -66,6 +64,9 @@ class ExecutorConfig:
     def __post_init__(self):
         if self.replan_every > self.horizon_n:
             raise ValueError("replan_every must not exceed horizon_n")
+        for name in ("replan_every", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"executor {name} must be at least 1, got {getattr(self, name)}")
         if not 0 < self.dt < math.inf:
             raise ValueError("executor dt must be finite and positive")
         if min(self.stop_pos_tol, self.stop_ang_tol) <= 0:
@@ -106,9 +107,13 @@ class PolicyAction:
 
 
 class TrajectoryPolicy(Protocol):
-    """Anything that maps (state, scan, task, step) to tokenized waypoints."""
+    """Anything that maps (state, task, step) to tokenized waypoints.
 
-    def query(self, state: RobotState, scan: LidarScan, task, step: int) -> PolicyAction:
+    A policy that reads LiDAR casts its own scan, e.g.
+    ``raycast_lidar(scene, state.pose, num_rays, max_range)``.
+    """
+
+    def query(self, state: RobotState, task, step: int) -> PolicyAction:
         ...
 
 
@@ -123,13 +128,17 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     if len(trajectory_world) == 0:
         raise EmptyTrajectory("pure pursuit needs at least one waypoint")
 
-    pos = np.array([state.pose.x, state.pose.y])
-    pts = np.array([[p.x, p.y] for p in trajectory_world])
-    dists = np.linalg.norm(pts - pos, axis=1)
-    ahead = np.flatnonzero(dists >= cfg.lookahead)
-    target = pts[int(ahead[0])] if ahead.size else pts[-1]
+    # sqrt(dx*dx + dy*dy) is what norm(axis=1) computes per row
+    px, py = state.pose.x, state.pose.y
     terminal = trajectory_world[-1]
-    goal_dist = float(dists[-1])
+    target = terminal
+    for p in trajectory_world:
+        dx, dy = p.x - px, p.y - py
+        if math.sqrt(dx * dx + dy * dy) >= cfg.lookahead:
+            target = p
+            break
+    dx, dy = terminal.x - px, terminal.y - py
+    goal_dist = math.sqrt(dx * dx + dy * dy)
     heading_err = wrap_angle(terminal.heading - state.pose.heading)
 
     # linear speed taper inside 2 lookaheads of the trajectory end
@@ -138,35 +147,37 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     if state.kinematics == "omnidirectional":
         # position and heading servo independently, each with a deadband at
         # its stop tolerance, so the command reaches exactly zero at the end
-        if goal_dist <= cfg.stop_pos_tol:
-            vel = np.zeros(2)
-        else:
-            to_target = target - pos
-            norm = float(np.linalg.norm(to_target))
-            vel = v_mag * to_target / norm if norm > 1e-12 else np.zeros(2)
+        vx = vy = 0.0
+        if goal_dist > cfg.stop_pos_tol:
+            tx, ty = target.x - px, target.y - py
+            norm = float(np.linalg.norm((tx, ty)))  # ddot: not equal to sqrt(tx*tx + ty*ty)
+            if norm > 1e-12:
+                vx, vy = v_mag * tx / norm, v_mag * ty / norm
         if abs(heading_err) <= cfg.stop_ang_tol:
             omega = 0.0
         else:
-            omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
-        return OmniDrive(float(vel[0]), float(vel[1]), omega)
+            omega = _clip(cfg.omega_gain * heading_err, cfg.omega_max)
+        return OmniDrive(vx, vy, omega)
 
     if goal_dist <= cfg.stop_pos_tol:
         if abs(heading_err) <= cfg.stop_ang_tol:
             return DiffDrive(0.0, 0.0)
-        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
-        return DiffDrive(0.0, omega)
+        return DiffDrive(0.0, _clip(cfg.omega_gain * heading_err, cfg.omega_max))
 
     c, s = math.cos(state.pose.heading), math.sin(state.pose.heading)
-    rel = target - pos
-    local_x = c * rel[0] + s * rel[1]
-    local_y = -s * rel[0] + c * rel[1]
+    rx, ry = target.x - px, target.y - py
+    local_x = c * rx + s * ry
+    local_y = -s * rx + c * ry
     dist_sq = local_x * local_x + local_y * local_y
     if dist_sq < 1e-18:
-        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
-        return DiffDrive(0.0, omega)
+        return DiffDrive(0.0, _clip(cfg.omega_gain * heading_err, cfg.omega_max))
     v = v_mag if local_x >= 0 else -v_mag
-    omega = float(np.clip(2.0 * v * local_y / dist_sq, -cfg.omega_max, cfg.omega_max))
-    return DiffDrive(v, omega)
+    return DiffDrive(v, _clip(2.0 * v * local_y / dist_sq, cfg.omega_max))
+
+
+def _clip(x: float, limit: float) -> float:
+    """``np.clip(x, -limit, limit)`` on one float."""
+    return min(max(x, -limit), limit)
 
 
 def tilt_step(
@@ -180,9 +191,9 @@ def tilt_step(
         setpoint = compute_tilt(camera, state.pose, target_lowest_point, tilt_limit=None)
     except ValueError:
         return state.tilt  # point on the camera axis; hold tilt
-    setpoint = float(np.clip(setpoint, -cfg.tilt_limit, cfg.tilt_limit))
+    setpoint = _clip(setpoint, cfg.tilt_limit)
     slew = cfg.tilt_rate * cfg.dt
-    return float(np.clip(setpoint, state.tilt - slew, state.tilt + slew))
+    return min(max(setpoint, state.tilt - slew), state.tilt + slew)
 
 
 def run_episode(
@@ -191,8 +202,6 @@ def run_episode(
     policy: TrajectoryPolicy,
     cfg: ExecutorConfig = ExecutorConfig(),
     camera: CameraModel = CameraModel.pinhole(),
-    num_rays: int = 360,
-    max_range: float = 10.0,
 ) -> EpisodeResult:
     """Run one closed-loop episode; deterministic given scene, task and policy."""
     state = RobotState(
@@ -212,9 +221,8 @@ def run_episode(
 
     for step in range(cfg.max_steps):
         if step % cfg.replan_every == 0:
-            scan = raycast_lidar(scene, state.pose, num_rays, max_range)
             try:
-                action = policy.query(state, scan, task, step)
+                action = policy.query(state, task, step)
             except NoPathFound:
                 outcome = "no_path"
                 break
@@ -320,7 +328,7 @@ class OraclePolicy:
             prev = p
         return out
 
-    def query(self, state: RobotState, scan: LidarScan, task, step: int) -> PolicyAction:
+    def query(self, state: RobotState, task, step: int) -> PolicyAction:
         goal_dist = math.hypot(task.goal_pose.x - state.pose.x, task.goal_pose.y - state.pose.y)
         if goal_dist <= self.snap_dist:
             steps = encode_trajectory(self._terminal_rotation(state, task))

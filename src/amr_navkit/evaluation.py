@@ -128,11 +128,9 @@ def run_task(
     policy_spec: PolicySpec,
     cfg: ExecutorConfig,
     camera: CameraModel,
-    num_rays: int = 360,
-    max_range: float = 10.0,
 ) -> tuple[EpisodeSummary, EpisodeResult]:
     policy = policy_spec.build(scene, camera)
-    result = run_episode(scene, task, policy, cfg, camera, num_rays, max_range)
+    result = run_episode(scene, task, policy, cfg, camera)
     return _episode_summary(index, scene, task, result), result
 
 
@@ -215,8 +213,6 @@ def evaluate(
     cfg: ExecutorConfig = ExecutorConfig(),
     camera: CameraModel = CameraModel.pinhole(),
     workers: int = 1,
-    num_rays: int = 360,
-    max_range: float = 10.0,
     success_pos_tol: float = 0.1,
     success_ang_tol_deg: float = 10.0,
 ) -> tuple[MetricsReport, list[tuple[EpisodeSummary, EpisodeResult]]]:
@@ -224,8 +220,7 @@ def evaluate(
     if not tasks:
         raise ValueError("tasks must be nonempty")
     jobs = [
-        (i, scenes[t.scene_seed], t, policy_spec, cfg, camera, num_rays, max_range)
-        for i, t in enumerate(tasks)
+        (i, scenes[t.scene_seed], t, policy_spec, cfg, camera) for i, t in enumerate(tasks)
     ]
     episodes = parallel_map(_run_job, jobs, workers)
     report = summarize([s for s, _ in episodes], success_pos_tol, success_ang_tol_deg)

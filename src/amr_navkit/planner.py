@@ -56,6 +56,11 @@ class PlannerBudget:
     batches: int = 4
     batch_size: int = 24
 
+    def __post_init__(self):
+        for name in ("batches", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class PlannedPath:
@@ -192,13 +197,20 @@ def steer(
 def _lookat_integral(
     p0: np.ndarray, p1: np.ndarray, heading: float, target: np.ndarray
 ) -> float:
-    """Trapezoid of |heading - bearing to target| over a straight forward move."""
-    dist = float(np.linalg.norm(p1 - p0))
+    """Trapezoid of |heading - bearing to target| over a straight forward move.
+
+    The length is ``norm``'s own ``sqrt(d . d)`` and the fractions are
+    ``linspace(0, 1, k + 1)``'s own ``arange * (1 / k)`` with the end pinned,
+    without either call's per-call overhead.
+    """
+    d = p1 - p0
+    dist = math.sqrt(d.dot(d))
     if dist < 1e-12:
         return 0.0
     k = max(1, int(math.ceil(dist / COST_STEP)))
-    t = np.linspace(0.0, 1.0, k + 1)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    t = np.arange(k + 1, dtype=float) * (1.0 / k)
+    t[-1] = 1.0
+    pts = p0[None, :] + t[:, None] * d[None, :]
     bearing = np.arctan2(target[1] - pts[:, 1], target[0] - pts[:, 0])
     dev = np.abs((heading - bearing + math.pi) % (2 * math.pi) - math.pi)
     return float((dev[0] / 2 + dev[1:-1].sum() + dev[-1] / 2) * (dist / k))
@@ -249,6 +261,10 @@ class _Roadmap:
         self.weight: list[dict[int, float]] = []
         self._conn: dict[tuple[int, int], tuple[float, list[PathSegment]]] = {}
         self._swept: set[tuple[int, int]] = set()
+        # the neighbour lists of the current batch, and the vertices whose
+        # edges in them were all swept
+        self._nbrs: list[list[int]] | None = None
+        self._done: set[int] = set()
         self._to_goal: list[float] = []
 
     def add(self, pose: Pose2) -> None:
@@ -277,7 +293,12 @@ class _Roadmap:
         todo = [e for e in zip(chain, chain[1:]) if e not in self._conn]
         if not todo:
             return False
-        new = sorted({(min(i, j), max(i, j)) for i in chain for j in nbrs[i]} - self._swept)
+        if nbrs is not self._nbrs:
+            self._nbrs, self._done = nbrs, set()
+        # a vertex in _done had every edge swept already, so it adds nothing new
+        fresh = [i for i in chain if i not in self._done]
+        self._done.update(fresh)
+        new = sorted({(min(i, j), max(i, j)) for i in fresh for j in nbrs[i]} - self._swept)
         if new:
             self._swept.update(new)
             ends = positions[np.array(new)]  # (E, 2, 2)
@@ -379,18 +400,23 @@ def _sample_positions(
         return rng.uniform((b.xmin, b.ymin), (b.xmax, b.ymax), size=(n, 2))
     center, axes_rot, (sa, sb) = informed
     out = []
-    tries = 0
-    while len(out) < n and tries < 50 * n:
-        m = min(n - len(out), 50 * n - tries)
+    found = tries = 0
+    while found < n and tries < 50 * n:
+        m = min(n - found, 50 * n - tries)
         tries += m
+        # per try, as numpy's vectorized sqrt/sin/cos may round differently
+        v = []
         for u, ang in rng.uniform(0.0, (1.0, 2 * math.pi), size=(m, 2)).tolist():
-            # per point, as numpy's vectorized sin/cos/matmul may round differently;
-            # nor is a scalar 2x2 product a drop-in: BLAS gemv fuses multiply-adds
             r = math.sqrt(u)
-            pt = center + axes_rot @ np.array([sa * r * math.cos(ang), sb * r * math.sin(ang)])
-            if b.xmin <= pt[0] <= b.xmax and b.ymin <= pt[1] <= b.ymax:
-                out.append(pt)
-    return np.array(out).reshape(-1, 2)
+            v.append((sa * r * math.cos(ang), sb * r * math.sin(ang)))
+        # a stacked matmul runs one 2x2 gemv per offset, as a single product
+        # did; neither v @ axes_rot.T (gemm) nor a scalar 2x2 product rounds alike
+        pts = center + (axes_rot @ np.array(v)[:, :, None])[:, :, 0]
+        x, y = pts[:, 0], pts[:, 1]
+        pts = pts[(b.xmin <= x) & (x <= b.xmax) & (b.ymin <= y) & (y <= b.ymax)]
+        out.append(pts)
+        found += len(pts)
+    return np.concatenate(out) if out else np.empty((0, 2))  # n = 0 draws nothing
 
 
 def plan(
@@ -432,7 +458,7 @@ def plan(
     lower_bound = rs0_distance(start, goal, w)
     best_cost, best_chain = math.inf, []
 
-    for _ in range(max(1, budget.batches)):
+    for _ in range(budget.batches):
         informed = None
         if math.isfinite(best_cost):
             c_min = math.hypot(goal.x - start.x, goal.y - start.y)
@@ -446,9 +472,9 @@ def plan(
         headings = rng.uniform(-math.pi, math.pi, size=budget.batch_size)
         if len(pts):
             keep = ~collision_mask(scene, pts, radius)
-            for pt, h, ok in zip(pts, headings, keep):
+            for (x, y), h, ok in zip(pts.tolist(), headings.tolist(), keep.tolist()):
                 if ok:
-                    rm.add(Pose2(float(pt[0]), float(pt[1]), float(h)))
+                    rm.add(Pose2(x, y, h))
 
         positions = np.array([[p.x, p.y] for p in rm.poses])
         nbrs = _neighbor_lists(positions, K_NEIGHBORS)

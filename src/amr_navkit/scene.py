@@ -300,7 +300,8 @@ def _sampled_sweep(
     """Disc collision at positions sampled along p0->p1 at spacing <= step."""
     x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
     n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step)))
-    t = np.linspace(0.0, 1.0, n + 1)
+    t = np.arange(n + 1, dtype=float) * (1.0 / n)  # linspace(0, 1, n + 1), without its overhead
+    t[-1] = 1.0
     pts = np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=1)
     return bool(collision_mask(scene, pts, radius).any())
 

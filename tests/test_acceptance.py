@@ -290,8 +290,9 @@ def test_criterion_7_sensor_oracles():
     # collision_check vs perimeter-sampling oracle
     disagreements = 0
     rng = np.random.default_rng(105)
+    oracle_scenes = [sample_scene(3000 + k) for k in range(10)]
     for i in range(1000):
-        scene = sample_scene(3000 + (i % 10))
+        scene = oracle_scenes[i % 10]
         b = scene.bounds
         pose = Pose2(
             float(rng.uniform(b.xmin, b.xmax)), float(rng.uniform(b.ymin, b.ymax)), 0.0

@@ -7,6 +7,7 @@ import pytest
 from amr_navkit.cli import main
 from amr_navkit.config import (
     OracleParams,
+    PlannerParams,
     RunConfig,
     SensorParams,
     apply_env_overrides,
@@ -167,11 +168,33 @@ class TestConfig:
             ("AMR_PLANNER_K_NEIGHBORS", "8"),
             ("AMR_EXECUTOR_DT", "-0.2"),
             ("AMR_EXECUTOR_DT", "0"),
+            # each of these once ran: 50% collisions with a shrunken expert
+            # footprint, a numpy traceback, a 3.49 m median error, a silent
+            # clamp to 1 batch, a ZeroDivisionError, zero-step episodes
+            ("AMR_PLANNER_SAFETY_MARGIN", "-0.2"),
+            ("AMR_PLANNER_BATCH_SIZE", "-1"),
+            ("AMR_PLANNER_BATCH_SIZE", "0"),
+            ("AMR_PLANNER_BATCHES", "0"),
+            ("AMR_PLANNER_PROBE_BATCHES", "0"),
+            ("AMR_PLANNER_PROBE_BATCH_SIZE", "0"),
+            ("AMR_EXECUTOR_REPLAN_EVERY", "0"),
+            ("AMR_EXECUTOR_MAX_STEPS", "-1"),
+            ("AMR_EXECUTOR_MAX_STEPS", "0"),
         ],
     )
     def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
         monkeypatch.setenv(key, raw)
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batches", 0), ("batch_size", -1), ("probe_batches", 0), ("probe_batch_size", -3),
+         ("safety_margin", -0.2)],
+    )
+    def test_planner_params_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"planner {field} must"):
+            PlannerParams(**{field: value})
+        assert PlannerParams(**{field: 0.0 if field == "safety_margin" else 1})
 
     @pytest.mark.parametrize(
         "field, value",

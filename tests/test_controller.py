@@ -167,23 +167,23 @@ class TestTiltStep:
 
 
 class ZeroMotionPolicy:
-    def query(self, state, scan, task, step):
+    def query(self, state, task, step):
         return PolicyAction(steps=encode_trajectory([Pose2(0, 0, 0)] * 12), tilt=0.0)
 
 
 class WallCrashPolicy:
     """Commands straight ahead regardless of obstacles."""
 
-    def query(self, state, scan, task, step):
+    def query(self, state, task, step):
         return PolicyAction(steps=encode_trajectory([Pose2(0.1, 0, 0)] * 12), tilt=0.0)
 
 
 class CountingOracle(OraclePolicy):
     calls: int = 0
 
-    def query(self, state, scan, task, step):
+    def query(self, state, task, step):
         CountingOracle.calls += 1
-        return super().query(state, scan, task, step)
+        return super().query(state, task, step)
 
 
 class TestRunEpisode:
@@ -222,7 +222,7 @@ class TestRunEpisode:
 
     def test_no_path_outcome(self):
         class RefusingPolicy:
-            def query(self, state, scan, task, step):
+            def query(self, state, task, step):
                 raise NoPathFound("nope")
 
         scene = room_with_target()
@@ -265,8 +265,8 @@ class TestRunEpisode:
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
         state = RobotState(task.start, task.robot_radius)
-        exact = OraclePolicy(scene=scene, expert=EXPERT).query(state, None, task, 0)
-        snapped = OraclePolicy(scene=scene, expert=EXPERT, use_residual=False).query(state, None, task, 0)
+        exact = OraclePolicy(scene=scene, expert=EXPERT).query(state, task, 0)
+        snapped = OraclePolicy(scene=scene, expert=EXPERT, use_residual=False).query(state, task, 0)
         assert snapped.steps == [s.without_residual() for s in exact.steps]
         assert snapped.steps != exact.steps
         assert snapped.tilt == exact.tilt
@@ -279,6 +279,11 @@ class TestRunEpisode:
         for dt in (0.0, -0.2, math.inf):
             with pytest.raises(ValueError, match="executor dt"):
                 ExecutorConfig(dt=dt)
+        # replan_every 0 divided by zero; max_steps -1 ran zero-step episodes
+        for field, value in (("replan_every", 0), ("replan_every", -2), ("max_steps", 0), ("max_steps", -1)):
+            with pytest.raises(ValueError, match=f"executor {field} must be at least 1"):
+                ExecutorConfig(**{field: value})
+        assert ExecutorConfig(replan_every=1, max_steps=1)
 
     def test_error_shrinks_with_stop_tolerance(self):
         scene = room_with_target()
@@ -308,7 +313,7 @@ class TestOraclePlanLadder:
         expert = Expert(budget=PlannerBudget(2, 16), safety_margin=0.1)
         policy = OraclePolicy(scene=scene, expert=expert, seed=5, queries=3)
         with pytest.raises(NoPathFound):
-            policy.query(RobotState(Pose2(0, 0, 0), 0.3), None, task, 0)
+            policy.query(RobotState(Pose2(0, 0, 0), 0.3), task, 0)
         # inflated then true radius at each budget level x1, x3, x8, with the
         # level's seed (5 * 1000003 + 3) + level * 7777777
         inflated = 0.3 + 0.1

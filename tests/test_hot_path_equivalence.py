@@ -3,29 +3,43 @@
 ``rs0_distance`` writes its two branches out instead of looping over
 ``_branches``; ``rollout`` builds each segment's rows with numpy instead of
 one state at a time; ``collision_check`` and ``clearance`` run a scalar loop
-over the scene's boxes instead of ``obstacle_distances``; and
+over the scene's boxes instead of ``obstacle_distances``;
 ``waypoints_from_path`` grows a step prefix only as far as the horizon
-instead of reading a whole-path step table. The references below are the
-code they replaced. Floats are compared with ``==`` or as uint64 bit
-patterns, never with a tolerance.
+instead of reading a whole-path step table; ``_lookat_integral`` and
+``_sampled_sweep`` spell out ``linspace`` and ``norm``; ``_Roadmap.evaluate``
+skips chain vertices whose edges it swept earlier in the batch; and
+``pure_pursuit`` and ``tilt_step`` work on floats instead of small arrays.
+The references below are the code they replaced. (The informed sampler's
+stacked matmul is checked against a per-try product in
+``tests/test_soa_kernel_equivalence.py``.) Floats are compared with ``==``
+or as uint64 bit patterns, never with a tolerance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amr_navkit.geometry import OrientedBox, Pose2, se2_relative, wrap_angle
+from amr_navkit import scene as scene_module
+from amr_navkit.controller import ExecutorConfig, pure_pursuit, tilt_step
+from amr_navkit.geometry import CameraModel, OrientedBox, Pose2, compute_tilt, se2_relative, wrap_angle
 from amr_navkit.planner import (
     ANG_STEP,
+    COST_STEP,
+    K_NEIGHBORS,
     LIN_STEP,
     CostWeights,
     PlannedPath,
     Rotate,
     Translate,
     _branches,
+    _lookat_integral,
+    _neighbor_lists,
+    _Roadmap,
+    _shortest_path,
     apply_segment,
     rollout,
     rs0_distance,
@@ -33,13 +47,18 @@ from amr_navkit.planner import (
 )
 from amr_navkit.scene import (
     Bounds,
+    DiffDrive,
+    OmniDrive,
+    RobotState,
     Scene,
     SceneObject,
+    _sampled_sweep,
     clearance,
     collision_check,
     collision_mask,
     obstacle_distances,
     sample_scene,
+    sweep_collision_checks,
 )
 
 SPEEDS = [(0.5, 1.0), (0.2, 0.3), (1.0, 0.2), (0.13, 0.7)]
@@ -119,6 +138,98 @@ def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, m
         steps.append(se2_relative(prev, p))
         prev = p
     return steps
+
+
+def reference_lookat_integral(p0, p1, heading, target):
+    dist = float(np.linalg.norm(p1 - p0))
+    if dist < 1e-12:
+        return 0.0
+    k = max(1, int(math.ceil(dist / COST_STEP)))
+    t = np.linspace(0.0, 1.0, k + 1)
+    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    bearing = np.arctan2(target[1] - pts[:, 1], target[0] - pts[:, 0])
+    dev = np.abs((heading - bearing + math.pi) % (2 * math.pi) - math.pi)
+    return float((dev[0] / 2 + dev[1:-1].sum() + dev[-1] / 2) * (dist / k))
+
+
+def reference_sweep_points(p0, p1, step):
+    """The positions ``_sampled_sweep`` tested, as it was."""
+    x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
+    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step)))
+    t = np.linspace(0.0, 1.0, n + 1)
+    return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=1)
+
+
+class ReferenceRoadmap(_Roadmap):
+    """``_Roadmap`` with the evaluate that rebuilt the edge set from every chain vertex."""
+
+    def evaluate(self, chain, positions, nbrs):
+        todo = [e for e in zip(chain, chain[1:]) if e not in self._conn]
+        if not todo:
+            return False
+        new = sorted({(min(i, j), max(i, j)) for i in chain for j in nbrs[i]} - self._swept)
+        if new:
+            self._swept.update(new)
+            ends = positions[np.array(new)]
+            r = self.radius + LIN_STEP / 2
+            hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r, LIN_STEP)
+            for (a, b), hit in zip(new, hits.tolist()):
+                if hit:
+                    self.weight[a][b] = self.weight[b][a] = math.inf
+        for i, j in todo:
+            if self.weight[i][j] < math.inf:
+                self.connection(i, j)
+        return True
+
+
+def reference_pure_pursuit(state, trajectory_world, cfg):
+    pos = np.array([state.pose.x, state.pose.y])
+    pts = np.array([[p.x, p.y] for p in trajectory_world])
+    dists = np.linalg.norm(pts - pos, axis=1)
+    ahead = np.flatnonzero(dists >= cfg.lookahead)
+    target = pts[int(ahead[0])] if ahead.size else pts[-1]
+    terminal = trajectory_world[-1]
+    goal_dist = float(dists[-1])
+    heading_err = wrap_angle(terminal.heading - state.pose.heading)
+    v_mag = min(cfg.speed, cfg.v_max) * min(1.0, goal_dist / (2 * cfg.lookahead))
+    if state.kinematics == "omnidirectional":
+        if goal_dist <= cfg.stop_pos_tol:
+            vel = np.zeros(2)
+        else:
+            to_target = target - pos
+            norm = float(np.linalg.norm(to_target))
+            vel = v_mag * to_target / norm if norm > 1e-12 else np.zeros(2)
+        if abs(heading_err) <= cfg.stop_ang_tol:
+            omega = 0.0
+        else:
+            omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+        return OmniDrive(float(vel[0]), float(vel[1]), omega)
+    if goal_dist <= cfg.stop_pos_tol:
+        if abs(heading_err) <= cfg.stop_ang_tol:
+            return DiffDrive(0.0, 0.0)
+        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+        return DiffDrive(0.0, omega)
+    c, s = math.cos(state.pose.heading), math.sin(state.pose.heading)
+    rel = target - pos
+    local_x = c * rel[0] + s * rel[1]
+    local_y = -s * rel[0] + c * rel[1]
+    dist_sq = local_x * local_x + local_y * local_y
+    if dist_sq < 1e-18:
+        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+        return DiffDrive(0.0, omega)
+    v = v_mag if local_x >= 0 else -v_mag
+    omega = float(np.clip(2.0 * v * local_y / dist_sq, -cfg.omega_max, cfg.omega_max))
+    return DiffDrive(v, omega)
+
+
+def reference_tilt_step(state, camera, target_lowest_point, cfg):
+    try:
+        setpoint = compute_tilt(camera, state.pose, target_lowest_point, tilt_limit=None)
+    except ValueError:
+        return state.tilt
+    setpoint = float(np.clip(setpoint, -cfg.tilt_limit, cfg.tilt_limit))
+    slew = cfg.tilt_rate * cfg.dt
+    return float(np.clip(setpoint, state.tilt - slew, state.tilt + slew))
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +428,205 @@ def test_dt_must_be_positive():
     for dt in (0.0, -0.2, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             waypoints_from_path(path, start, 12, dt)
+
+
+# ---------------------------------------------------------------------------
+# per-edge integrals without linspace and norm
+
+
+@st.composite
+def moves(draw, step):
+    """(p0, p1) whose sample count ceil(|p1 - p0| / step) covers 1 to 2,500, or zero length."""
+    x0, y0 = draw(coord), draw(coord)
+    kind = draw(st.sampled_from(["k", "k", "k", "zero", "tiny"]))
+    if kind == "zero":
+        return np.array([x0, y0]), np.array([x0, y0])
+    if kind == "tiny":
+        length = draw(st.floats(1e-15, 1e-10))
+    else:
+        length = (draw(st.integers(1, 2500)) - draw(st.floats(0.0, 1.0, exclude_max=True))) * step
+    ang = draw(st.floats(-math.pi, math.pi))
+    return np.array([x0, y0]), np.array([x0 + length * math.cos(ang), y0 + length * math.sin(ang)])
+
+
+@given(moves(COST_STEP), heading, st.tuples(coord, coord))
+@settings(max_examples=400, deadline=None)
+@example((np.array([0.0, 0.0]), np.array([0.0, 0.0])), 0.0, (1.0, 1.0))
+@example((np.array([0.0, 0.0]), np.array([COST_STEP, 0.0])), 0.0, (1.0, 1.0))
+@example((np.array([-3.0, 2.0]), np.array([-3.0 + 2000 * COST_STEP, 2.0])), 0.1, (0.0, 0.0))
+@example((np.array([1.0, 1.0]), np.array([1.0 + 1e-13, 1.0])), 0.0, (0.0, 0.0))
+def test_lookat_integral_matches_linspace_norm(move, h, target):
+    p0, p1 = move
+    target = np.array(target)
+    assert bits(_lookat_integral(p0, p1, h, target)) == bits(reference_lookat_integral(p0, p1, h, target))
+
+
+def test_lookat_integral_ends_on_the_end_point():
+    # k * (1 / k) rounds below 1 for some k; with the target just beside the
+    # end point, the bearing there turns by about 1e-7 rad if t[-1] is not 1
+    ks = [k for k in range(1, 2501) if k * (1.0 / k) != 1.0]
+    assert ks
+    for k in ks:
+        p0 = np.array([0.5, -0.25])
+        p1 = p0 + [(k - 0.5) * COST_STEP, 0.0]
+        target = p1 + [0.0, 1e-9]
+        assert bits(_lookat_integral(p0, p1, 0.0, target)) == bits(reference_lookat_integral(p0, p1, 0.0, target))
+
+
+def sweep_points(p0, p1, step):
+    """The positions ``_sampled_sweep`` hands to ``collision_mask``, and its verdict."""
+    seen = []
+
+    def record(scene, pts, radius):
+        seen.append(pts.copy())
+        return collision_mask(scene, pts, radius)
+
+    with mock.patch.object(scene_module, "collision_mask", record):
+        verdict = _sampled_sweep(SWEEP_SCENE, p0, p1, 0.2, step)
+    (pts,) = seen
+    return pts, verdict
+
+
+SWEEP_SCENE = sample_scene(17)
+
+
+@given(moves(LIN_STEP), st.sampled_from([LIN_STEP, 0.003, 0.05]))
+@settings(max_examples=300, deadline=None)
+@example((np.array([0.0, 0.0]), np.array([0.0, 0.0])), LIN_STEP)
+@example((np.array([-9.0, 0.5]), np.array([11.0, 0.5])), LIN_STEP)
+def test_sampled_sweep_matches_linspace(move, step):
+    p0, p1 = move
+    pts, verdict = sweep_points(p0, p1, step)
+    want = reference_sweep_points(p0, p1, step)
+    assert pts.shape == want.shape
+    assert bits(pts) == bits(want)
+    assert verdict == bool(collision_mask(SWEEP_SCENE, want, 0.2).any())
+
+
+# ---------------------------------------------------------------------------
+# evaluate's per-batch bookkeeping
+
+
+def roadmap_states(rm):
+    """Everything ``evaluate`` writes: swept edges, weight rows and exact costs, floats as bits."""
+    rows = [sorted(row.items()) for row in rm.weight]
+    return (
+        sorted(rm._swept),
+        [[j for j, _ in row] for row in rows],
+        [bits([wt for _, wt in row]) for row in rows],
+        sorted((key, bits(cost), segs) for key, (cost, segs) in rm._conn.items()),
+    )
+
+
+class Recording:
+    """Wraps a roadmap's evaluate to snapshot its state after every call."""
+
+    def __init__(self, rm):
+        self.log = []
+        inner = rm.evaluate
+
+        def evaluate(chain, positions, nbrs):
+            result = inner(chain, positions, nbrs)
+            self.log.append((list(chain), result, roadmap_states(rm)))
+            return result
+
+        rm.evaluate = evaluate
+
+
+@given(
+    st.sampled_from([3, 17, 42, 77]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 0.5),
+    st.integers(1, 4),
+    st.integers(4, 24),
+)
+@settings(max_examples=60, deadline=None)
+@example(3, 0, 0.3, 4, 24)
+def test_evaluate_matches_whole_chain_rebuild(scene_seed, seed, radius, batches, batch_size):
+    scene = sample_scene(scene_seed)
+    b = scene.bounds
+    rng = np.random.default_rng(seed)
+    target = np.array([0.0, 0.0])
+    got, want = _Roadmap(scene, radius, target, CostWeights()), ReferenceRoadmap(scene, radius, target, CostWeights())
+    got_log, want_log = Recording(got), Recording(want)
+    for _ in range(batches + 1):  # the first batch holds start and goal
+        for _ in range(2 if not got.poses else batch_size):
+            x, y = rng.uniform((b.xmin, b.ymin), (b.xmax, b.ymax)).tolist()
+            pose = Pose2(x, y, float(rng.uniform(-math.pi, math.pi)))
+            got.add(pose)
+            want.add(pose)
+        positions = np.array([[p.x, p.y] for p in got.poses])
+        nbrs = _neighbor_lists(positions, K_NEIGHBORS)
+        got_path = _shortest_path(got, positions, nbrs)
+        want_path = _shortest_path(want, positions, [list(row) for row in nbrs])
+        assert bits(got_path[0]) == bits(want_path[0]) and got_path[1] == want_path[1]
+        assert got_log.log == want_log.log
+    assert roadmap_states(got) == roadmap_states(want)
+
+
+# ---------------------------------------------------------------------------
+# scalar pure pursuit and tilt slew
+
+
+def command_bits(cmd):
+    fields = [cmd.vx, cmd.vy, cmd.omega] if isinstance(cmd, OmniDrive) else [cmd.v, cmd.omega]
+    assert all(type(f) is float for f in fields)
+    return type(cmd).__name__, bits(fields)
+
+
+# waypoint offsets at three scales: 1e-10 puts the target on top of the
+# robot (dist_sq < 1e-18), 0.5 straddles the lookahead and stop tolerance
+offsets = st.one_of(
+    st.floats(-1e-9, 1e-9), st.floats(-0.5, 0.5), st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0])
+)
+configs = st.builds(
+    ExecutorConfig,
+    lookahead=st.sampled_from([1e-12, 0.05, 0.3, 1.0]),
+    speed=st.floats(0.05, 2.0),
+    stop_pos_tol=st.sampled_from([1e-12, 0.01, 0.2]),
+    stop_ang_tol=st.sampled_from([1e-12, math.radians(0.5), 1.0]),
+    kinematics=st.sampled_from(["omnidirectional", "differential"]),
+    omega_gain=st.floats(0.0, 5.0),
+    v_max=st.floats(0.05, 2.0),
+    omega_max=st.floats(0.0, 4.0),
+)
+
+
+@given(poses, st.lists(st.tuples(offsets, offsets, heading), min_size=1, max_size=14), configs)
+@settings(max_examples=500, deadline=None)
+@example(Pose2(1.0, 2.0, 0.5), [(0.0, 0.0, 0.5)], ExecutorConfig(kinematics="differential"))
+@example(Pose2(1.0, 2.0, 0.5), [(0.0, 0.0, 2.0)], ExecutorConfig(kinematics="differential"))
+@example(Pose2(1.0, 2.0, 0.5), [(0.05, 0.0, 0.5), (0.1, 0.1, 0.5)], ExecutorConfig(kinematics="omnidirectional"))
+@example(
+    Pose2(0.0, 0.0, 0.0), [(1e-10, 0.0, 0.0), (2.0, 0.0, 1.0)], ExecutorConfig(lookahead=1e-12, kinematics="differential")
+)
+@example(
+    Pose2(0.0, 0.0, 0.0), [(1e-10, 0.0, 0.0), (2.0, 0.0, 1.0)], ExecutorConfig(lookahead=1e-12, kinematics="omnidirectional")
+)
+def test_pure_pursuit_matches_array_version(pose, offs, cfg):
+    state = RobotState(pose, 0.3, kinematics=cfg.kinematics)
+    traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]
+    assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
+
+
+CAMERA = CameraModel.pinhole()
+
+
+@given(
+    poses,
+    st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.one_of(coord, st.just(0.0)), st.one_of(coord, st.just(0.0)), st.floats(0.0, 2.0)),
+    st.builds(
+        ExecutorConfig,
+        dt=st.floats(0.01, 1.0),
+        tilt_rate=st.floats(0.0, 5.0),
+        tilt_limit=st.floats(0.0, 1.5),
+        kinematics=st.sampled_from(["omnidirectional", "differential"]),
+    ),
+)
+@settings(max_examples=600, deadline=None)
+@example(Pose2(0.0, 0.0, 0.0), 0.2, (0.0, 0.0, 0.5), ExecutorConfig())  # point under the camera: tilt held
+@example(Pose2(0.0, 0.0, 0.0), -0.0, (3.0, 0.0, 0.0), ExecutorConfig(tilt_rate=0.0))
+def test_tilt_step_matches_clip(pose, tilt, point, cfg):
+    state = RobotState(pose, 0.3, tilt=tilt, kinematics=cfg.kinematics)
+    assert bits(tilt_step(state, CAMERA, point, cfg)) == bits(reference_tilt_step(state, CAMERA, point, cfg))

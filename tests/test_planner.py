@@ -264,6 +264,13 @@ class TestPlan:
             assert costs[1] <= costs[0] + 1e-9
             assert costs[2] <= costs[1] + 1e-9
 
+    @pytest.mark.parametrize("batches, batch_size", [(0, 24), (-1, 24), (4, 0), (4, -1)])
+    def test_budget_below_one_refused(self, batches, batch_size):
+        # batch_size -1 once raised inside numpy, batch_size 0 planned on the
+        # staged goal poses alone, and batches 0 was clamped to 1 in plan()
+        with pytest.raises(ValueError, match="planner batch(es|_size) must be at least 1"):
+            PlannerBudget(batches, batch_size)
+
     def test_determinism(self):
         scene = empty_room()
         p1 = plan(scene, Pose2(-3, 0, 0), Pose2(3, 1, 0.4), 0.3, (1, 1), budget=PlannerBudget(3, 16), seed=9)
