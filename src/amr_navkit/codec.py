@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import CameraModel, Pose2, camera_to_robot_rotation, se2_compose, wrap_2pi
+from .geometry import TWO_PI, CameraModel, Pose2, camera_to_robot_rotation, se2_compose
 
 if TYPE_CHECKING:
     from .scene import LidarScan
@@ -36,7 +36,7 @@ LIDAR_GROUPS = 32
 DEPTH_CELLS = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarStep:
     """One egocentric waypoint step in its predecessor's frame.
 
@@ -48,14 +48,16 @@ class PolarStep:
     r: float
     phi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", wrap_2pi(self.psi))
-        object.__setattr__(self, "phi", wrap_2pi(self.phi))
-        if not -1e-12 <= self.r <= R_MAX + 1e-9:
-            raise OutOfRange(f"step distance {self.r} outside [0, {R_MAX}]")
+    def __init__(self, psi: float, r: float, phi: float):
+        psi, phi = psi % TWO_PI, phi % TWO_PI
+        if not -1e-12 <= r <= R_MAX + 1e-9:
+            raise OutOfRange(f"step distance {r} outside [0, {R_MAX}]")
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedStep:
     """Quantized polar step: bin indices plus residuals from bin centers."""
 

@@ -71,6 +71,11 @@ class ExecutorConfig:
             raise ValueError("executor dt must be finite and positive")
         if min(self.stop_pos_tol, self.stop_ang_tol) <= 0:
             raise ValueError("stop tolerances must be positive")
+        # a negative slew rate moves the tilt away from its setpoint, and a
+        # negative limit pins the setpoint at the limit
+        for name in ("tilt_rate", "tilt_limit"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"executor {name} must be non-negative, got {getattr(self, name)}")
         if self.kinematics not in KINEMATICS_KINDS:
             raise ValueError(f"unknown kinematics {self.kinematics!r}")
 
@@ -319,7 +324,7 @@ class OraclePolicy:
         h = state.pose.heading
         for _ in range(self.expert.horizon_n):
             err = wrap_angle(goal.heading - h)
-            h = h + float(np.clip(err, -max_turn, max_turn))
+            h = h + _clip(err, max_turn)
             pose = Pose2(goal.x, goal.y, h)
             steps.append(pose)
         out = []

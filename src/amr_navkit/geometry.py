@@ -29,28 +29,27 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % TWO_PI - math.pi
 
 
-def wrap_2pi(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    return angle % TWO_PI
-
-
 def rot2(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2:
-    """A planar pose (x, y, heading); heading is kept wrapped to [-pi, pi)."""
+    """A planar pose (x, y, heading); heading is kept wrapped to [-pi, pi).
+
+    Slotted, with one hand-written ``__init__`` that stores each converted
+    field once: the pipeline builds hundreds of thousands of poses.
+    """
 
     x: float
     y: float
     heading: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "heading", float(wrap_angle(self.heading)))
+    def __init__(self, x: float, y: float, heading: float):
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "heading", float((heading + math.pi) % TWO_PI - math.pi))  # wrap_angle
 
     @property
     def position(self) -> np.ndarray:

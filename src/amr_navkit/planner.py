@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidEndpoint, NoPathFound, OffPath
-from .geometry import TWO_PI, Pose2, se2_relative, wrap_angle
+from .geometry import TWO_PI, Pose2, wrap_angle
 from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
 
 LIN_STEP = 0.01  # dense-state spacing, meters
@@ -523,17 +523,19 @@ def resample_keyframes(
     translation or rotation gap, so consecutive keyframes always satisfy the
     gap rule; the first and final states are always emitted.
     """
-    states = path.states
+    rows = path.states.tolist()
     idx = [0]
-    for i in range(1, len(states)):
-        last = states[idx[-1]]
-        dp = math.hypot(states[i, 0] - last[0], states[i, 1] - last[1])
-        dh = abs(wrap_angle(states[i, 2] - last[2]))
+    lx, ly, lh = rows[0]
+    for i in range(1, len(rows)):
+        x, y, h = rows[i]
+        dp = math.hypot(x - lx, y - ly)
+        dh = abs(wrap_angle(h - lh))
         if dp >= trans_gap - 1e-9 or dh >= rot_gap - 1e-9:
             idx.append(i)
-    if idx[-1] != len(states) - 1:
-        idx.append(len(states) - 1)
-    return [Pose2.from_array(states[i]) for i in idx]
+            lx, ly, lh = x, y, h
+    if idx[-1] != len(rows) - 1:
+        idx.append(len(rows) - 1)
+    return [Pose2(*rows[i]) for i in idx]
 
 
 def waypoints_from_path(
@@ -584,25 +586,28 @@ def waypoints_from_path(
         if end == last or tau[-1] > horizon:
             break
         chunk *= 2
-    rem = states[proj:end + 1]
 
     # Python floats from here: the same IEEE operations as on numpy scalars,
-    # and bisect_right is searchsorted(side="right") on the sorted tau
+    # and bisect_right is searchsorted(side="right") on the sorted tau. Each
+    # sample is wrapped as a world Pose2 would wrap it, then expressed in its
+    # predecessor's frame with se2_relative's expressions. Only the rows a
+    # sample reads are converted: the whole slice costs more than its samples.
+    rem = states[proj:end + 1]
     tau = tau.tolist()
-    world: list[Pose2] = []
+    steps = []
+    px, py, ph = current.x, current.y, current.heading
     for k in range(1, n + 1):
         t = k * dt
         if len(rem) == 1 or t >= tau[-1]:
-            world.append(Pose2.from_array(rem[-1]))
-            continue
-        i = bisect.bisect_right(tau, t)
-        f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
-        (x0, y0, h0), (x1, y1, h1) = rem[i - 1:i + 1].tolist()
-        world.append(Pose2(x0 + f * (x1 - x0), y0 + f * (y1 - y0), h0 + f * wrap_angle(h1 - h0)))
-
-    steps = []
-    prev = current
-    for p in world:
-        steps.append(se2_relative(prev, p))
-        prev = p
+            x, y, h = rem[-1].tolist()
+        else:
+            i = bisect.bisect_right(tau, t)
+            f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
+            (x0, y0, h0), (x1, y1, h1) = rem[i - 1:i + 1].tolist()
+            x, y, h = x0 + f * (x1 - x0), y0 + f * (y1 - y0), h0 + f * wrap_angle(h1 - h0)
+        h = wrap_angle(h)
+        c, s = math.cos(ph), math.sin(ph)
+        dx, dy = x - px, y - py
+        steps.append(Pose2(c * dx + s * dy, -s * dx + c * dy, h - ph))
+        px, py, ph = x, y, h
     return steps

@@ -88,6 +88,11 @@ class Scene:
         centers, halves, cy, sy = self._box_params
         return list(zip(*centers.T.tolist(), *halves.T.tolist(), cy.tolist(), sy.tolist()))
 
+    @cached_property
+    def _views(self) -> dict:
+        """``visible_from``'s lattices and occluders, by (object id, grid_n); see ``_target_view``."""
+        return {}
+
     def object_by_id(self, object_id: int) -> SceneObject:
         for o in self.objects:
             if o.id == object_id:
@@ -510,31 +515,55 @@ def segment_blocked(scene: Scene, a: np.ndarray, b: np.ndarray, skip_box: Orient
 
     ``skip_box`` excludes one box (used for self-occlusion-free visibility).
     """
-    return bool(_sight_lines_blocked(scene, a, np.asarray(b)[None, :], skip_box)[0])
+    return bool(_sight_lines_blocked(a, np.asarray(b)[None, :], _occluders(scene, skip_box))[0])
 
 
-def _sight_lines_blocked(
-    scene: Scene, a: np.ndarray, pts: np.ndarray, skip_box: OrientedBox | None
-) -> np.ndarray:
-    """``segment_blocked`` for every open segment a->pts[k], (K, 2); (K,) bool."""
+def _occluders(scene: Scene, skip_box: OrientedBox | None) -> tuple:
+    """``scene._box_params`` without the boxes that are ``skip_box``."""
+    params = scene._box_params
+    if skip_box is None:
+        return params
+    boxes = scene.walls + [o.box for o in scene.objects]
+    keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
+    return tuple(p[keep] for p in params)
+
+
+def _sight_lines_blocked(a: np.ndarray, pts: np.ndarray, occluders: tuple) -> np.ndarray:
+    """``segment_blocked`` for every open segment a->pts[k], (K, 2), against ``_occluders``; (K,) bool."""
     blocked = np.zeros(len(pts), dtype=bool)
-    centers, halves, cy, sy = scene._box_params
-    if skip_box is not None:
-        boxes = scene.walls + [o.box for o in scene.objects]
-        keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
-        centers, halves, cy, sy = centers[keep], halves[keep], cy[keep], sy[keep]
+    centers, halves, cy, sy = occluders
     if not centers.size:
         return blocked
     d = pts - a[None, :]
     # each length is the norm of its own vector, as for a single line: a
     # batched sum of squares can differ in the last bit and flip a grazing
-    # sight line, so a line's verdict would depend on its batch
-    dist = np.array([np.linalg.norm(v) for v in d])
+    # sight line, so a line's verdict would depend on its batch. For a 1-D
+    # vector, np.linalg.norm is exactly sqrt(v.dot(v)).
+    dist = np.array([math.sqrt(v.dot(v)) for v in d])
     far = dist >= 1e-12
     if far.any():
         entry = _ray_box_entries(a, d[far] / dist[far, None], centers, halves, cy, sy)
         blocked[far] = entry.min(axis=1) < dist[far] - 1e-9
     return blocked
+
+
+def _target_view(scene: Scene, target: SceneObject, grid_n: int) -> tuple:
+    """(target, lattice (grid_n**2, 2), its rows as floats, ``_occluders`` of its box) for ``visible_from``.
+
+    Built once per scene for each object id and ``grid_n``. The entry holds
+    the target it was built from, so a different object under the same id
+    gets its own lattice rather than a stale one.
+    """
+    key = (target.id, grid_n)
+    view = scene._views.get(key)
+    if view is None or view[0] is not target:
+        box = target.box
+        fr = np.linspace(-1.0, 1.0, grid_n + 2)[1:-1]
+        gx, gy = np.meshgrid(fr * box.hx, fr * box.hy)
+        local = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        world = box.center + local @ rot2(box.yaw).T
+        view = scene._views[key] = (target, world, world.tolist(), _occluders(scene, box))
+    return view
 
 
 def visible_from(
@@ -552,18 +581,16 @@ def visible_from(
     line meets no other box first. True iff the seen fraction reaches
     ``fraction``.
     """
-    fr = np.linspace(-1.0, 1.0, grid_n + 2)[1:-1]
-    gx, gy = np.meshgrid(fr * target.box.hx, fr * target.box.hy)
-    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    world = target.box.center + local @ rot2(target.box.yaw).T
-    cam = np.array([camera_pose.x, camera_pose.y])
-    in_fov = [
-        abs(wrap_angle(math.atan2(pt[1] - cam[1], pt[0] - cam[0]) - camera_pose.heading)) <= hfov / 2
-        for pt in world
-    ]
-    blocked = _sight_lines_blocked(scene, cam, world[in_fov], target.box)
-    seen = int((~blocked).sum())
-    return seen >= fraction * len(world)
+    _, world, rows, occluders = _target_view(scene, target, grid_n)
+    x, y, heading = camera_pose.x, camera_pose.y, camera_pose.heading
+    half = hfov / 2
+    in_fov = [abs(wrap_angle(math.atan2(py - y, px - x) - heading)) <= half for px, py in rows]
+    need = fraction * len(rows)
+    # only a sample in view can be seen: too few in view settles it without a ray
+    if sum(in_fov) < need:
+        return False
+    blocked = _sight_lines_blocked(np.array([x, y]), world[in_fov], occluders)
+    return int((~blocked).sum()) >= need
 
 
 # ---------------------------------------------------------------------------

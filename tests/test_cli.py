@@ -180,11 +180,24 @@ class TestConfig:
             ("AMR_EXECUTOR_REPLAN_EVERY", "0"),
             ("AMR_EXECUTOR_MAX_STEPS", "-1"),
             ("AMR_EXECUTOR_MAX_STEPS", "0"),
+            # a negative rate slewed the tilt away from its setpoint; a
+            # negative limit pinned the setpoint at the limit
+            ("AMR_EXECUTOR_TILT_RATE", "-1.0"),
+            ("AMR_EXECUTOR_TILT_LIMIT", "-0.5"),
+            ("AMR_EXECUTOR_TILT_RATE", "NaN"),
         ],
     )
     def test_non_finite_env_override_exits_2(self, tmp_path, monkeypatch, key, raw):
         monkeypatch.setenv(key, raw)
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, field", [("AMR_EXECUTOR_TILT_RATE", "tilt_rate"), ("AMR_EXECUTOR_TILT_LIMIT", "tilt_limit")]
+    )
+    def test_negative_tilt_setting_names_its_field(self, tmp_path, monkeypatch, caplog, key, field):
+        monkeypatch.setenv(key, "-0.5")
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        assert f"executor {field} must be non-negative" in caplog.text
 
     @pytest.mark.parametrize(
         "field, value",

@@ -284,6 +284,12 @@ class TestRunEpisode:
             with pytest.raises(ValueError, match=f"executor {field} must be at least 1"):
                 ExecutorConfig(**{field: value})
         assert ExecutorConfig(replan_every=1, max_steps=1)
+        # tilt_rate -1 slewed the tilt away from its setpoint; tilt_limit -0.5 pinned it there
+        for field in ("tilt_rate", "tilt_limit"):
+            for value in (-1.0, -0.5, -1e-300, math.nan):
+                with pytest.raises(ValueError, match=f"executor {field} must be non-negative"):
+                    ExecutorConfig(**{field: value})
+            assert ExecutorConfig(**{field: 0.0}) and ExecutorConfig(**{field: math.inf})
 
     def test_error_shrinks_with_stop_tolerance(self):
         scene = room_with_target()

@@ -8,14 +8,23 @@ over the scene's boxes instead of ``obstacle_distances``;
 instead of reading a whole-path step table; ``_lookat_integral`` and
 ``_sampled_sweep`` spell out ``linspace`` and ``norm``; ``_Roadmap.evaluate``
 skips chain vertices whose edges it swept earlier in the batch; and
-``pure_pursuit`` and ``tilt_step`` work on floats instead of small arrays.
+``pure_pursuit``, ``tilt_step`` and the oracle's terminal rotation work on
+floats instead of small arrays. ``Pose2``, ``PolarStep`` and
+``TokenizedStep`` are slotted with one hand-written ``__init__``;
+``visible_from`` reads a per-scene cache of target lattices and occluders
+and settles a view with too few points in the field of view before casting a
+ray; ``waypoints_from_path`` builds each relative step from its interpolated
+row without a world ``Pose2``; and ``resample_keyframes`` walks Python rows.
 The references below are the code they replaced. (The informed sampler's
 stacked matmul is checked against a per-try product in
 ``tests/test_soa_kernel_equivalence.py``.) Floats are compared with ``==``
 or as uint64 bit patterns, never with a tolerance.
 """
 
+import dataclasses
 import math
+import pickle
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -24,8 +33,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amr_navkit import scene as scene_module
-from amr_navkit.controller import ExecutorConfig, pure_pursuit, tilt_step
-from amr_navkit.geometry import CameraModel, OrientedBox, Pose2, compute_tilt, se2_relative, wrap_angle
+from amr_navkit.codec import (
+    PHI_BINS,
+    PHI_WIDTH,
+    PSI_BINS,
+    PSI_WIDTH,
+    R_BINS,
+    R_MAX,
+    R_WIDTH,
+    PolarStep,
+    TokenizedStep,
+    encode_trajectory,
+)
+from amr_navkit.controller import ExecutorConfig, OraclePolicy, pure_pursuit, tilt_step
+from amr_navkit.errors import OutOfRange
+from amr_navkit.geometry import (
+    TWO_PI,
+    CameraModel,
+    OrientedBox,
+    Pose2,
+    compute_tilt,
+    rot2,
+    se2_relative,
+    wrap_angle,
+)
+from amr_navkit.pipeline import Expert, plan_with_margin, sample_task
 from amr_navkit.planner import (
     ANG_STEP,
     COST_STEP,
@@ -33,6 +65,7 @@ from amr_navkit.planner import (
     LIN_STEP,
     CostWeights,
     PlannedPath,
+    PlannerBudget,
     Rotate,
     Translate,
     _branches,
@@ -41,6 +74,7 @@ from amr_navkit.planner import (
     _Roadmap,
     _shortest_path,
     apply_segment,
+    resample_keyframes,
     rollout,
     rs0_distance,
     waypoints_from_path,
@@ -52,13 +86,16 @@ from amr_navkit.scene import (
     RobotState,
     Scene,
     SceneObject,
+    _room_walls,
     _sampled_sweep,
     clearance,
     collision_check,
     collision_mask,
     obstacle_distances,
     sample_scene,
+    segment_blocked,
     sweep_collision_checks,
+    visible_from,
 )
 
 SPEEDS = [(0.5, 1.0), (0.2, 0.3), (1.0, 0.2), (0.13, 0.7)]
@@ -111,7 +148,7 @@ def reference_step_table(states):
 
 
 def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, max_projection=0.3):
-    """``waypoints_from_path`` slicing a whole-path step table, as it was."""
+    """``waypoints_from_path`` slicing a whole-path step table, with a world pose per sample, as it was."""
     states = path.states
     d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
     proj = int(np.argmin(d2))
@@ -125,19 +162,25 @@ def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, m
     for k in range(1, n + 1):
         t = k * dt
         if len(rem) == 1 or t >= tau[-1]:
-            world.append(Pose2.from_array(rem[-1]))
+            world.append(ReferencePose2(float(rem[-1, 0]), float(rem[-1, 1]), float(rem[-1, 2])))
             continue
         i = int(np.searchsorted(tau, t, side="right"))
         f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
         x = rem[i - 1, 0] + f * (rem[i, 0] - rem[i - 1, 0])
         y = rem[i - 1, 1] + f * (rem[i, 1] - rem[i - 1, 1])
         h = rem[i - 1, 2] + f * wrap_angle(rem[i, 2] - rem[i - 1, 2])
-        world.append(Pose2(x, y, h))
+        world.append(ReferencePose2(x, y, h))
     steps, prev = [], current
     for p in world:
-        steps.append(se2_relative(prev, p))
+        steps.append(reference_se2_relative(prev, p))
         prev = p
     return steps
+
+
+def reference_se2_relative(a, b):
+    c, s = math.cos(a.heading), math.sin(a.heading)
+    dx, dy = b.x - a.x, b.y - a.y
+    return ReferencePose2(c * dx + s * dy, -s * dx + c * dy, b.heading - a.heading)
 
 
 def reference_lookat_integral(p0, p1, heading, target):
@@ -230,6 +273,123 @@ def reference_tilt_step(state, camera, target_lowest_point, cfg):
     setpoint = float(np.clip(setpoint, -cfg.tilt_limit, cfg.tilt_limit))
     slew = cfg.tilt_rate * cfg.dt
     return float(np.clip(setpoint, state.tilt - slew, state.tilt + slew))
+
+
+def reference_terminal_rotation(policy, state, task):
+    goal = task.goal_pose
+    max_turn = policy.expert.omega_ref * policy.expert.dt
+    steps = []
+    prev = state.pose
+    h = state.pose.heading
+    for _ in range(policy.expert.horizon_n):
+        err = wrap_angle(goal.heading - h)
+        h = h + float(np.clip(err, -max_turn, max_turn))
+        pose = Pose2(goal.x, goal.y, h)
+        steps.append(pose)
+    out = []
+    for p in steps:
+        out.append(se2_relative(prev, p))
+        prev = p
+    return out
+
+
+@dataclass(frozen=True)
+class ReferencePose2:
+    x: float
+    y: float
+    heading: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "heading", float(wrap_angle(self.heading)))
+
+
+@dataclass(frozen=True)
+class ReferencePolarStep:
+    psi: float
+    r: float
+    phi: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", self.psi % TWO_PI)  # wrap_2pi
+        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        if not -1e-12 <= self.r <= R_MAX + 1e-9:
+            raise OutOfRange(f"step distance {self.r} outside [0, {R_MAX}]")
+
+
+def reference_quantize(value, width, nbins):
+    idx = min(int(value / width), nbins - 1)
+    return idx, value - (idx + 0.5) * width
+
+
+def reference_encode_trajectory(waypoints):
+    """``encode_step(step_from_pose(rel))`` per step, through the dataclasses as they were."""
+    out = []
+    for rel in waypoints:
+        r = math.hypot(rel.x, rel.y)
+        psi = math.atan2(rel.y, rel.x) if r > 1e-12 else 0.0
+        step = ReferencePolarStep(psi, r, rel.heading)
+        if step.r > R_MAX + 1e-9:
+            raise OutOfRange(f"step distance {step.r} exceeds {R_MAX}")
+        psi_bin, psi_res = reference_quantize(step.psi, PSI_WIDTH, PSI_BINS)
+        r_bin, r_res = reference_quantize(step.r, R_WIDTH, R_BINS)
+        phi_bin, phi_res = reference_quantize(step.phi, PHI_WIDTH, PHI_BINS)
+        out.append((psi_bin, r_bin, phi_bin, psi_res, r_res, phi_res))
+    return out
+
+
+def reference_resample_keyframes(path, trans_gap=0.2, rot_gap=math.radians(5.0)):
+    states = path.states
+    idx = [0]
+    for i in range(1, len(states)):
+        last = states[idx[-1]]
+        dp = math.hypot(states[i, 0] - last[0], states[i, 1] - last[1])
+        dh = abs(wrap_angle(states[i, 2] - last[2]))
+        if dp >= trans_gap - 1e-9 or dh >= rot_gap - 1e-9:
+            idx.append(i)
+    if idx[-1] != len(states) - 1:
+        idx.append(len(states) - 1)
+    return [ReferencePose2(float(states[i][0]), float(states[i][1]), float(states[i][2])) for i in idx]
+
+
+def reference_sight_lines_blocked(scene, a, pts, skip_box):
+    """The sight-line test with the skipped box masked out and ``np.linalg.norm`` lengths on every call."""
+    blocked = np.zeros(len(pts), dtype=bool)
+    centers, halves, cy, sy = scene._box_params
+    if skip_box is not None:
+        boxes = scene.walls + [o.box for o in scene.objects]
+        keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
+        centers, halves, cy, sy = centers[keep], halves[keep], cy[keep], sy[keep]
+    if not centers.size:
+        return blocked
+    d = pts - a[None, :]
+    dist = np.array([np.linalg.norm(v) for v in d])
+    far = dist >= 1e-12
+    if far.any():
+        entry = scene_module._ray_box_entries(a, d[far] / dist[far, None], centers, halves, cy, sy)
+        blocked[far] = entry.min(axis=1) < dist[far] - 1e-9
+    return blocked
+
+
+def reference_lattice(box, grid_n):
+    fr = np.linspace(-1.0, 1.0, grid_n + 2)[1:-1]
+    gx, gy = np.meshgrid(fr * box.hx, fr * box.hy)
+    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return box.center + local @ rot2(box.yaw).T
+
+
+def reference_visible_from(camera_pose, target, scene, hfov=math.pi / 2, fraction=0.5, grid_n=5):
+    """``visible_from`` building the lattice on every call and casting before counting."""
+    world = reference_lattice(target.box, grid_n)
+    cam = np.array([camera_pose.x, camera_pose.y])
+    in_fov = [
+        abs(wrap_angle(math.atan2(pt[1] - cam[1], pt[0] - cam[0]) - camera_pose.heading)) <= hfov / 2
+        for pt in world
+    ]
+    blocked = reference_sight_lines_blocked(scene, cam, world[in_fov], target.box)
+    seen = int((~blocked).sum())
+    return seen >= fraction * len(world)
 
 
 # ---------------------------------------------------------------------------
@@ -630,3 +790,313 @@ CAMERA = CameraModel.pinhole()
 def test_tilt_step_matches_clip(pose, tilt, point, cfg):
     state = RobotState(pose, 0.3, tilt=tilt, kinematics=cfg.kinematics)
     assert bits(tilt_step(state, CAMERA, point, cfg)) == bits(reference_tilt_step(state, CAMERA, point, cfg))
+
+
+def test_terminal_rotation_matches_clip():
+    rng = np.random.default_rng(4)
+    scene = Scene(bounds=Bounds(4.0, 3.0), walls=[], objects=[])
+    for _ in range(400):
+        expert = Expert(
+            horizon_n=int(rng.integers(1, 20)),
+            dt=float(rng.uniform(0.01, 1.0)),
+            omega_ref=float(rng.uniform(0.01, 3.0)),
+        )
+        policy = OraclePolicy(scene=scene, expert=expert)
+        heading = float(rng.choice([rng.uniform(-math.pi, math.pi), math.pi, -math.pi, 0.0, -0.0]))
+        state = RobotState(Pose2(*rng.uniform(-1.0, 1.0, 2), heading), 0.3)
+        goal_heading = float(rng.choice([rng.uniform(-math.pi, math.pi), heading, -heading]))
+        goal = Pose2(*rng.uniform(-1.0, 1.0, 2), goal_heading)
+        task = mock.Mock(goal_pose=goal)
+        got = policy._terminal_rotation(state, task)
+        want = reference_terminal_rotation(policy, state, task)
+        assert bits([[p.x, p.y, p.heading] for p in got]) == bits([[p.x, p.y, p.heading] for p in want])
+
+
+# ---------------------------------------------------------------------------
+# slotted value types
+
+
+def constructed(cls, *args):
+    """Field types and bits of ``cls(*args)``, or the type and message of what it raised."""
+    try:
+        value = cls(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not swallowed
+        return type(err).__name__, str(err)
+    fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [type(f).__name__ for f in fields], bits(fields)
+
+
+numbers = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([math.pi, -math.pi, 3 * math.pi, -0.0, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@given(numbers, numbers, numbers)
+@settings(max_examples=600, deadline=None)
+@example(np.float64(1.5), 2, -math.pi)
+@example(-0.0, 1e300, math.pi)
+@example(math.nan, math.inf, math.nan)
+@example(0, 0, 10**400)
+def test_pose2_construction_matches_post_init(x, y, heading):
+    assert constructed(Pose2, x, y, heading) == constructed(ReferencePose2, x, y, heading)
+
+
+step_lengths = st.one_of(
+    numbers,
+    st.floats(-2e-12, R_MAX + 2e-9),
+    st.sampled_from([-1e-12, 0.0, -0.0, R_MAX, R_MAX + 1e-9, math.nextafter(R_MAX + 1e-9, math.inf), -2e-12]),
+)
+
+
+@given(numbers, step_lengths, numbers)
+@settings(max_examples=600, deadline=None)
+@example(math.pi, 0.1, -math.pi)
+@example(-0.0, R_MAX + 1e-9, 2 * math.pi)
+@example(np.float64(7.0), np.float32(0.1), 3)
+@example(1.0, math.nan, 1.0)
+def test_polar_step_construction_matches_post_init(psi, r, phi):
+    assert constructed(PolarStep, psi, r, phi) == constructed(ReferencePolarStep, psi, r, phi)
+
+
+@pytest.mark.parametrize(
+    "value, change",
+    [
+        (Pose2(1.0, -2.0, 3.5), {"heading": 4.0}),
+        (PolarStep(1.0, 0.1, -2.0), {"psi": -1.0}),
+        (TokenizedStep(1, 2, 3, 0.01, -0.002, 0.0), {"r_res": 0.5}),
+    ],
+    ids=["Pose2", "PolarStep", "TokenizedStep"],
+)
+def test_slotted_types_keep_dataclass_behaviour(value, change):
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(value)]
+    assert cls.__slots__ == tuple(names) and not hasattr(value, "__dict__")
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value and hash(copy) == hash(value)
+    assert bits([getattr(copy, n) for n in names]) == bits([getattr(value, n) for n in names])
+    assert dataclasses.replace(value) == value and dataclasses.replace(value) is not value
+    # replace goes through __init__, so a replaced heading or angle is wrapped again
+    assert dataclasses.replace(value, **change) == cls(**{**dataclasses.asdict(value), **change})
+    assert value != dataclasses.replace(value, **change)
+    assert repr(value).startswith(f"{cls.__name__}({names[0]}=")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], 0.0)
+    # a name that is not a field has no slot; depending on the Python
+    # version the frozen __setattr__ refuses it as frozen or as a TypeError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value.extra = 1.0
+    assert not hasattr(value, "extra")
+
+
+# ---------------------------------------------------------------------------
+# labelling without world poses, and keyframes on Python rows
+
+
+def label_outcome(fn):
+    try:
+        return [(t.psi_bin, t.r_bin, t.phi_bin, *bits([t.psi_res, t.r_res, t.phi_res])) for t in fn()]
+    except OutOfRange as err:
+        return str(err)
+
+
+def reference_label_outcome(fn):
+    try:
+        return [(*t[:3], *bits(t[3:])) for t in fn()]
+    except OutOfRange as err:
+        return str(err)
+
+
+def assert_encoded_labels_match(path, queries):
+    for pose, (v_ref, omega_ref), n in queries:
+        got = waypoints_from_path(path, pose, n, 0.2, v_ref, omega_ref)
+        want = reference_waypoints(path, pose, n, 0.2, v_ref, omega_ref)
+        assert bits([[p.x, p.y, p.heading] for p in got]) == bits([[p.x, p.y, p.heading] for p in want])
+        assert label_outcome(lambda: encode_trajectory(got)) == reference_label_outcome(
+            lambda: reference_encode_trajectory(want)
+        )
+
+
+def assert_keyframes_match(path):
+    got, want = resample_keyframes(path), reference_resample_keyframes(path)
+    assert bits([[p.x, p.y, p.heading] for p in got]) == bits([[p.x, p.y, p.heading] for p in want])
+
+
+@given(labelled_paths())
+@settings(max_examples=300, deadline=None)
+def test_labels_and_keyframes_match_world_pose_chain(case):
+    path, queries = case
+    assert_encoded_labels_match(path, queries)
+    assert_keyframes_match(path)
+
+
+@pytest.fixture(scope="module")
+def planned():
+    paths = []
+    for seed in (31, 32, 33, 34):
+        scene = sample_scene(seed)
+        task = sample_task(scene, seed)
+        target = scene.object_by_id(task.target_id)
+        paths.append(
+            plan_with_margin(
+                scene, task.start, task.goal_pose, task.robot_radius, target.box.center,
+                CostWeights(), PlannerBudget(), seed=seed,
+            )
+        )
+    return paths
+
+
+def test_planned_paths_labels_and_keyframes(planned):
+    rng = np.random.default_rng(12)
+    for path in planned:
+        assert_keyframes_match(path)
+        keyframes = resample_keyframes(path)
+        assert_encoded_labels_match(path, [(p, SPEEDS[0], 12) for p in keyframes])
+        rows = path.states[rng.integers(len(path.states), size=20)]
+        queries = [
+            (Pose2(r[0] + dx, r[1] + dy, r[2] + dh), SPEEDS[i % 4], int(rng.integers(1, 24)))
+            for i, (r, (dx, dy, dh)) in enumerate(zip(rows, rng.uniform(-0.1, 0.1, (20, 3))))
+        ]
+        assert_encoded_labels_match(path, queries)
+        middle = keyframes[len(keyframes) // 2]
+        labels = Expert().label(path, middle)
+        assert label_outcome(lambda: labels) == reference_label_outcome(
+            lambda: reference_encode_trajectory(reference_waypoints(path, middle))
+        )
+
+
+# ---------------------------------------------------------------------------
+# visibility from cached lattices with the field-of-view short-circuit
+
+
+def ray_calls(fn):
+    """``fn()``, and the origin, directions and box centers (as bits) of each ``_ray_box_entries`` call."""
+    calls = []
+    inner = scene_module._ray_box_entries
+
+    def record(origin, dirs, centers, halves, cy, sy):
+        calls.append((bits(origin), bits(dirs), bits(centers)))
+        return inner(origin, dirs, centers, halves, cy, sy)
+
+    with mock.patch.object(scene_module, "_ray_box_entries", record):
+        result = fn()
+    return result, calls
+
+
+def assert_views_match(scene, cam, target, hfov, fraction, grid_n):
+    got, got_calls = ray_calls(lambda: visible_from(cam, target, scene, hfov, fraction, grid_n))
+    want, want_calls = ray_calls(lambda: reference_visible_from(cam, target, scene, hfov, fraction, grid_n))
+    assert got is want
+    # a short-circuited view casts no ray; any view that casts casts the same rays
+    assert got_calls == want_calls or (not got_calls and got is False)
+    return got_calls
+
+
+def _partly_outside_scene():
+    bounds = Bounds(6.0, 5.0)
+    objects = [
+        SceneObject(0, OrientedBox(2.9, 0.0, 0.5, 0.3, 0.4)),  # straddles the right wall
+        SceneObject(1, OrientedBox(-1.0, 2.6, 0.8, 0.2, -0.2)),  # straddles the top wall
+        SceneObject(2, OrientedBox(-0.5, -0.5, 0.3, 0.3, 1.1)),
+        SceneObject(3, OrientedBox(0.6, -1.2, 0.05, 0.9, 2.9)),
+    ]
+    return Scene(bounds, _room_walls(bounds, 0.1), objects, seed=0)
+
+
+VIEW_SCENES = [
+    sample_scene(3),
+    sample_scene(17),
+    _partly_outside_scene(),
+    # no walls and one object: the target hides nothing, so no ray is cast
+    Scene(Bounds(4.0, 4.0), [], [SceneObject(7, OrientedBox(1.0, 0.5, 0.4, 0.2, 0.3))]),
+]
+
+
+@st.composite
+def views(draw):
+    scene = draw(st.sampled_from(VIEW_SCENES))
+    target = draw(st.sampled_from(scene.objects))
+    grid_n = draw(st.integers(1, 7))
+    hfov = draw(st.one_of(st.sampled_from([math.pi / 2, 2 * math.pi, 1.0]), st.floats(0.05, 6.0)))
+    fraction = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.04]), st.floats(0.0, 1.0)))
+    b = scene.bounds
+    x = draw(st.floats(b.xmin - 1.0, b.xmax + 1.0))
+    y = draw(st.floats(b.ymin - 1.0, b.ymax + 1.0))
+    heading = draw(st.floats(-math.pi, math.pi))
+    kind = draw(st.sampled_from(["random", "on_point", "fov_edge"]))
+    if kind != "random":
+        # a lattice point of this or another grid size
+        lattice = reference_lattice(target.box, draw(st.sampled_from([grid_n, draw(st.integers(1, 7))])))
+        px, py = lattice[draw(st.integers(0, len(lattice) - 1))].tolist()
+        if kind == "on_point":
+            x, y = px, py  # that sight line has length 0
+        else:
+            # that point's bearing lands on (or within rounding of) one edge of the view
+            heading = math.atan2(py - y, px - x) + draw(st.sampled_from([-1.0, 1.0])) * hfov / 2
+    return scene, Pose2(x, y, heading), target, hfov, fraction, grid_n
+
+
+@given(views())
+@settings(max_examples=1000, deadline=None)
+def test_visible_from_matches_uncached_casting(view):
+    assert_views_match(*view)
+
+
+def test_visible_from_edge_cases():
+    scene = VIEW_SCENES[2]
+    target = scene.objects[2]
+    for grid_n in (1, 2, 5, 7, 3, 5):  # the cache is per grid size
+        lattice = reference_lattice(target.box, grid_n)
+        cams = [Pose2(-2.5, -0.5, 0.0), Pose2(-2.5, -0.5, math.pi), Pose2(*lattice[0].tolist(), 0.3)]
+        # each lattice point on either edge of the view
+        cams += [
+            Pose2(-2.5, -0.5, math.atan2(py + 0.5, px + 2.5) + sign * math.pi / 4)
+            for px, py in lattice.tolist()
+            for sign in (-1.0, 1.0)
+        ]
+        for cam in cams:
+            for fraction in (0.0, 1.0, 0.5, 1.0 / grid_n**2):
+                assert_views_match(scene, cam, target, math.pi / 2, fraction, grid_n)
+
+
+def test_visible_from_cache_keeps_grid_sizes_apart():
+    # the whole target in view and nothing in between: every lattice point
+    # is cast, so a lattice of the wrong size shows in the rays
+    scene = _partly_outside_scene()
+    target = scene.objects[2]
+    cam = Pose2(-2.5, -0.5, 0.0)
+    for grid_n in (3, 5, 3, 1, 5):
+        calls = assert_views_match(scene, cam, target, math.pi / 2, 0.0, grid_n)
+        assert [len(dirs) for _, dirs, _ in calls] == [2 * grid_n**2]
+    assert sorted(scene._views) == [(2, 1), (2, 3), (2, 5)]
+
+
+def test_visible_from_other_object_under_a_cached_id():
+    scene = _partly_outside_scene()
+    target = scene.objects[2]
+    cam = Pose2(-2.5, -0.5, 0.0)
+    assert_views_match(scene, cam, target, math.pi / 2, 0.5, 5)
+    # the same id on another box, and an equal copy that is not the scene's
+    # object (its own box is not skipped, so it hides its own lattice)
+    moved = dataclasses.replace(target, box=OrientedBox(0.5, 1.0, 0.3, 0.2, 0.0))
+    for other in (moved, dataclasses.replace(target), target):
+        for fraction in (0.0, 0.5, 1.0):
+            assert_views_match(scene, cam, other, math.pi / 2, fraction, 5)
+
+
+@given(st.sampled_from(VIEW_SCENES[:3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_segment_blocked_matches_reference(scene, data):
+    b = scene.bounds
+    a = np.array([data.draw(st.floats(b.xmin, b.xmax)), data.draw(st.floats(b.ymin, b.ymax))])
+    end = np.array([data.draw(st.floats(b.xmin, b.xmax)), data.draw(st.floats(b.ymin, b.ymax))])
+    if data.draw(st.booleans()):
+        end = a.copy()
+    skip = data.draw(st.sampled_from([None] + [o.box for o in scene.objects]))
+    got, got_calls = ray_calls(lambda: segment_blocked(scene, a, end, skip))
+    want, want_calls = ray_calls(lambda: bool(reference_sight_lines_blocked(scene, a, end[None, :], skip)[0]))
+    assert got is want and got_calls == want_calls
