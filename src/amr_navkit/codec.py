@@ -117,9 +117,39 @@ def pose_from_step(step: PolarStep) -> Pose2:
     return Pose2(step.r * math.cos(step.psi), step.r * math.sin(step.psi), step.phi)
 
 
+# the (psi, r, phi) bin widths and top bins, as columns for a (3, n) array
+_WIDTHS = np.array([[PSI_WIDTH], [R_WIDTH], [PHI_WIDTH]])
+_TOP_BINS = np.array([[PSI_BINS - 1], [R_BINS - 1], [PHI_BINS - 1]])
+
+
+def encode_steps(x, y, heading) -> list[TokenizedStep]:
+    """``encode_step(step_from_pose(Pose2(x, y, heading)))`` over arrays of deltas.
+
+    ``heading`` is as a Pose2 holds it (already wrapped). Every bin and
+    residual has the scalar chain's bits: ``hypot`` and ``atan2`` are
+    ``math``'s per element (numpy's round some inputs differently), and the
+    rest is numpy's elementwise arithmetic, which rounds as Python's does
+    (``astype`` truncates as ``int`` does). For the first step it cannot
+    encode, it raises what ``encode_step`` raises for that step.
+    """
+    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    r = np.fromiter(map(math.hypot, xs, ys), float, len(xs))
+    psi = np.where(r > 1e-12, np.fromiter(map(math.atan2, ys, xs), float, len(xs)), 0.0)
+    heading = np.asarray(heading, dtype=float)
+    ok = (-1e-12 <= r) & (r <= R_MAX + 1e-9) & np.isfinite(heading)
+    if not ok.all():
+        i = int(ok.argmin())
+        # raises: the scalar chain words the error as a per-step loop would
+        encode_step(PolarStep(float(psi[i]), float(r[i]), float(heading[i])))
+    value = np.array([psi % TWO_PI, r, heading % TWO_PI])
+    bins = np.minimum((value / _WIDTHS).astype(np.int64), _TOP_BINS)
+    res = value - (bins + 0.5) * _WIDTHS
+    return list(map(TokenizedStep, *bins.tolist(), *res.tolist()))
+
+
 def encode_trajectory(waypoints: list[Pose2]) -> list[TokenizedStep]:
     """Tokenize a chain of egocentric pose deltas (each in its predecessor's frame)."""
-    return [encode_step(step_from_pose(rel)) for rel in waypoints]
+    return encode_steps([p.x for p in waypoints], [p.y for p in waypoints], [p.heading for p in waypoints])
 
 
 def decode_trajectory(

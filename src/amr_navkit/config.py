@@ -63,6 +63,13 @@ class CameraParams:
     width_px: int = 224
     height_px: int = 224
 
+    def __post_init__(self):
+        if not 0 < self.vertical_fov_deg < 180:
+            raise ValueError(f"camera vertical_fov_deg must be in (0, 180), got {self.vertical_fov_deg}")
+        for name in ("width_px", "height_px"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"camera {name} must be at least 1, got {getattr(self, name)}")
+
     def model(self) -> CameraModel:
         return CameraModel.pinhole(
             self.height, math.radians(self.vertical_fov_deg), self.width_px, self.height_px

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__ as _generator_version
-from .codec import TokenizedStep, encode_trajectory
+from .codec import TokenizedStep
 from .errors import (
     AmbiguousView,
     IoFailure,
@@ -44,9 +44,9 @@ from .planner import (
     CostWeights,
     PlannedPath,
     PlannerBudget,
+    label_poses,
     plan_with_margin,
     resample_keyframes,
-    waypoints_from_path,
 )
 from .scene import (
     LidarScan,
@@ -104,8 +104,9 @@ class Expert:
     """How the expert plans and labels: one value for gen-data and the eval oracle.
 
     ``plan`` is ``plan_with_margin`` with these weights, budget and margin;
-    ``label`` turns a planned path into the tokenized waypoint horizon seen
-    from ``pose``, traversed at ``v_ref``/``omega_ref`` and sampled every ``dt``.
+    ``labels`` turns a planned path into the tokenized waypoint horizon seen
+    from each of ``poses``, traversed at ``v_ref``/``omega_ref`` and sampled
+    every ``dt``, and ``label`` does so for one pose.
     """
 
     weights: CostWeights = CostWeights()
@@ -126,10 +127,11 @@ class Expert:
             seed=seed, safety_margin=self.safety_margin,
         )
 
+    def labels(self, path: PlannedPath, poses: list[Pose2]) -> list[list[TokenizedStep]]:
+        return label_poses(path, poses, self.horizon_n, self.dt, self.v_ref, self.omega_ref)
+
     def label(self, path: PlannedPath, pose: Pose2) -> list[TokenizedStep]:
-        return encode_trajectory(
-            waypoints_from_path(path, pose, self.horizon_n, self.dt, self.v_ref, self.omega_ref)
-        )
+        return self.labels(path, [pose])[0]
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,19 @@ class TaskParams:
     visibility_fraction: float = 0.5
     max_start_target_dist: float = 10.0
     max_attempts: int = 300
+
+    def __post_init__(self):
+        # a goal distance outside [0, 1] fails GoalSpec mid-run, and a
+        # fraction above 1 makes every task unsatisfiable
+        for name in ("d_min", "d_max", "p_ffr", "visibility_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"task {name} must be in [0, 1], got {getattr(self, name)}")
+        if self.d_min > self.d_max:
+            raise ValueError(f"task d_min must not exceed d_max, got {self.d_min} > {self.d_max}")
+        if not self.max_start_target_dist > 0:
+            raise ValueError(f"task max_start_target_dist must be positive, got {self.max_start_target_dist}")
+        if self.max_attempts < 1:
+            raise ValueError(f"task max_attempts must be at least 1, got {self.max_attempts}")
 
 
 def _sample_free_pose(rng, scene: Scene, radius: float, tries: int = 50) -> Pose2 | None:
@@ -269,14 +284,14 @@ def generate_episode(
     poses = resample_keyframes(path)
     ranges = _range_steps(raycast_scans(scene, poses, num_rays, max_range)) * LIDAR_UNIT
     keyframes = []
-    for pose, scan in zip(poses, ranges):
+    for pose, scan, steps in zip(poses, ranges, expert.labels(path, poses)):
         tilt = compute_tilt(camera, pose, lowest, tilt_limit=None)
         keyframes.append(
             Keyframe(
                 pose=pose,
                 tilt=tilt,
                 lidar=LidarScan(num_rays, scan, max_range),
-                expert_steps=expert.label(path, pose),
+                expert_steps=steps,
                 expert_tilt_target=tilt,
             )
         )

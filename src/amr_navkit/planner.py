@@ -9,13 +9,13 @@ lazy shortest-path search that sweeps and costs only candidate-path edges.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import TokenizedStep, encode_steps
 from .errors import InvalidEndpoint, NoPathFound, OffPath
 from .geometry import TWO_PI, Pose2, wrap_angle
 from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
@@ -79,19 +79,24 @@ class PlannedPath:
         """Length and absolute turn of state pairs 0..end-1 at least.
 
         Each pair is computed once, and the prefix at least doubles when it
-        grows, so the copies it makes stay linear in the path length.
+        grows, so the copies it makes stay linear in the path length. Lengths
+        are ``math.hypot`` per pair (``np.hypot`` rounds some inputs
+        differently); the differences and the turns' ``wrap_angle`` are
+        numpy's elementwise ``-`` and ``%``, which round as Python's do.
         """
         have = len(self._lengths)
         if end > have:
             stop = min(max(end, 2 * have), len(self.states) - 1)
-            rows = self.states[have:stop + 1].tolist()
-            lengths, turns = [], []
-            for (x0, y0, h0), (x1, y1, h1) in zip(rows, rows[1:]):
-                lengths.append(math.hypot(x1 - x0, y1 - y0))
-                turns.append(abs(wrap_angle(h1 - h0)))
+            d = np.diff(self.states[have:stop + 1], axis=0)
+            lengths = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
             self._lengths = np.concatenate([self._lengths, lengths])
-            self._turns = np.concatenate([self._turns, turns])
+            self._turns = np.concatenate([self._turns, np.abs(_wrap(d[:, 2]))])
         return self._lengths, self._turns
+
+
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` elementwise, with the same bits per element."""
+    return (a + math.pi) % TWO_PI - math.pi
 
 
 def apply_segment(pose: Pose2, seg: PathSegment) -> Pose2:
@@ -538,6 +543,128 @@ def resample_keyframes(
     return [Pose2(*rows[i]) for i in idx]
 
 
+_FIRST_WINDOW = 160  # path steps first read per pose: the default 2.4 s horizon at 1 cm / 1 degree
+
+
+def _horizons(
+    path: PlannedPath, poses: list[Pose2], n: int, dt: float, v_ref: float, omega_ref: float,
+    max_projection: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, OffPath | None]:
+    """Each pose's waypoint chain as (K, n) arrays of x, y and unwrapped heading.
+
+    The remaining path from a pose's projection is traversed at v_ref /
+    omega_ref and sampled every dt; each sample is wrapped as a world Pose2
+    would wrap it, then expressed in its predecessor's frame (the first in
+    the pose's) with ``se2_relative``'s expressions, and the final state is
+    held once the path ends. Every value has the bits the per-pose scalar
+    loop gave: numpy's elementwise ``+ - * / %`` round as Python's do,
+    ``cos`` and ``sin`` are ``math``'s per element, and each pose's sample
+    times are a cumulative sum that restarts at its projection.
+
+    Returns the rows of the poses before the first one that projects more
+    than ``max_projection`` from the path, and that pose's OffPath (else
+    None), so a caller can raise what a per-pose loop would have raised
+    first. Raises ValueError unless v_ref, omega_ref and dt are finite and
+    positive and v_ref * dt is within the 0.2 m step range.
+    """
+    if not (0 < v_ref < math.inf and 0 < omega_ref < math.inf):
+        raise ValueError("v_ref and omega_ref must be finite and positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    if v_ref * dt > 0.2 + 1e-12:
+        raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
+    states = path.states
+    cur = np.array([(p.x, p.y, p.heading) for p in poses], dtype=float).reshape(-1, 3)
+
+    # projection: the first state at the least squared distance, per pose
+    # (a block of poses at once measured slower per pose)
+    xs, ys = states[:, 0].copy(), states[:, 1].copy()
+    proj, off = [], None
+    for x, y in cur[:, :2].tolist():
+        d2, dy = xs - x, ys - y
+        d2 *= d2
+        dy *= dy
+        d2 += dy  # dx * dx + dy * dy, without the temporaries
+        i = int(d2.argmin())
+        if math.sqrt(d2[i]) > max_projection:
+            off = OffPath(f"pose projects {math.sqrt(d2[i]):.3f} m from the path")
+            break
+        proj.append(i)
+    if not proj:
+        empty = np.empty((0, n))
+        return empty, empty, empty, off
+    cur, lo, top, proj = cur[:len(proj)], min(proj), max(proj), np.array(proj)
+
+    # Sample times: tau[k, j] sums the first j step durations from pose k's
+    # projection, in order. The window of steps read grows (doubling) until,
+    # for every pose, the horizon n * dt ends strictly inside it or it reaches
+    # the path end; then every sample interpolates the same state pair as on
+    # the whole remaining path. Steps past the end last forever.
+    last, horizon = len(states) - 1, n * dt
+    width = _FIRST_WINDOW
+    while True:
+        hi = min(top + width, last)
+        lengths, turns = path.steps_to(hi)
+        ds, dh = lengths[lo:hi], turns[lo:hi]
+        durations = np.concatenate([np.where(ds > 1e-12, ds / v_ref, dh / omega_ref), np.full(width, np.inf)])
+        tau = np.zeros((len(proj), width + 1))
+        np.cumsum(durations[(proj - lo)[:, None] + np.arange(width)], axis=1, out=tau[:, 1:])
+        if ((tau[:, -1] > horizon) | (proj >= last - width)).all():
+            break
+        width *= 2
+
+    # bisect_right of each sample time in its pose's tau (no tau past the
+    # path end counts). A sample at or past the total time of a window that
+    # ends with the path holds the final state; it still interpolates the
+    # window's last real pair, only so that every value stays finite.
+    t = np.arange(1, n + 1) * dt
+    steps = np.minimum(width, last - proj)[:, None]  # real steps in each window
+    rows = np.arange(len(proj))[:, None]
+    after = np.array([row.searchsorted(t, "right") for row in tau])
+    held = after > steps
+    i1 = np.minimum(after, steps)
+    i0 = np.maximum(i1 - 1, 0)
+    f = (t - tau[rows, i0]) / np.where(held, 1.0, tau[rows, i1] - tau[rows, i0])
+    a = states[proj[:, None] + i0]  # (K, n, 3)
+    d = states[proj[:, None] + i1] - a
+    d[..., 2] = _wrap(d[..., 2])
+    pts = np.where(held[..., None], states[last], a + f[..., None] * d)
+    pts[..., 2] = _wrap(pts[..., 2])
+
+    # each sample in its predecessor's frame
+    prev = np.concatenate([cur[:, None], pts], axis=1)[:, :n]
+    headings = prev[..., 2].ravel().tolist()
+    c = np.fromiter(map(math.cos, headings), float, len(headings)).reshape(len(prev), n)
+    s = np.fromiter(map(math.sin, headings), float, len(headings)).reshape(len(prev), n)
+    rel = pts - prev
+    dx, dy = rel[..., 0], rel[..., 1]
+    return c * dx + s * dy, -s * dx + c * dy, rel[..., 2], off
+
+
+def label_poses(
+    path: PlannedPath,
+    poses: list[Pose2],
+    n: int = 12,
+    dt: float = 0.2,
+    v_ref: float = 0.5,
+    omega_ref: float = 1.0,
+    max_projection: float = 0.3,
+) -> list[list[TokenizedStep]]:
+    """The tokenized waypoint horizon seen from each pose, in one array pass.
+
+    Entry k is ``encode_trajectory(waypoints_from_path(path, poses[k], ...))``,
+    bit for bit, and the error raised is the one that loop would raise first:
+    a ValueError for bad speeds, an OutOfRange for a step too long to encode,
+    or an OffPath, each for the first pose in order that has one. The speeds
+    are checked even when ``poses`` is empty.
+    """
+    x, y, h, off = _horizons(path, poses, n, dt, v_ref, omega_ref, max_projection)
+    tokens = encode_steps(x.ravel(), y.ravel(), _wrap(h.ravel()))
+    if off is not None:
+        raise off
+    return [tokens[k * n:(k + 1) * n] for k in range(len(x))]
+
+
 def waypoints_from_path(
     path: PlannedPath,
     current: Pose2,
@@ -555,59 +682,11 @@ def waypoints_from_path(
     pose is held once the path ends. Step lengths and turns come from the
     path's on-demand step prefix, from the projection only as far as the
     horizon reaches, so labelling many poses on one path is linear in its
-    length. Raises ValueError unless v_ref, omega_ref and dt are finite and
-    positive.
+    length. Raises OffPath when ``current`` projects more than
+    ``max_projection`` from the path, and ValueError unless v_ref, omega_ref
+    and dt are finite and positive.
     """
-    if not (0 < v_ref < math.inf and 0 < omega_ref < math.inf):
-        raise ValueError("v_ref and omega_ref must be finite and positive")
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
-    if v_ref * dt > 0.2 + 1e-12:
-        raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
-    states = path.states
-    d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
-    proj = int(np.argmin(d2))
-    if math.sqrt(d2[proj]) > max_projection:
-        raise OffPath(f"pose projects {math.sqrt(d2[proj]):.3f} m from the path")
-
-    # Grow the slice proj..end in doubling chunks until the horizon n * dt
-    # ends strictly inside it (or the path ends). Every sample time is then
-    # below tau[-1], and tau is a prefix of the whole remaining path's tau,
-    # so each sample interpolates the same state pair as on the whole path.
-    # The first chunk covers the default 2.4 s horizon at 1 cm / 1 degree.
-    last, horizon, chunk = len(states) - 1, n * dt, 160
-    while True:
-        end = min(proj + chunk, last)
-        lengths, turns = path.steps_to(end)
-        ds, dh = lengths[proj:end], turns[proj:end]
-        # the sum restarts at proj: a global cumsum minus its prefix rounds differently
-        durations = np.where(ds > 1e-12, ds / v_ref, dh / omega_ref)
-        tau = np.concatenate([[0.0], np.cumsum(durations)])
-        if end == last or tau[-1] > horizon:
-            break
-        chunk *= 2
-
-    # Python floats from here: the same IEEE operations as on numpy scalars,
-    # and bisect_right is searchsorted(side="right") on the sorted tau. Each
-    # sample is wrapped as a world Pose2 would wrap it, then expressed in its
-    # predecessor's frame with se2_relative's expressions. Only the rows a
-    # sample reads are converted: the whole slice costs more than its samples.
-    rem = states[proj:end + 1]
-    tau = tau.tolist()
-    steps = []
-    px, py, ph = current.x, current.y, current.heading
-    for k in range(1, n + 1):
-        t = k * dt
-        if len(rem) == 1 or t >= tau[-1]:
-            x, y, h = rem[-1].tolist()
-        else:
-            i = bisect.bisect_right(tau, t)
-            f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
-            (x0, y0, h0), (x1, y1, h1) = rem[i - 1:i + 1].tolist()
-            x, y, h = x0 + f * (x1 - x0), y0 + f * (y1 - y0), h0 + f * wrap_angle(h1 - h0)
-        h = wrap_angle(h)
-        c, s = math.cos(ph), math.sin(ph)
-        dx, dy = x - px, y - py
-        steps.append(Pose2(c * dx + s * dy, -s * dx + c * dy, h - ph))
-        px, py, ph = x, y, h
-    return steps
+    x, y, h, off = _horizons(path, [current], n, dt, v_ref, omega_ref, max_projection)
+    if off is not None:
+        raise off
+    return list(map(Pose2, x[0].tolist(), y[0].tolist(), h[0].tolist()))

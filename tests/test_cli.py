@@ -1,11 +1,13 @@
 import json
 import math
+import re
 from operator import attrgetter
 
 import pytest
 
 from amr_navkit.cli import main
 from amr_navkit.config import (
+    CameraParams,
     OracleParams,
     PlannerParams,
     RunConfig,
@@ -17,7 +19,7 @@ from amr_navkit.config import (
     load_config,
 )
 from amr_navkit.evaluation import report_to_dict, summarize
-from amr_navkit.pipeline import Expert, read_dataset, scene_to_dict
+from amr_navkit.pipeline import Expert, TaskParams, read_dataset, scene_to_dict
 from amr_navkit.scene import sample_scene
 
 
@@ -247,6 +249,58 @@ class TestConfig:
         assert run(["gen-data", "--scenes", str(scenes), "--out", str(out)]) == 2
         assert not out.exists()
         assert run(["eval", "--scenes", str(scenes), "--n-tasks", "1", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [("d_min", -0.1, "in [0, 1]"), ("d_max", 2.0, "in [0, 1]"), ("d_max", math.nan, "in [0, 1]"),
+         ("p_ffr", -0.2, "in [0, 1]"), ("p_ffr", 1.5, "in [0, 1]"), ("visibility_fraction", 1.5, "in [0, 1]"),
+         ("visibility_fraction", -1e-9, "in [0, 1]"), ("max_start_target_dist", 0.0, "positive"),
+         ("max_start_target_dist", -3.0, "positive"), ("max_attempts", 0, "at least 1")],
+    )
+    def test_task_params_refused(self, field, value, words):
+        with pytest.raises(ValueError, match=re.escape(f"task {field} must be {words}, got ")):
+            TaskParams(**{field: value})
+
+    def test_task_params_edges_accepted(self):
+        assert TaskParams(d_min=0.0, d_max=1.0, p_ffr=0.0, visibility_fraction=1.0, max_attempts=1)
+        assert TaskParams(d_min=0.3, d_max=0.3, p_ffr=1.0, visibility_fraction=0.0)
+        with pytest.raises(ValueError, match="task d_min must not exceed d_max, got 0.6 > 0.5"):
+            TaskParams(d_min=0.6)
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [("vertical_fov_deg", 0.0, "in (0, 180)"), ("vertical_fov_deg", 180.0, "in (0, 180)"),
+         ("vertical_fov_deg", -30.0, "in (0, 180)"), ("vertical_fov_deg", math.nan, "in (0, 180)"),
+         ("width_px", 0, "at least 1"), ("height_px", -2, "at least 1")],
+    )
+    def test_camera_params_refused(self, field, value, words):
+        with pytest.raises(ValueError, match=re.escape(f"camera {field} must be {words}, got ")):
+            CameraParams(**{field: value})
+        assert CameraParams(**{field: 179.9 if field == "vertical_fov_deg" else 1}).model()
+
+    def test_default_config_hash_unchanged(self):
+        # the refusals add no field, so the default manifest hash stays the same
+        assert config_hash(RunConfig()) == "adffbf614dc420b6"
+
+    @pytest.mark.parametrize(
+        "key, raw, field",
+        [("AMR_TASK_D_MAX", "2.0", "task d_max"),  # once a GoalSpec traceback, exit 1
+         ("AMR_TASK_VISIBILITY_FRACTION", "1.5", "task visibility_fraction"),  # once 0 records, exit 0
+         ("AMR_TASK_D_MIN", "0.6", "task d_min"),
+         ("AMR_TASK_P_FFR", "-0.1", "task p_ffr"),
+         ("AMR_TASK_MAX_START_TARGET_DIST", "0", "task max_start_target_dist"),
+         ("AMR_TASK_MAX_ATTEMPTS", "0", "task max_attempts"),
+         ("AMR_CAMERA_VERTICAL_FOV_DEG", "0", "camera vertical_fov_deg"),  # once a ZeroDivisionError
+         ("AMR_CAMERA_WIDTH_PX", "0", "camera width_px")],
+    )
+    def test_bad_task_or_camera_setting_exits_2(self, tmp_path, monkeypatch, caplog, key, raw, field):
+        scenes = tmp_path / "scenes"
+        assert run(["gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        monkeypatch.setenv(key, raw)
+        out = tmp_path / "d.jsonl"
+        assert run(["gen-data", "--scenes", str(scenes), "--episodes-per-scene", "1", "--out", str(out)]) == 2
+        assert f"{field} must" in caplog.text
+        assert not out.exists()
 
 
 class TestGenScenes:
