@@ -5,7 +5,7 @@ Modules:
     geometry    - SE(2) algebra, box side labeling, goal-pose and tilt math
     scene       - procedural rooms, collision queries, LiDAR, kinematics
     planner     - zero-turning-radius expert planner and waypoint extraction
-    codec       - polar waypoint quantization with residuals, sensor tokens
+    codec       - polar waypoint quantization with residuals
     controller  - pure pursuit, tilt regulation, closed-loop episodes
     pipeline    - task sampling, demonstration generation, dataset files
     evaluation  - benchmark runner and metrics reports

@@ -1,24 +1,18 @@
-"""Trajectory and sensor tokenization.
+"""Trajectory tokenization: the discrete action interface.
 
-Covers the discrete action interface: egocentric polar waypoint steps
-quantized into uniform bins with arithmetic residuals, LiDAR scans
-regrouped into directional point bins, depth-image backprojection into
-robot-frame points, and sinusoidal position features.
+Egocentric polar waypoint steps are quantized into uniform bins with
+arithmetic residuals, and decoded back into world-frame waypoint chains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import TWO_PI, CameraModel, Pose2, camera_to_robot_rotation, se2_compose
-
-if TYPE_CHECKING:
-    from .scene import LidarScan
+from .geometry import TWO_PI, Pose2, se2_compose
 
 # bin layout for one waypoint sub-action (direction, distance, heading)
 PSI_BINS = 30
@@ -29,11 +23,6 @@ R_MAX = 0.2
 PSI_WIDTH = 2.0 * math.pi / PSI_BINS
 R_WIDTH = R_MAX / R_BINS
 PHI_WIDTH = 2.0 * math.pi / PHI_BINS
-
-# LiDAR regrouping: 256 resampled points in 32 contiguous directional bins
-LIDAR_POINTS = 256
-LIDAR_GROUPS = 32
-DEPTH_CELLS = 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,91 +151,3 @@ def decode_trajectory(
         cur = se2_compose(cur, pose_from_step(decode_step(tok, use_residual)))
         poses.append(cur)
     return poses
-
-
-@dataclass(frozen=True)
-class LidarTokens:
-    """256 robot-frame LiDAR points arranged as 32 directional groups of 8."""
-
-    points: np.ndarray  # (32, 8, 2)
-
-    def __post_init__(self):
-        if self.points.shape != (LIDAR_GROUPS, LIDAR_POINTS // LIDAR_GROUPS, 2):
-            raise ValueError(f"expected (32, 8, 2) points, got {self.points.shape}")
-
-
-def lidar_tokens(scan: "LidarScan") -> LidarTokens:
-    """Resample a scan to 256 points by angular interpolation and group them.
-
-    Group k holds the 8 consecutive points whose bearings fall in the
-    half-open 11.25-degree sector starting at k * 2*pi/32.
-    """
-    src_angles = np.arange(scan.num_rays) * (2.0 * math.pi / scan.num_rays)
-    dst_angles = np.arange(LIDAR_POINTS) * (2.0 * math.pi / LIDAR_POINTS)
-    ranges = np.interp(
-        dst_angles,
-        np.concatenate([src_angles, [2.0 * math.pi]]),
-        np.concatenate([scan.ranges, [scan.ranges[0]]]),
-    )
-    pts = np.stack([ranges * np.cos(dst_angles), ranges * np.sin(dst_angles)], axis=1)
-    return LidarTokens(pts.reshape(LIDAR_GROUPS, LIDAR_POINTS // LIDAR_GROUPS, 2))
-
-
-@dataclass(frozen=True)
-class DepthGrid:
-    """A low-resolution depth image with per-cell robot-frame 3D points."""
-
-    depth: np.ndarray  # (14, 14) meters
-    points: np.ndarray  # (14, 14, 3) robot frame, x forward / y left / z up
-
-
-def backproject_depth(depth: np.ndarray, camera: CameraModel, tilt: float) -> DepthGrid:
-    """Lift a 14x14 depth grid into robot-frame 3D points.
-
-    Each cell is backprojected through the camera intrinsics at the cell
-    center pixel of the downscaled image and mapped by the camera-to-robot
-    extrinsics (mount height plus downward tilt).
-    """
-    depth = np.asarray(depth, dtype=float)
-    if depth.shape != (DEPTH_CELLS, DEPTH_CELLS):
-        raise ValueError(f"expected ({DEPTH_CELLS}, {DEPTH_CELLS}) depth, got {depth.shape}")
-    if np.any(depth <= 0):
-        raise ValueError("depth values must be positive")
-    su = camera.image_width_px / DEPTH_CELLS
-    sv = camera.image_height_px / DEPTH_CELLS
-    u = (np.arange(DEPTH_CELLS) + 0.5) * su
-    v = (np.arange(DEPTH_CELLS) + 0.5) * sv
-    uu, vv = np.meshgrid(u, v)  # vv varies along rows
-    x_cam = (uu - camera.cx_px) / camera.fx * depth
-    y_cam = (vv - camera.cy_px) / camera.fy * depth
-    cam_pts = np.stack([x_cam, y_cam, depth], axis=-1)
-    rot = camera_to_robot_rotation(tilt)
-    pts = cam_pts @ rot.T + np.array([0.0, 0.0, camera.height])
-    return DepthGrid(depth=depth, points=pts)
-
-
-def sinusoidal_embed(value: float, dims: int = 64, base: float = 10000.0) -> np.ndarray:
-    """Interleaved sin/cos position embedding; pair j uses frequency base^(-2j/dims)."""
-    if dims < 2 or dims % 2 != 0:
-        raise ValueError("dims must be an even number >= 2")
-    freqs = base ** (-2.0 * np.arange(dims // 2) / dims)
-    out = np.empty(dims)
-    out[0::2] = np.sin(value * freqs)
-    out[1::2] = np.cos(value * freqs)
-    return out
-
-
-def depth_position_features(grid: DepthGrid, dims: int = 64, base: float = 10000.0) -> np.ndarray:
-    """Per-cell positional feature: concatenated embeddings of x', y', z'."""
-    feats = np.empty((DEPTH_CELLS, DEPTH_CELLS, 3 * dims))
-    for i in range(DEPTH_CELLS):
-        for j in range(DEPTH_CELLS):
-            x, y, z = grid.points[i, j]
-            feats[i, j] = np.concatenate(
-                [
-                    sinusoidal_embed(x, dims, base),
-                    sinusoidal_embed(y, dims, base),
-                    sinusoidal_embed(z, dims, base),
-                ]
-            )
-    return feats

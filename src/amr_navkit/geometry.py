@@ -38,8 +38,10 @@ def rot2(theta: float) -> np.ndarray:
 class Pose2:
     """A planar pose (x, y, heading); heading is kept wrapped to [-pi, pi).
 
-    Slotted, with one hand-written ``__init__`` that stores each converted
-    field once: the pipeline builds hundreds of thousands of poses.
+    Every field is finite: a NaN or infinite x, y or heading is a ValueError
+    naming the field, so no query downstream has to test for one. Slotted,
+    with one hand-written ``__init__`` that stores each converted field once:
+    the pipeline builds hundreds of thousands of poses.
     """
 
     x: float
@@ -47,13 +49,15 @@ class Pose2:
     heading: float
 
     def __init__(self, x: float, y: float, heading: float):
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "heading", float((heading + math.pi) % TWO_PI - math.pi))  # wrap_angle
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+        x, y = float(x), float(y)
+        wrapped = float((heading + math.pi) % TWO_PI - math.pi)  # wrap_angle
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(wrapped)):
+            for name, value in (("x", x), ("y", y), ("heading", heading)):
+                if not math.isfinite(value):
+                    raise ValueError(f"Pose2 {name} must be finite, got {value}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "heading", wrapped)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.heading])
@@ -71,11 +75,6 @@ def se2_compose(a: Pose2, b: Pose2) -> Pose2:
         a.y + s * b.x + c * b.y,
         a.heading + b.heading,
     )
-
-
-def se2_inverse(a: Pose2) -> Pose2:
-    c, s = math.cos(a.heading), math.sin(a.heading)
-    return Pose2(-(c * a.x + s * a.y), -(-s * a.x + c * a.y), -a.heading)
 
 
 def se2_relative(a: Pose2, b: Pose2) -> Pose2:
@@ -221,19 +220,13 @@ class CameraModel:
         )
 
 
-def determine_front_side(
-    box: OrientedBox,
-    camera: Pose2,
-    tie_epsilon: float = 0.05,
-    on_tie: str = "error",
-) -> SideLabels:
+def determine_front_side(box: OrientedBox, camera: Pose2, tie_epsilon: float = 0.05) -> SideLabels:
     """Label the box side most facing the camera as the front.
 
     The visibility score of side k is the dot product between its outward
     unit normal and the unit direction from the side midpoint to the camera
     position. When the two best scores are within ``tie_epsilon`` the view
-    is ambiguous; ``on_tie`` selects whether to raise AmbiguousView or
-    deterministically keep the lowest side index.
+    is ambiguous, and AmbiguousView is raised.
     """
     cam = np.array([camera.x, camera.y])
     if box.contains(cam[None, :])[0]:
@@ -244,16 +237,9 @@ def determine_front_side(
         scores[k] = float(np.dot(box.side_normal(k), to_cam / np.linalg.norm(to_cam)))
     order = np.argsort(scores)
     if scores[order[3]] - scores[order[2]] < tie_epsilon:
-        if on_tie == "error":
-            raise AmbiguousView(
-                f"top side scores {scores[order[3]]:.4f} and {scores[order[2]]:.4f} "
-                f"within {tie_epsilon}"
-            )
-        if on_tie != "lowest":
-            raise ValueError(f"unknown tie policy {on_tie!r}")
-        best = scores.max()
-        front = int(np.flatnonzero(scores >= best - tie_epsilon).min())
-        return SideLabels.from_front(front)
+        raise AmbiguousView(
+            f"top side scores {scores[order[3]]:.4f} and {scores[order[2]]:.4f} within {tie_epsilon}"
+        )
     return SideLabels.from_front(int(order[3]))
 
 

@@ -2,8 +2,10 @@
 
 Tasks pair a sampled robot embodiment and start pose with an object-centric
 goal derived from a reference view. Episodes record expert keyframe
-observations and tokenized waypoint actions along a planned path. Datasets
-are line-delimited JSON with an explicit schema version and a manifest.
+observations and tokenized waypoint actions along a planned path; the eval
+oracle plans and labels with the same ``Expert``. Datasets are
+line-delimited JSON with an explicit schema version and a manifest, and
+scene files are JSON; every reader goes through ``errors.checked``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .planner import (
 )
 from .scene import (
     LidarScan,
-    RobotState,
     Scene,
     SceneObject,
     check_lidar_params,
@@ -227,7 +228,7 @@ def sample_task(
             continue
         target = candidates[int(rng.integers(len(candidates)))]
         try:
-            labels = determine_front_side(target.box, ref, on_tie="error")
+            labels = determine_front_side(target.box, ref)
         except AmbiguousView:
             continue
         spec = GoalSpec(
@@ -296,19 +297,6 @@ def generate_episode(
             )
         )
     return EpisodeRecord(task=task, keyframes=keyframes, planner_cost=path.cost)
-
-
-def relabel_from_state(
-    scene: Scene,
-    task: Task,
-    state: RobotState,
-    expert: Expert = Expert(),
-    seed: int = 0,
-) -> list[TokenizedStep]:
-    """Expert relabeling query: replan to the goal from an arbitrary state."""
-    target = scene.object_by_id(task.target_id)
-    path = expert.plan(scene, state.pose, task.goal_pose, state.radius, target.box.center, seed)
-    return expert.label(path, state.pose)
 
 
 def audit_keyframe_gaps(
@@ -381,24 +369,31 @@ def _lidar_from_dict(d, where: str) -> LidarScan:
     return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range, f"{where}.ranges"), max_range)
 
 
-# a scene object stores its box fields inline, beside its own
+# a scene object stores its box fields inline, beside its own; the box's are read first
 _BOX_FIELDS = tuple(field_types(OrientedBox))
-_OWN_FIELDS = {k: hint for k, hint in field_types(SceneObject).items() if k != "box"}
-_OBJECT_FIELDS = frozenset(_OWN_FIELDS).union(_BOX_FIELDS)
+_OBJECT_FIELDS = {
+    **field_types(OrientedBox),
+    **{k: hint for k, hint in field_types(SceneObject).items() if k != "box"},
+}
 
 
 def _object_from_dict(d, where: str) -> SceneObject:
-    require_fields(d, _OBJECT_FIELDS, where)
-    box = checked({k: d[k] for k in _BOX_FIELDS}, OrientedBox, where)
-    own = {}
-    for k, hint in _OWN_FIELDS.items():
+    """A scene object, each field read as ``errors.checked`` reads it; a box
+    that ``OrientedBox`` refuses is a ValueError naming ``where``."""
+    require_fields(d, _OBJECT_FIELDS.keys(), where)
+    fields = {}
+    for k, hint in _OBJECT_FIELDS.items():
         v = d[k]
         # as the walker does: a value of exactly its scalar type needs no call
         if type(v) is hint and (hint is not float or math.isfinite(v)):
-            own[k] = v
+            fields[k] = v
         else:
-            own[k] = checked(v, hint, f"{where}.{k}")
-    return SceneObject(box=box, **own)
+            fields[k] = checked(v, hint, f"{where}.{k}")
+    try:
+        box = OrientedBox(**{k: fields.pop(k) for k in _BOX_FIELDS})
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
+    return SceneObject(box=box, **fields)
 
 
 # the file-format types that are not stored as an object of their fields
@@ -422,11 +417,6 @@ def task_to_dict(task: Task) -> dict:
         "ffr": task.ffr,
         "initially_visible": task.initially_visible,
     }
-
-
-def task_from_dict(d: dict) -> Task:
-    """Task from its JSON dict; a value ``errors.checked`` refuses raises ValueError."""
-    return checked(d, Task, "", _SHAPES)
 
 
 def record_to_dict(record: EpisodeRecord) -> dict:

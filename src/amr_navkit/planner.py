@@ -175,14 +175,10 @@ def rs0_distance(a: Pose2, b: Pose2, w: CostWeights = CostWeights()) -> float:
     return min(math.inf, fwd, bwd + w.w_backward * dist)
 
 
-def steer(
-    a: Pose2, b: Pose2, allow_backward: bool = True, w: CostWeights = CostWeights()
-) -> list[PathSegment]:
+def steer(a: Pose2, b: Pose2, w: CostWeights = CostWeights()) -> list[PathSegment]:
     """Segment list realizing the cheapest rotate-translate-rotate connection."""
     best, best_cost = None, math.inf
     for backward, rot1, dist, rot2 in _branches(a, b):
-        if backward and not allow_backward:
-            continue
         c = w.w_translate * dist + w.w_rotate * (abs(rot1) + abs(rot2))
         if backward:
             c += w.w_backward * dist
@@ -245,10 +241,6 @@ def segments_cost(
     return cost
 
 
-def path_cost(path: PlannedPath, target_center, w: CostWeights) -> float:
-    return segments_cost(path.start, path.segments, target_center, w)
-
-
 class _Roadmap:
     """Growing vertex set with memoized edge weights, connections and sweeps.
 
@@ -285,7 +277,7 @@ class _Roadmap:
     def connection(self, i: int, j: int) -> tuple[float, list[PathSegment]]:
         key = (i, j)
         if key not in self._conn:
-            segs = steer(self.poses[i], self.poses[j], allow_backward=True, w=self.w)
+            segs = steer(self.poses[i], self.poses[j], w=self.w)
             self._conn[key] = (segments_cost(self.poses[i], segs, self.target, self.w), segs)
             self.weight[i][j] = self._conn[key][0]
         return self._conn[key]

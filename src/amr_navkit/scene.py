@@ -132,11 +132,6 @@ class LidarScan:
         if self.ranges.shape != (self.num_rays,):
             raise ValueError("ranges length must equal num_rays")
 
-    def points(self) -> np.ndarray:
-        """Robot-frame (x, y) hit points, shape (num_rays, 2)."""
-        ang = np.arange(self.num_rays) * (2.0 * math.pi / self.num_rays)
-        return np.stack([self.ranges * np.cos(ang), self.ranges * np.sin(ang)], axis=1)
-
 
 # velocity commands, one flavor per kinematics kind
 
@@ -205,7 +200,7 @@ def collision_mask(scene: Scene, points: np.ndarray, radius: float) -> np.ndarra
 
 
 def _point_distance(scene: Scene, x: float, y: float) -> float:
-    """``obstacle_distances`` of one finite point, in scalar Python.
+    """``obstacle_distances`` of one point, in scalar Python.
 
     The same elementwise operations on the same floats, without numpy's
     per-call overhead. A minimum of non-NaN values is exact in any order,
@@ -233,16 +228,12 @@ def collision_check(scene: Scene, pose: Pose2, radius: float) -> bool:
 
     A disc exactly tangent to a face (distance == radius) is free.
     """
-    if math.isfinite(pose.x) and math.isfinite(pose.y):
-        return _point_distance(scene, pose.x, pose.y) < radius
-    return bool(collision_mask(scene, np.array([[pose.x, pose.y]]), radius)[0])
+    return _point_distance(scene, pose.x, pose.y) < radius
 
 
 def clearance(scene: Scene, pose: Pose2, radius: float) -> float:
     """Signed clearance between the robot footprint and the nearest obstacle."""
-    if math.isfinite(pose.x) and math.isfinite(pose.y):
-        return _point_distance(scene, pose.x, pose.y) - radius
-    return float(obstacle_distances(scene, np.array([[pose.x, pose.y]]))[0]) - radius
+    return _point_distance(scene, pose.x, pose.y) - radius
 
 
 # corner k of a box is (_CORNER_SIGNS[0, k] * hx, _CORNER_SIGNS[1, k] * hy)
@@ -489,13 +480,9 @@ def raycast_scans(
     """Exact ray-vs-oriented-box LiDAR ranges (K, num_rays) from K poses.
 
     Ray k of a scan points at its heading + 2*pi*k/num_rays; a ray that hits
-    nothing within ``max_range`` reads ``max_range``. A non-finite pose is a
-    ValueError.
+    nothing within ``max_range`` reads ``max_range``.
     """
     check_lidar_params(num_rays, max_range)
-    for p in poses:
-        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.heading)):
-            raise ValueError(f"lidar pose must be finite, got {p}")
     ranges = np.full((len(poses), num_rays), np.inf)
     if scene._box_params[0].size:
         for i in range(0, len(poses), _SCAN_CHUNK):
@@ -510,26 +497,16 @@ def raycast_lidar(
     return LidarScan(num_rays, raycast_scans(scene, [pose], num_rays, max_range)[0], max_range)
 
 
-def segment_blocked(scene: Scene, a: np.ndarray, b: np.ndarray, skip_box: OrientedBox | None = None) -> bool:
-    """True iff the open segment a->b crosses a wall or object box.
-
-    ``skip_box`` excludes one box (used for self-occlusion-free visibility).
-    """
-    return bool(_sight_lines_blocked(a, np.asarray(b)[None, :], _occluders(scene, skip_box))[0])
-
-
-def _occluders(scene: Scene, skip_box: OrientedBox | None) -> tuple:
-    """``scene._box_params`` without the boxes that are ``skip_box``."""
+def _occluders(scene: Scene, skip_box: OrientedBox) -> tuple:
+    """``scene._box_params`` without the boxes that are ``skip_box``, so a target does not occlude itself."""
     params = scene._box_params
-    if skip_box is None:
-        return params
     boxes = scene.walls + [o.box for o in scene.objects]
     keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
     return tuple(p[keep] for p in params)
 
 
 def _sight_lines_blocked(a: np.ndarray, pts: np.ndarray, occluders: tuple) -> np.ndarray:
-    """``segment_blocked`` for every open segment a->pts[k], (K, 2), against ``_occluders``; (K,) bool."""
+    """Whether each open segment a->pts[k], (K, 2), crosses a box of ``_occluders``; (K,) bool."""
     blocked = np.zeros(len(pts), dtype=bool)
     centers, halves, cy, sy = occluders
     if not centers.size:

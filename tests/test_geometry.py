@@ -19,7 +19,6 @@ from amr_navkit.geometry import (
     project_to_pixel,
     rot2,
     se2_compose,
-    se2_inverse,
     se2_relative,
     wrap_angle,
 )
@@ -46,10 +45,6 @@ class TestSE2:
         assert_pose_close(
             se2_compose(Pose2(1, 0, math.pi / 2), Pose2(1, 0, 0)), Pose2(1, 1, math.pi / 2)
         )
-
-    @given(poses)
-    def test_compose_inverse_is_identity(self, a):
-        assert_pose_close(se2_compose(a, se2_inverse(a)), Pose2(0, 0, 0), tol=1e-9)
 
     @given(poses, poses, poses)
     @settings(max_examples=200)
@@ -96,8 +91,6 @@ class TestFrontSide:
         box = OrientedBox(0, 0, 0.5, 0.5, 0)
         with pytest.raises(AmbiguousView):
             determine_front_side(box, Pose2(5, 5, 0))
-        labels = determine_front_side(box, Pose2(5, 5, 0), on_tie="lowest")
-        assert labels.front == 0
 
     def test_rotated_box_matches_bruteforce(self):
         # brute-force argmax over the 4 side scores is the oracle
@@ -124,15 +117,16 @@ class TestFrontSide:
             assert labels.front == int(np.argmax(scores))
 
     def test_yawed_box_front_normal(self):
+        # from (5, 2) the best two side scores differ by 0.59, far from a tie
         box = OrientedBox(0, 0, 0.5, 0.5, math.pi / 4)
-        labels = determine_front_side(box, Pose2(5, 0, 0), on_tie="lowest")
+        labels = determine_front_side(box, Pose2(5, 2, 0))
         n = box.side_normal(labels.front)
         scores = [
             float(
                 np.dot(
                     box.side_normal(k),
-                    (np.array([5.0, 0.0]) - box.side_midpoint(k))
-                    / np.linalg.norm(np.array([5.0, 0.0]) - box.side_midpoint(k)),
+                    (np.array([5.0, 2.0]) - box.side_midpoint(k))
+                    / np.linalg.norm(np.array([5.0, 2.0]) - box.side_midpoint(k)),
                 )
             )
             for k in range(4)

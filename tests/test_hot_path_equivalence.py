@@ -93,7 +93,6 @@ from amr_navkit.scene import (
     collision_mask,
     obstacle_distances,
     sample_scene,
-    segment_blocked,
     sweep_collision_checks,
     visible_from,
 )
@@ -302,7 +301,11 @@ class ReferencePose2:
     def __post_init__(self):
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
+        raw_heading = self.heading
         object.__setattr__(self, "heading", float(wrap_angle(self.heading)))
+        for name, value in (("x", self.x), ("y", self.y), ("heading", raw_heading)):
+            if not math.isfinite(value):
+                raise ValueError(f"Pose2 {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -357,10 +360,9 @@ def reference_sight_lines_blocked(scene, a, pts, skip_box):
     """The sight-line test with the skipped box masked out and ``np.linalg.norm`` lengths on every call."""
     blocked = np.zeros(len(pts), dtype=bool)
     centers, halves, cy, sy = scene._box_params
-    if skip_box is not None:
-        boxes = scene.walls + [o.box for o in scene.objects]
-        keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
-        centers, halves, cy, sy = centers[keep], halves[keep], cy[keep], sy[keep]
+    boxes = scene.walls + [o.box for o in scene.objects]
+    keep = np.array([bx is not skip_box for bx in boxes], dtype=bool)
+    centers, halves, cy, sy = centers[keep], halves[keep], cy[keep], sy[keep]
     if not centers.size:
         return blocked
     d = pts - a[None, :]
@@ -503,12 +505,6 @@ def test_point_queries_at_box_corners_and_room_edges(scenes):
         for x, y in points:
             for radius in (0.0, 0.25):
                 assert_point_queries_match(scene, x, y, radius)
-
-
-def test_non_finite_points_take_the_array_path(scenes):
-    with np.errstate(invalid="ignore"):
-        for x, y in [(math.nan, 0.0), (math.inf, 1.0), (0.0, -math.inf)]:
-            assert_point_queries_match(scenes[0], x, y, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,16 +1083,3 @@ def test_visible_from_other_object_under_a_cached_id():
         for fraction in (0.0, 0.5, 1.0):
             assert_views_match(scene, cam, other, math.pi / 2, fraction, 5)
 
-
-@given(st.sampled_from(VIEW_SCENES[:3]), st.data())
-@settings(max_examples=300, deadline=None)
-def test_segment_blocked_matches_reference(scene, data):
-    b = scene.bounds
-    a = np.array([data.draw(st.floats(b.xmin, b.xmax)), data.draw(st.floats(b.ymin, b.ymax))])
-    end = np.array([data.draw(st.floats(b.xmin, b.xmax)), data.draw(st.floats(b.ymin, b.ymax))])
-    if data.draw(st.booleans()):
-        end = a.copy()
-    skip = data.draw(st.sampled_from([None] + [o.box for o in scene.objects]))
-    got, got_calls = ray_calls(lambda: segment_blocked(scene, a, end, skip))
-    want, want_calls = ray_calls(lambda: bool(reference_sight_lines_blocked(scene, a, end[None, :], skip)[0]))
-    assert got is want and got_calls == want_calls

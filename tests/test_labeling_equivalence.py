@@ -430,6 +430,11 @@ def test_quantizer_matches_scalar_encoder(steps):
     want = outcome(lambda: reference_steps(x, y, h), lambda t: token_bits([t])[0])
     assert outcome(lambda: encode_steps(x, y, h), lambda t: token_bits([t])[0]) == want
     assert outcome(lambda: encode_steps(np.array(x), np.array(y), np.array(h)), lambda t: token_bits([t])[0]) == want
+    if not all(map(math.isfinite, x + y + h)):
+        # a non-finite delta never reaches encode_trajectory: Pose2 refuses it
+        with pytest.raises(ValueError, match="^Pose2 (x|y|heading) must be finite"):
+            [Pose2(*s) for s in steps]
+        return
     poses = [Pose2(*s) for s in steps]
     assert outcome(lambda: encode_trajectory(poses), lambda t: token_bits([t])[0]) == outcome(
         lambda: parent_encode_trajectory(poses), lambda t: token_bits([t])[0]

@@ -8,6 +8,8 @@ from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import NoPathFound, SamplingExhausted, SchemaMismatch
 from amr_navkit.geometry import Pose2
 from amr_navkit.pipeline import (
+    EpisodeRecord,
+    Expert,
     TaskParams,
     audit_keyframe_gaps,
     generate_episode,
@@ -15,13 +17,10 @@ from amr_navkit.pipeline import (
     read_dataset,
     record_from_dict,
     record_to_dict,
-    relabel_from_state,
     sample_task,
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    task_from_dict,
-    task_to_dict,
     write_dataset,
 )
 from amr_navkit.scene import (
@@ -157,20 +156,28 @@ class TestGenerateEpisode:
             assert len(kf.expert_steps) == 12
 
 
+def relabel(scene, task, state, seed):
+    """The oracle's query: the expert replans from ``state`` and labels its pose."""
+    expert = Expert()
+    target = scene.object_by_id(task.target_id)
+    path = expert.plan(scene, state.pose, task.goal_pose, state.radius, target.box.center, seed)
+    return expert.label(path, state.pose)
+
+
 class TestRelabel:
     def test_at_start_matches_first_keyframe(self):
         scene = sample_scene(43)
         task = sample_task(scene, 4)
         record = generate_episode(scene, task, seed=11)
         state = RobotState(task.start, task.robot_radius)
-        steps = relabel_from_state(scene, task, state, seed=11)
+        steps = relabel(scene, task, state, seed=11)
         assert steps == record.keyframes[0].expert_steps
 
     def test_at_goal_gives_zero_steps(self):
         scene = single_box_scene()
         task = sample_task(scene, 2)
         state = RobotState(task.goal_pose, task.robot_radius)
-        steps = relabel_from_state(scene, task, state, seed=0)
+        steps = relabel(scene, task, state, seed=0)
         world = decode_trajectory(steps, task.goal_pose, use_residual=True)
         for p in world:
             assert math.hypot(p.x - task.goal_pose.x, p.y - task.goal_pose.y) <= 1e-9
@@ -188,7 +195,7 @@ class TestRelabel:
                 continue
             state = RobotState(pose, task.robot_radius)
             try:
-                steps = relabel_from_state(scene, task, state, seed=1)
+                steps = relabel(scene, task, state, seed=1)
             except NoPathFound:
                 continue
             world = decode_trajectory(steps, pose, use_residual=True)
@@ -306,7 +313,8 @@ class TestDatasetIO:
     def test_task_dict_roundtrip(self, sampled_tasks):
         _, tasks = sampled_tasks
         for task in tasks:
-            assert task_from_dict(json.loads(json.dumps(task_to_dict(task)))) == task
+            d = record_to_dict(EpisodeRecord(task=task, keyframes=[], planner_cost=0.0))
+            assert record_from_dict(json.loads(json.dumps(d))).task == task
 
     def test_float_precision_roundtrip(self, one_episode):
         _, _, record = one_episode

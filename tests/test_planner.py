@@ -13,7 +13,6 @@ from amr_navkit.planner import (
     Rotate,
     Translate,
     apply_segment,
-    path_cost,
     plan,
     resample_keyframes,
     rollout,
@@ -125,12 +124,6 @@ class TestSteer:
             assert math.hypot(end.x - b.x, end.y - b.y) <= 1e-9
             assert abs(wrap_angle(end.heading - b.heading)) <= 1e-9
 
-    def test_forward_only_mode(self):
-        segs = steer(Pose2(0, 0, 0), Pose2(-1, 0, 0), allow_backward=False)
-        assert all(not isinstance(s, Translate) or s.ds > 0 for s in segs)
-        end = apply_all(Pose2(0, 0, 0), segs)
-        assert math.hypot(end.x + 1, end.y) <= 1e-9
-
 
 class TestPathCost:
     def test_lookat_zero_when_facing_target(self):
@@ -186,7 +179,7 @@ class TestPlan:
         path = plan(scene, start, goal, 0.3, target, w, PlannerBudget(2, 16), seed=0)
         direct = segments_cost(start, steer(start, goal, w=w), target, w)
         assert path.cost <= direct * 1.05 + 1e-9
-        assert path.cost == pytest.approx(path_cost(path, target, w), abs=1e-9)
+        assert path.cost == pytest.approx(segments_cost(path.start, path.segments, target, w), abs=1e-9)
 
     def test_endpoints_reproduced(self):
         scene = empty_room()
@@ -357,6 +350,12 @@ class TestWaypoints:
         path = straight_path(2.0)
         with pytest.raises(OffPath):
             waypoints_from_path(path, Pose2(0, 1.0, 0))
+
+    def test_nan_pose_refused_when_built(self):
+        # the pose is refused where it is built, naming its field, not later as a codec OutOfRange
+        path = straight_path(1.0)
+        with pytest.raises(ValueError, match="^Pose2 x must be finite, got nan$"):
+            waypoints_from_path(path, Pose2(math.nan, 0, 0))
 
     def test_v_ref_dt_product_guard(self):
         path = straight_path(2.0)

@@ -26,6 +26,7 @@ from amr_navkit.scene import (
     sweep_collision_check,
     visible_from,
 )
+from test_kernel_equivalence import reference_segment_blocked
 
 
 def empty_room(w=10.0, h=10.0) -> Scene:
@@ -185,14 +186,14 @@ class TestRaycast:
                 found += 1
 
     @pytest.mark.parametrize(
-        "pose", [Pose2(math.nan, 0.0, 0.0), Pose2(0.0, math.inf, 0.0)], ids=["nan-x", "inf-y"]
+        "field, value",
+        [pytest.param(f, v, id=f"{v}-{f}") for f in ("x", "y", "heading") for v in (math.nan, math.inf, -math.inf)],
     )
-    def test_non_finite_pose_refused(self, pose):
-        with pytest.raises(ValueError, match=r"lidar pose must be finite, got Pose2\("):
-            raycast_lidar(empty_room(), pose)
-        # the scan parameters are checked first, with their own message
-        with pytest.raises(ValueError, match="lidar num_rays must be at least 1, got 0"):
-            raycast_lidar(empty_room(), pose, num_rays=0)
+    def test_non_finite_pose_refused(self, field, value):
+        # a raycast never sees a non-finite pose: Pose2 refuses one, naming the field
+        args = {"x": 0.0, "y": 0.0, "heading": 0.0, field: value}
+        with pytest.raises(ValueError, match=rf"^Pose2 {field} must be finite, got {value}$"):
+            raycast_lidar(empty_room(), Pose2(**args))
 
 
 class TestKinematics:
@@ -269,13 +270,11 @@ class TestVisibility:
         fr = np.linspace(-1, 1, 7)[1:-1]
         gx, gy = np.meshgrid(fr * target.hx, fr * target.hy)
         pts = np.stack([gx.ravel() + 4.0, gy.ravel()], axis=1)
-        from amr_navkit.scene import segment_blocked
-
         seen = sum(
             1
             for p in pts
             if abs(math.atan2(p[1], p[0])) <= math.pi / 4
-            and not segment_blocked(scene, np.array([0.0, 0.0]), p, skip_box=target)
+            and not reference_segment_blocked(scene, np.array([0.0, 0.0]), p, target)
         )
         frac = seen / len(pts)
         assert visible_from(cam, scene.objects[0], scene, fraction=frac - 0.05) is True
