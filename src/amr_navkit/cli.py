@@ -1,7 +1,8 @@
 """Batch entry points: scene generation, dataset generation, eval, reporting.
 
 Exit codes: 0 success, 2 config/usage error, 3 generation or eval hard
-failure, or an unreadable or malformed scene or report file. All commands
+failure, an unreadable or malformed scene or report file, or an output
+file that cannot be written. All commands
 are deterministic under an identical resolved config (timestamps appear
 only inside manifest metadata).
 """
@@ -164,29 +165,36 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         cfg.eval.success_ang_tol_deg,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoFailure(f"cannot create output directory {out.parent}: {err}") from err
     report_export(report, "json", str(out.with_suffix(".json")))
     report_export(report, "csv", str(out.with_suffix(".csv")))
-    with open(out.with_suffix(".traces.jsonl"), "w") as fh:
-        for summary, result in episodes:
-            fh.write(
-                json.dumps(
-                    {
-                        "task_index": summary.task_index,
-                        "outcome": result.outcome,
-                        "distance_error": result.distance_error,
-                        "angle_error": result.angle_error,
-                        "steps": result.steps,
-                        "min_clearance": result.min_clearance,
-                        "trace": [
-                            [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]
-                            for e in result.trace
-                        ],
-                    },
-                    sort_keys=True,
+    traces = out.with_suffix(".traces.jsonl")
+    try:
+        with open(traces, "w") as fh:
+            for summary, result in episodes:
+                fh.write(
+                    json.dumps(
+                        {
+                            "task_index": summary.task_index,
+                            "outcome": result.outcome,
+                            "distance_error": result.distance_error,
+                            "angle_error": result.angle_error,
+                            "steps": result.steps,
+                            "min_clearance": result.min_clearance,
+                            "trace": [
+                                [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]
+                                for e in result.trace
+                            ],
+                        },
+                        sort_keys=True,
+                    )
+                    + "\n"
                 )
-                + "\n"
-            )
+    except OSError as err:
+        raise IoFailure(f"cannot write traces to {traces}: {err}") from err
     log.info(
         "evaluated %d tasks: median %.4f m / %.3f deg, collisions %.1f%%",
         report.n_episodes,

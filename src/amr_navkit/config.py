@@ -71,9 +71,7 @@ class CameraParams:
                 raise ValueError(f"camera {name} must be at least 1, got {getattr(self, name)}")
 
     def model(self) -> CameraModel:
-        return CameraModel.pinhole(
-            self.height, math.radians(self.vertical_fov_deg), self.width_px, self.height_px
-        )
+        return CameraModel(self.height, math.radians(self.vertical_fov_deg), self.width_px, self.height_px)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Closed-loop execution: pure-pursuit tracking, tilt regulation, replanning.
 
-An episode queries a trajectory policy on a fixed cadence, tracks the
-decoded world-frame waypoints with pure pursuit, slews the camera tilt
-toward its geometric setpoint every step, and terminates on reaching the
+An episode queries a trajectory policy for tokenized waypoints on a fixed
+cadence, tracks the decoded world-frame waypoints with pure pursuit, slews
+the camera tilt toward its geometric setpoint every step (the tilt is the
+executor's rule, not the policy's), and terminates on reaching the
 goal, colliding, exhausting the step budget, or the policy reporting that
 no path exists.
 """
@@ -95,7 +96,6 @@ class TraceEntry:
 @dataclass
 class EpisodeResult:
     outcome: str  # reached | collision | timeout | no_path
-    final_pose: Pose2
     distance_error: float
     angle_error: float  # degrees
     steps: int
@@ -103,22 +103,15 @@ class EpisodeResult:
     trace: list[TraceEntry] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PolicyAction:
-    """One policy query result: a tokenized waypoint horizon plus a tilt target."""
-
-    steps: list[TokenizedStep]
-    tilt: float
-
-
 class TrajectoryPolicy(Protocol):
     """Anything that maps (state, task, step) to tokenized waypoints.
 
+    The tilt is not the policy's: the executor slews it by ``tilt_step``.
     A policy that reads LiDAR casts its own scan, e.g.
     ``raycast_lidar(scene, state.pose, num_rays, max_range)``.
     """
 
-    def query(self, state: RobotState, task, step: int) -> PolicyAction:
+    def query(self, state: RobotState, task, step: int) -> list[TokenizedStep]:
         ...
 
 
@@ -193,7 +186,7 @@ def tilt_step(
 ) -> float:
     """One slew-limited tilt update toward the geometric gaze setpoint."""
     try:
-        setpoint = compute_tilt(camera, state.pose, target_lowest_point, tilt_limit=None)
+        setpoint = compute_tilt(camera, state.pose, target_lowest_point)
     except ValueError:
         return state.tilt  # point on the camera axis; hold tilt
     setpoint = _clip(setpoint, cfg.tilt_limit)
@@ -206,7 +199,7 @@ def run_episode(
     task,
     policy: TrajectoryPolicy,
     cfg: ExecutorConfig = ExecutorConfig(),
-    camera: CameraModel = CameraModel.pinhole(),
+    camera: CameraModel = CameraModel(),
 ) -> EpisodeResult:
     """Run one closed-loop episode; deterministic given scene, task and policy."""
     state = RobotState(
@@ -227,11 +220,11 @@ def run_episode(
     for step in range(cfg.max_steps):
         if step % cfg.replan_every == 0:
             try:
-                action = policy.query(state, task, step)
+                steps = policy.query(state, task, step)
             except NoPathFound:
                 outcome = "no_path"
                 break
-            trajectory = decode_trajectory(action.steps, state.pose, use_residual=True)
+            trajectory = decode_trajectory(steps, state.pose, use_residual=True)
             traj_id += 1
 
         cmd = pure_pursuit(state, trajectory, cfg)
@@ -258,7 +251,6 @@ def run_episode(
     dist_err, ang_err = pose_error(state.pose, task.goal_pose)
     return EpisodeResult(
         outcome=outcome,
-        final_pose=state.pose,
         distance_error=dist_err,
         angle_error=ang_err,
         steps=len(trace),
@@ -269,6 +261,9 @@ def run_episode(
 
 # ---------------------------------------------------------------------------
 # built-in policies
+
+# within this distance of the goal position the oracle only turns in place
+SNAP_DIST = 0.01
 
 
 @dataclass
@@ -284,9 +279,7 @@ class OraclePolicy:
 
     scene: Scene
     expert: Expert = Expert()
-    camera: CameraModel = CameraModel.pinhole()
     use_residual: bool = True
-    snap_dist: float = 0.01
     seed: int = 0
     queries: int = 0
 
@@ -313,7 +306,7 @@ class OraclePolicy:
     def _terminal_rotation(self, state: RobotState, task) -> list[Pose2]:
         """Hold the goal position and walk the heading to the goal heading.
 
-        Used once the base is within the snap distance: replanning a
+        Used once the base is within ``SNAP_DIST``: replanning a
         sub-centimeter positional hop would otherwise spin the robot toward
         an arbitrary hop bearing on every replan.
         """
@@ -333,9 +326,9 @@ class OraclePolicy:
             prev = p
         return out
 
-    def query(self, state: RobotState, task, step: int) -> PolicyAction:
+    def query(self, state: RobotState, task, step: int) -> list[TokenizedStep]:
         goal_dist = math.hypot(task.goal_pose.x - state.pose.x, task.goal_pose.y - state.pose.y)
-        if goal_dist <= self.snap_dist:
+        if goal_dist <= SNAP_DIST:
             steps = encode_trajectory(self._terminal_rotation(state, task))
         else:
             path = self._plan(state, task)
@@ -343,11 +336,4 @@ class OraclePolicy:
             steps = self.expert.label(path, state.pose)
         if not self.use_residual:
             steps = [s.without_residual() for s in steps]
-        target = self.scene.object_by_id(task.target_id)
-        tilt = compute_tilt(
-            self.camera,
-            state.pose,
-            (target.box.cx, target.box.cy, target.base_height),
-            tilt_limit=None,
-        )
-        return PolicyAction(steps=steps, tilt=tilt)
+        return steps

@@ -19,7 +19,7 @@ class AmbiguousView(NavkitError):
 
 
 class OutOfRange(NavkitError):
-    """A value left its declared range (tilt limit, codec step range, ...)."""
+    """A value left its declared range (a codec step too long to encode)."""
 
 
 class GenerationFailed(NavkitError):

@@ -58,8 +58,8 @@ class PolicySpec:
     seed: int = 0
     use_residual: bool = True
 
-    def build(self, scene: Scene, camera: CameraModel) -> OraclePolicy:
-        return OraclePolicy(scene, self.expert, camera, self.use_residual, seed=self.seed)
+    def build(self, scene: Scene) -> OraclePolicy:
+        return OraclePolicy(scene, self.expert, self.use_residual, seed=self.seed)
 
 
 @dataclass
@@ -129,7 +129,7 @@ def run_task(
     cfg: ExecutorConfig,
     camera: CameraModel,
 ) -> tuple[EpisodeSummary, EpisodeResult]:
-    policy = policy_spec.build(scene, camera)
+    policy = policy_spec.build(scene)
     result = run_episode(scene, task, policy, cfg, camera)
     return _episode_summary(index, scene, task, result), result
 
@@ -211,7 +211,7 @@ def evaluate(
     scenes: Mapping[int, Scene],
     policy_spec: PolicySpec,
     cfg: ExecutorConfig = ExecutorConfig(),
-    camera: CameraModel = CameraModel.pinhole(),
+    camera: CameraModel = CameraModel(),
     workers: int = 1,
     success_pos_tol: float = 0.1,
     success_ang_tol_deg: float = 10.0,

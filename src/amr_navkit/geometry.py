@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousView, OutOfRange
+from .errors import AmbiguousView
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,6 +22,9 @@ SIDE_NAMES = ("front", "back", "left", "right")
 
 # approach angles allowed in a goal spec: 0, +/-15, +/-30 degrees
 GOAL_ANGLES = (0.0, math.pi / 12, -math.pi / 12, math.pi / 6, -math.pi / 6)
+
+# a view whose two best side scores differ by less than this is ambiguous
+FRONT_TIE_EPSILON = 0.05
 
 
 def wrap_angle(angle: float) -> float:
@@ -61,10 +64,6 @@ class Pose2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.heading])
-
-    @staticmethod
-    def from_array(arr) -> "Pose2":
-        return Pose2(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 def se2_compose(a: Pose2, b: Pose2) -> Pose2:
@@ -175,58 +174,45 @@ class GoalSpec:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera with a known mounting height on the robot."""
+    """Pinhole camera with a known mounting height on the robot.
 
-    height: float
-    vertical_fov: float
-    image_width_px: int
-    image_height_px: int
-    fx: float
-    fy: float
-    cx_px: float
-    cy_px: float
+    Pixels are square and the principal point is the image center, so the
+    intrinsics follow from the vertical field of view and the image size.
+    """
 
-    def __post_init__(self):
-        want_fy = (self.image_height_px / 2) / math.tan(self.vertical_fov / 2)
-        if abs(self.fy - want_fy) > 1e-6 * max(1.0, want_fy):
-            raise ValueError("fy inconsistent with vertical_fov and image height")
-        if not (0 <= self.cx_px <= self.image_width_px and 0 <= self.cy_px <= self.image_height_px):
-            raise ValueError("principal point outside image bounds")
+    height: float = 1.5
+    vertical_fov: float = math.pi / 2
+    image_width_px: int = 224
+    image_height_px: int = 224
+
+    @property
+    def fy(self) -> float:
+        return (self.image_height_px / 2) / math.tan(self.vertical_fov / 2)
+
+    @property
+    def fx(self) -> float:
+        return self.fy
+
+    @property
+    def cx_px(self) -> float:
+        return self.image_width_px / 2
+
+    @property
+    def cy_px(self) -> float:
+        return self.image_height_px / 2
 
     @property
     def horizontal_fov(self) -> float:
         return 2.0 * math.atan((self.image_width_px / 2) / self.fx)
 
-    @staticmethod
-    def pinhole(
-        height: float = 1.5,
-        vertical_fov: float = math.pi / 2,
-        width_px: int = 224,
-        height_px: int = 224,
-        cx_px: float | None = None,
-        cy_px: float | None = None,
-    ) -> "CameraModel":
-        """Build square-pixel intrinsics from the vertical field of view."""
-        fy = (height_px / 2) / math.tan(vertical_fov / 2)
-        return CameraModel(
-            height=height,
-            vertical_fov=vertical_fov,
-            image_width_px=width_px,
-            image_height_px=height_px,
-            fx=fy,
-            fy=fy,
-            cx_px=width_px / 2 if cx_px is None else cx_px,
-            cy_px=height_px / 2 if cy_px is None else cy_px,
-        )
 
-
-def determine_front_side(box: OrientedBox, camera: Pose2, tie_epsilon: float = 0.05) -> SideLabels:
+def determine_front_side(box: OrientedBox, camera: Pose2) -> SideLabels:
     """Label the box side most facing the camera as the front.
 
     The visibility score of side k is the dot product between its outward
     unit normal and the unit direction from the side midpoint to the camera
-    position. When the two best scores are within ``tie_epsilon`` the view
-    is ambiguous, and AmbiguousView is raised.
+    position. When the two best scores are within ``FRONT_TIE_EPSILON`` the
+    view is ambiguous, and AmbiguousView is raised.
     """
     cam = np.array([camera.x, camera.y])
     if box.contains(cam[None, :])[0]:
@@ -236,9 +222,9 @@ def determine_front_side(box: OrientedBox, camera: Pose2, tie_epsilon: float = 0
         to_cam = cam - box.side_midpoint(k)
         scores[k] = float(np.dot(box.side_normal(k), to_cam / np.linalg.norm(to_cam)))
     order = np.argsort(scores)
-    if scores[order[3]] - scores[order[2]] < tie_epsilon:
+    if scores[order[3]] - scores[order[2]] < FRONT_TIE_EPSILON:
         raise AmbiguousView(
-            f"top side scores {scores[order[3]]:.4f} and {scores[order[2]]:.4f} within {tie_epsilon}"
+            f"top side scores {scores[order[3]]:.4f} and {scores[order[2]]:.4f} within {FRONT_TIE_EPSILON}"
         )
     return SideLabels.from_front(int(order[3]))
 
@@ -268,14 +254,13 @@ def compute_tilt(
     camera: CameraModel,
     camera_pose: Pose2,
     object_lowest_point: tuple[float, float, float],
-    tilt_limit: float | None = math.radians(60),
 ) -> float:
     """Downward camera tilt that puts a 3D point on the row 3/4 down the image.
 
     tilt = beta - gamma, where beta is the depression angle from the camera
     to the point and gamma is the viewing angle of the target row below the
-    optical axis. Positive tilt looks down. Raises OutOfRange when a limit
-    is given and exceeded.
+    optical axis. Positive tilt looks down; the executor clips it to its
+    tilt limit.
     """
     px, py, pz = object_lowest_point
     rho = math.hypot(px - camera_pose.x, py - camera_pose.y)
@@ -283,10 +268,7 @@ def compute_tilt(
         raise ValueError("object point is directly above/below the camera")
     beta = math.atan2(camera.height - pz, rho)
     gamma = math.atan(0.5 * math.tan(camera.vertical_fov / 2))
-    alpha = beta - gamma
-    if tilt_limit is not None and abs(alpha) > tilt_limit:
-        raise OutOfRange(f"tilt {alpha:.4f} rad exceeds limit {tilt_limit:.4f} rad")
-    return alpha
+    return beta - gamma
 
 
 def pose_error(achieved: Pose2, goal: Pose2) -> tuple[float, float]:

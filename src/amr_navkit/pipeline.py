@@ -5,7 +5,9 @@ goal derived from a reference view. Episodes record expert keyframe
 observations and tokenized waypoint actions along a planned path; the eval
 oracle plans and labels with the same ``Expert``. Datasets are
 line-delimited JSON with an explicit schema version and a manifest, and
-scene files are JSON; every reader goes through ``errors.checked``.
+scene files are JSON; every reader goes through ``errors.checked``. A file
+that cannot be read or written is an IoFailure, and one that is not UTF-8
+a SchemaMismatch.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .geometry import (
     wrap_angle,
 )
 from .planner import (
+    KEYFRAME_ROT_GAP,
+    KEYFRAME_TRANS_GAP,
     CostWeights,
     PlannedPath,
     PlannerBudget,
@@ -172,9 +176,11 @@ def _sample_free_pose(rng, scene: Scene, radius: float, tries: int = 50) -> Pose
 
 
 def parallel_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, over a pool of ``workers`` processes if above 1."""
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+    """``[fn(job) for job in jobs]``, over a pool of ``min(workers, len(jobs))``
+    processes if that is above 1: a process beyond one per job would idle."""
+    processes = min(workers, len(jobs))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]
 
@@ -185,7 +191,7 @@ def sample_task(
     params: TaskParams = TaskParams(),
     expert: Expert = Expert(),
     probe_budget: PlannerBudget = PlannerBudget(batches=1, batch_size=16),
-    camera: CameraModel = CameraModel.pinhole(),
+    camera: CameraModel = CameraModel(),
 ) -> Task:
     """Rejection-sample a feasible task in a scene; deterministic per seed.
 
@@ -265,7 +271,7 @@ def generate_episode(
     scene: Scene,
     task: Task,
     expert: Expert = Expert(),
-    camera: CameraModel = CameraModel.pinhole(),
+    camera: CameraModel = CameraModel(),
     seed: int = 0,
     num_rays: int = 360,
     max_range: float = 10.0,
@@ -286,7 +292,7 @@ def generate_episode(
     ranges = _range_steps(raycast_scans(scene, poses, num_rays, max_range)) * LIDAR_UNIT
     keyframes = []
     for pose, scan, steps in zip(poses, ranges, expert.labels(path, poses)):
-        tilt = compute_tilt(camera, pose, lowest, tilt_limit=None)
+        tilt = compute_tilt(camera, pose, lowest)
         keyframes.append(
             Keyframe(
                 pose=pose,
@@ -299,9 +305,7 @@ def generate_episode(
     return EpisodeRecord(task=task, keyframes=keyframes, planner_cost=path.cost)
 
 
-def audit_keyframe_gaps(
-    record: EpisodeRecord, trans_gap: float = 0.2, rot_gap: float = math.radians(5.0)
-) -> bool:
+def audit_keyframe_gaps(record: EpisodeRecord) -> bool:
     """Check every consecutive keyframe pair moves >= 0.2 m or turns >= 5 deg.
 
     The final pair is exempt (the path end is always emitted).
@@ -310,7 +314,7 @@ def audit_keyframe_gaps(
     for a, b in zip(kfs[:-2], kfs[1:-1]):
         dp = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
         dh = abs(wrap_angle(b.pose.heading - a.pose.heading))
-        if dp < trans_gap - 1e-6 and dh < rot_gap - 1e-6:
+        if dp < KEYFRAME_TRANS_GAP - 1e-6 and dh < KEYFRAME_ROT_GAP - 1e-6:
             return False
     return True
 
@@ -491,12 +495,8 @@ def write_dataset(
     """Write records as compact JSONL plus a manifest.
 
     LiDAR ranges are stored as integer steps of ``LIDAR_UNIT``; every other
-    float keeps full precision.
+    float keeps full precision. A file that cannot be written is an IoFailure.
     """
-    with open(path, "w") as fh:
-        for record in records:
-            line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
-            fh.write(line + "\n")
     manifest = {
         "version": DATASET_VERSION,
         "master_seed": master_seed,
@@ -505,9 +505,16 @@ def write_dataset(
         "config_hash": config_hash,
         "metadata": {"created_at": created_at},
     }
-    with open(manifest_path(path), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            for record in records:
+                line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+                fh.write(line + "\n")
+        with open(manifest_path(path), "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as err:
+        raise IoFailure(f"cannot write dataset {path}: {err}") from err
 
 
 def read_json(path: str):
@@ -525,22 +532,29 @@ def read_json(path: str):
 def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
     """Read a JSONL dataset; strict mode re-audits the keyframe gap rule.
 
-    After the records, the manifest must exist, carry ``DATASET_VERSION`` and
-    count exactly the records read, so a truncated dataset is a SchemaMismatch.
+    As for ``read_json``, an unreadable file is an IoFailure and one that is
+    not UTF-8 a SchemaMismatch. After the records, the manifest must exist,
+    carry ``DATASET_VERSION`` and count exactly the records read, so a
+    truncated dataset is a SchemaMismatch.
     """
     records = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaMismatch(f"record {i}: invalid JSON ({err})") from err
-            record = record_from_dict(d, index=i)
-            if strict and not audit_keyframe_gaps(record):
-                raise SchemaMismatch(f"record {i}: keyframe gap rule violated")
-            records.append(record)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for i, line in enumerate(fh):
+                if not line.strip():
+                    continue
+                try:
+                    d = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise SchemaMismatch(f"record {i}: invalid JSON ({err})") from err
+                record = record_from_dict(d, index=i)
+                if strict and not audit_keyframe_gaps(record):
+                    raise SchemaMismatch(f"record {i}: keyframe gap rule violated")
+                records.append(record)
+    except OSError as err:
+        raise IoFailure(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaMismatch(f"{path}: {err}") from err
     mpath = manifest_path(path)
     try:
         manifest = read_json(mpath)
@@ -588,9 +602,13 @@ def scene_from_dict(d: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True)
-        fh.write("\n")
+    """Write a scene file; a file that cannot be written is an IoFailure."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(scene_to_dict(scene), fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as err:
+        raise IoFailure(f"cannot write scene {path}: {err}") from err
 
 
 def load_scene(path: str) -> Scene:

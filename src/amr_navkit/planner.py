@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ LIN_STEP = 0.01  # dense-state spacing, meters
 ANG_STEP = math.radians(1.0)  # dense-state spacing, radians
 COST_STEP = 0.025  # quadrature spacing for the look-at penalty, meters
 K_NEIGHBORS = 8  # nearest roadmap vertices each vertex connects to
+KEYFRAME_TRANS_GAP = 0.2  # keyframe spacing: translation, meters
+KEYFRAME_ROT_GAP = math.radians(5.0)  # keyframe spacing: rotation, radians
+MAX_PROJECTION = 0.3  # farthest a labelled pose may lie from its path, meters
 
 
 @dataclass(frozen=True)
@@ -70,28 +73,6 @@ class PlannedPath:
     segments: list[PathSegment]
     states: np.ndarray  # (n, 3) rows of x, y, heading
     cost: float
-    # length and absolute turn of each consecutive state pair, for a prefix
-    # of the path that ``steps_to`` grows on demand; ``states`` must not change
-    _lengths: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
-    _turns: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
-
-    def steps_to(self, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Length and absolute turn of state pairs 0..end-1 at least.
-
-        Each pair is computed once, and the prefix at least doubles when it
-        grows, so the copies it makes stay linear in the path length. Lengths
-        are ``math.hypot`` per pair (``np.hypot`` rounds some inputs
-        differently); the differences and the turns' ``wrap_angle`` are
-        numpy's elementwise ``-`` and ``%``, which round as Python's do.
-        """
-        have = len(self._lengths)
-        if end > have:
-            stop = min(max(end, 2 * have), len(self.states) - 1)
-            d = np.diff(self.states[have:stop + 1], axis=0)
-            lengths = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
-            self._lengths = np.concatenate([self._lengths, lengths])
-            self._turns = np.concatenate([self._turns, np.abs(_wrap(d[:, 2]))])
-        return self._lengths, self._turns
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -511,10 +492,8 @@ def plan_with_margin(
     raise NoPathFound(message)
 
 
-def resample_keyframes(
-    path: PlannedPath, trans_gap: float = 0.2, rot_gap: float = math.radians(5.0)
-) -> list[Pose2]:
-    """Greedy keyframe extraction on 0.2 m / 5 deg pose gaps.
+def resample_keyframes(path: PlannedPath) -> list[Pose2]:
+    """Greedy keyframe extraction on the 0.2 m / 5 deg pose gaps.
 
     A state is emitted as soon as it differs from the last keyframe by the
     translation or rotation gap, so consecutive keyframes always satisfy the
@@ -527,7 +506,7 @@ def resample_keyframes(
         x, y, h = rows[i]
         dp = math.hypot(x - lx, y - ly)
         dh = abs(wrap_angle(h - lh))
-        if dp >= trans_gap - 1e-9 or dh >= rot_gap - 1e-9:
+        if dp >= KEYFRAME_TRANS_GAP - 1e-9 or dh >= KEYFRAME_ROT_GAP - 1e-9:
             idx.append(i)
             lx, ly, lh = x, y, h
     if idx[-1] != len(rows) - 1:
@@ -539,8 +518,7 @@ _FIRST_WINDOW = 160  # path steps first read per pose: the default 2.4 s horizon
 
 
 def _horizons(
-    path: PlannedPath, poses: list[Pose2], n: int, dt: float, v_ref: float, omega_ref: float,
-    max_projection: float,
+    path: PlannedPath, poses: list[Pose2], n: int, dt: float, v_ref: float, omega_ref: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OffPath | None]:
     """Each pose's waypoint chain as (K, n) arrays of x, y and unwrapped heading.
 
@@ -554,7 +532,7 @@ def _horizons(
     times are a cumulative sum that restarts at its projection.
 
     Returns the rows of the poses before the first one that projects more
-    than ``max_projection`` from the path, and that pose's OffPath (else
+    than ``MAX_PROJECTION`` from the path, and that pose's OffPath (else
     None), so a caller can raise what a per-pose loop would have raised
     first. Raises ValueError unless v_ref, omega_ref and dt are finite and
     positive and v_ref * dt is within the 0.2 m step range.
@@ -578,7 +556,7 @@ def _horizons(
         dy *= dy
         d2 += dy  # dx * dx + dy * dy, without the temporaries
         i = int(d2.argmin())
-        if math.sqrt(d2[i]) > max_projection:
+        if math.sqrt(d2[i]) > MAX_PROJECTION:
             off = OffPath(f"pose projects {math.sqrt(d2[i]):.3f} m from the path")
             break
         proj.append(i)
@@ -596,8 +574,10 @@ def _horizons(
     width = _FIRST_WINDOW
     while True:
         hi = min(top + width, last)
-        lengths, turns = path.steps_to(hi)
-        ds, dh = lengths[lo:hi], turns[lo:hi]
+        # math.hypot per step: np.hypot rounds some inputs differently
+        d = np.diff(states[lo:hi + 1], axis=0)
+        ds = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
+        dh = np.abs(_wrap(d[:, 2]))
         durations = np.concatenate([np.where(ds > 1e-12, ds / v_ref, dh / omega_ref), np.full(width, np.inf)])
         tau = np.zeros((len(proj), width + 1))
         np.cumsum(durations[(proj - lo)[:, None] + np.arange(width)], axis=1, out=tau[:, 1:])
@@ -640,7 +620,6 @@ def label_poses(
     dt: float = 0.2,
     v_ref: float = 0.5,
     omega_ref: float = 1.0,
-    max_projection: float = 0.3,
 ) -> list[list[TokenizedStep]]:
     """The tokenized waypoint horizon seen from each pose, in one array pass.
 
@@ -650,7 +629,7 @@ def label_poses(
     or an OffPath, each for the first pose in order that has one. The speeds
     are checked even when ``poses`` is empty.
     """
-    x, y, h, off = _horizons(path, poses, n, dt, v_ref, omega_ref, max_projection)
+    x, y, h, off = _horizons(path, poses, n, dt, v_ref, omega_ref)
     tokens = encode_steps(x.ravel(), y.ravel(), _wrap(h.ravel()))
     if off is not None:
         raise off
@@ -664,21 +643,18 @@ def waypoints_from_path(
     dt: float = 0.2,
     v_ref: float = 0.5,
     omega_ref: float = 1.0,
-    max_projection: float = 0.3,
 ) -> list[Pose2]:
     """Time-parameterized egocentric waypoint chain along the remaining path.
 
     The remaining path (from the projection of ``current``) is traversed at
     v_ref / omega_ref and sampled every dt; each sample is expressed in its
     predecessor's frame (the first relative to ``current``), and the final
-    pose is held once the path ends. Step lengths and turns come from the
-    path's on-demand step prefix, from the projection only as far as the
-    horizon reaches, so labelling many poses on one path is linear in its
-    length. Raises OffPath when ``current`` projects more than
-    ``max_projection`` from the path, and ValueError unless v_ref, omega_ref
-    and dt are finite and positive.
+    pose is held once the path ends. Step lengths and turns are computed
+    from the projection only as far as the horizon reaches. Raises OffPath
+    when ``current`` projects more than ``MAX_PROJECTION`` from the path,
+    and ValueError unless v_ref, omega_ref and dt are finite and positive.
     """
-    x, y, h, off = _horizons(path, [current], n, dt, v_ref, omega_ref, max_projection)
+    x, y, h, off = _horizons(path, [current], n, dt, v_ref, omega_ref)
     if off is not None:
         raise off
     return list(map(Pose2, x[0].tolist(), y[0].tolist(), h[0].tolist()))

@@ -90,7 +90,7 @@ class Scene:
 
     @cached_property
     def _views(self) -> dict:
-        """``visible_from``'s lattices and occluders, by (object id, grid_n); see ``_target_view``."""
+        """``visible_from``'s lattices and occluders, by object id; see ``_target_view``."""
         return {}
 
     def object_by_id(self, object_id: int) -> SceneObject:
@@ -524,22 +524,24 @@ def _sight_lines_blocked(a: np.ndarray, pts: np.ndarray, occluders: tuple) -> np
     return blocked
 
 
-def _target_view(scene: Scene, target: SceneObject, grid_n: int) -> tuple:
-    """(target, lattice (grid_n**2, 2), its rows as floats, ``_occluders`` of its box) for ``visible_from``.
+VIEW_GRID_N = 5  # lattice points per box axis that ``visible_from`` samples
 
-    Built once per scene for each object id and ``grid_n``. The entry holds
-    the target it was built from, so a different object under the same id
-    gets its own lattice rather than a stale one.
+
+def _target_view(scene: Scene, target: SceneObject) -> tuple:
+    """(target, lattice (VIEW_GRID_N**2, 2), its rows as floats, ``_occluders`` of its box) for ``visible_from``.
+
+    Built once per scene for each object id. The entry holds the target it
+    was built from, so a different object under the same id gets its own
+    lattice rather than a stale one.
     """
-    key = (target.id, grid_n)
-    view = scene._views.get(key)
+    view = scene._views.get(target.id)
     if view is None or view[0] is not target:
         box = target.box
-        fr = np.linspace(-1.0, 1.0, grid_n + 2)[1:-1]
+        fr = np.linspace(-1.0, 1.0, VIEW_GRID_N + 2)[1:-1]
         gx, gy = np.meshgrid(fr * box.hx, fr * box.hy)
         local = np.stack([gx.ravel(), gy.ravel()], axis=1)
         world = box.center + local @ rot2(box.yaw).T
-        view = scene._views[key] = (target, world, world.tolist(), _occluders(scene, box))
+        view = scene._views[target.id] = (target, world, world.tolist(), _occluders(scene, box))
     return view
 
 
@@ -549,16 +551,15 @@ def visible_from(
     scene: Scene,
     hfov: float = math.pi / 2,
     fraction: float = 0.5,
-    grid_n: int = 5,
 ) -> bool:
     """Whether enough of the target footprint is seen from a camera pose.
 
-    Samples a grid_n x grid_n lattice over the target box; a sample counts
-    as seen when its bearing lies inside the horizontal FOV and the sight
-    line meets no other box first. True iff the seen fraction reaches
-    ``fraction``.
+    Samples a VIEW_GRID_N x VIEW_GRID_N lattice over the target box; a
+    sample counts as seen when its bearing lies inside the horizontal FOV
+    and the sight line meets no other box first. True iff the seen fraction
+    reaches ``fraction``.
     """
-    _, world, rows, occluders = _target_view(scene, target, grid_n)
+    _, world, rows, occluders = _target_view(scene, target)
     x, y, heading = camera_pose.x, camera_pose.y, camera_pose.heading
     half = hfov / 2
     in_fov = [abs(wrap_angle(math.atan2(py - y, px - x) - heading)) <= half for px, py in rows]

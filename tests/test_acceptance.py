@@ -50,7 +50,7 @@ EXEC_CFG = ExecutorConfig(max_steps=400)
 ORACLE_SPEC = PolicySpec(Expert(budget=PlannerBudget(2, 16), safety_margin=0.12))
 CODEC_ON = replace(ORACLE_SPEC, use_residual=True)
 CODEC_OFF = replace(ORACLE_SPEC, use_residual=False)
-CAMERA = CameraModel.pinhole()
+CAMERA = CameraModel()
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +237,11 @@ def test_criterion_6_tilt_law():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(1000):
-        cam = CameraModel.pinhole(
+        cam = CameraModel(
             height=float(rng.uniform(0.8, 2.0)),
             vertical_fov=float(rng.uniform(math.radians(40), math.radians(110))),
-            width_px=int(rng.integers(100, 500)),
-            height_px=int(rng.integers(100, 500)),
+            image_width_px=int(rng.integers(100, 500)),
+            image_height_px=int(rng.integers(100, 500)),
         )
         rho = float(rng.uniform(0.4, 9.0))
         bearing = float(rng.uniform(-math.pi, math.pi))
@@ -251,7 +251,7 @@ def test_criterion_6_tilt_law():
             pose.y + rho * math.sin(bearing),
             float(rng.uniform(0.0, 0.6)),
         )
-        alpha = compute_tilt(cam, pose, pt, tilt_limit=None)
+        alpha = compute_tilt(cam, pose, pt)
         rel = se2_relative(pose, Pose2(pt[0], pt[1], 0.0))
         _, v = project_to_pixel(cam, alpha, np.array([rel.x, rel.y, pt[2]]))
         worst = max(worst, abs(v - 0.75 * cam.image_height_px))

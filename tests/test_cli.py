@@ -528,6 +528,35 @@ def test_bad_scene_file_exits_3(tmp_path, fast_config, command, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, directory",
+    [
+        # each of these once exited 1 with a traceback
+        pytest.param("gen-data --episodes-per-scene 1 --out {tmp}/missing/data.jsonl", None, id="gen-data-no-dir"),
+        pytest.param(
+            "gen-data --episodes-per-scene 1 --out {tmp}/data.jsonl", "data.jsonl.manifest.json", id="manifest-is-a-dir"
+        ),
+        pytest.param("eval --n-tasks 1 --out {tmp}/file/report", None, id="eval-out-under-a-file"),
+        pytest.param("eval --n-tasks 1 --out {tmp}/report", "report.traces.jsonl", id="traces-is-a-dir"),
+        pytest.param("gen-scenes --count 1 --out {tmp}/more", "more/scene_00000.json", id="scene-is-a-dir"),
+    ],
+)
+def test_unwritable_output_exits_3_with_one_log_line(tmp_path, fast_config, caplog, argv, directory):
+    (tmp_path / "file").write_text("a file, not a directory")
+    if directory:
+        (tmp_path / directory).mkdir(parents=True)
+    scenes = tmp_path / "scenes"
+    assert run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+    command, *rest = argv.format(tmp=tmp_path).split()
+    if command != "gen-scenes":
+        rest += ["--scenes", str(scenes)]
+    caplog.clear()
+    assert run(["--config", fast_config, command, *rest]) == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].getMessage().startswith("cannot ")
+
+
 def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
     scenes = tmp_path / "scenes"
     assert run(["--config", fast_config, "gen-scenes", "--count", "2", "--out", str(scenes)]) == 0

@@ -8,7 +8,6 @@ from amr_navkit.codec import encode_trajectory
 from amr_navkit.controller import (
     ExecutorConfig,
     OraclePolicy,
-    PolicyAction,
     pure_pursuit,
     run_episode,
     tilt_step,
@@ -133,13 +132,13 @@ class TestPurePursuit:
 
 
 class TestTiltStep:
-    CAM = CameraModel.pinhole()
+    CAM = CameraModel()
 
     def test_converges_to_setpoint(self):
         cfg = CFG_OMNI
         state = RobotState(Pose2(0, 0, 0), 0.3, tilt=0.0)
         point = (2.0, 0.0, 0.0)
-        setpoint = compute_tilt(self.CAM, state.pose, point, tilt_limit=None)
+        setpoint = compute_tilt(self.CAM, state.pose, point)
         for _ in range(20):
             state = replace(state, tilt=tilt_step(state, self.CAM, point, cfg))
         assert state.tilt == pytest.approx(setpoint, abs=1e-12)
@@ -156,7 +155,7 @@ class TestTiltStep:
         tilts = []
         for rho in np.linspace(5.0, 1.0, 30):
             state = RobotState(Pose2(-rho, 0, 0), 0.3, tilt=0.6)
-            tilts.append(compute_tilt(self.CAM, state.pose, (0.0, 0.0, 0.0), tilt_limit=None))
+            tilts.append(compute_tilt(self.CAM, state.pose, (0.0, 0.0, 0.0)))
         assert all(b >= a for a, b in zip(tilts, tilts[1:]))
 
     def test_clamps_at_limit(self):
@@ -168,14 +167,14 @@ class TestTiltStep:
 
 class ZeroMotionPolicy:
     def query(self, state, task, step):
-        return PolicyAction(steps=encode_trajectory([Pose2(0, 0, 0)] * 12), tilt=0.0)
+        return encode_trajectory([Pose2(0, 0, 0)] * 12)
 
 
 class WallCrashPolicy:
     """Commands straight ahead regardless of obstacles."""
 
     def query(self, state, task, step):
-        return PolicyAction(steps=encode_trajectory([Pose2(0.1, 0, 0)] * 12), tilt=0.0)
+        return encode_trajectory([Pose2(0.1, 0, 0)] * 12)
 
 
 class CountingOracle(OraclePolicy):
@@ -267,9 +266,8 @@ class TestRunEpisode:
         state = RobotState(task.start, task.robot_radius)
         exact = OraclePolicy(scene=scene, expert=EXPERT).query(state, task, 0)
         snapped = OraclePolicy(scene=scene, expert=EXPERT, use_residual=False).query(state, task, 0)
-        assert snapped.steps == [s.without_residual() for s in exact.steps]
-        assert snapped.steps != exact.steps
-        assert snapped.tilt == exact.tilt
+        assert snapped == [s.without_residual() for s in exact]
+        assert snapped != exact
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr_navkit.errors import AmbiguousView, OutOfRange
+from amr_navkit.errors import AmbiguousView
 from amr_navkit.geometry import (
     CameraModel,
     GoalSpec,
@@ -236,8 +236,17 @@ class TestGoalPose:
 
 
 class TestTilt:
+    def test_steep_tilt_is_returned(self):
+        # a point 0.2 m ahead of a camera 1.5 m up needs a tilt of about 56 deg;
+        # the executor clips it to its own limit, so it is returned, not refused
+        cam = CameraModel()
+        alpha = compute_tilt(cam, Pose2(0, 0, 0), (0.2, 0.0, 0.0))
+        gamma = math.atan(0.5 * math.tan(cam.vertical_fov / 2))
+        assert alpha == pytest.approx(math.atan2(1.5, 0.2) - gamma, abs=1e-12)
+        assert alpha > math.radians(30)
+
     def test_closed_form_example(self):
-        cam = CameraModel.pinhole(height=1.5, vertical_fov=math.pi / 2, width_px=224, height_px=224)
+        cam = CameraModel(height=1.5, vertical_fov=math.pi / 2, image_width_px=224, image_height_px=224)
         alpha = compute_tilt(cam, Pose2(0, 0, 0), (1.5, 0.0, 0.0))
         beta = math.atan2(1.5, 1.5)
         gamma = math.atan(0.5 * math.tan(math.pi / 4))
@@ -247,24 +256,18 @@ class TestTilt:
         assert v == pytest.approx(0.75 * 224, abs=0.5)
 
     def test_point_at_camera_height_tilts_up_by_gamma(self):
-        cam = CameraModel.pinhole()
+        cam = CameraModel()
         gamma = math.atan(0.5 * math.tan(cam.vertical_fov / 2))
         for rho in (0.5, 2.0, 7.0):
             alpha = compute_tilt(cam, Pose2(0, 0, 0), (rho, 0.0, cam.height))
             assert alpha == pytest.approx(-gamma, abs=1e-12)
 
     def test_far_point_limit(self):
-        cam = CameraModel.pinhole()
+        cam = CameraModel()
         gamma = math.atan(0.5 * math.tan(cam.vertical_fov / 2))
         alpha = compute_tilt(cam, Pose2(0, 0, 0), (1e9, 0.0, 0.0))
         assert alpha > -gamma
         assert alpha == pytest.approx(-gamma, abs=1e-6)
-
-    def test_limit_enforced(self):
-        cam = CameraModel.pinhole()
-        with pytest.raises(OutOfRange):
-            compute_tilt(cam, Pose2(0, 0, 0), (0.2, 0.0, 0.0), tilt_limit=math.radians(30))
-        compute_tilt(cam, Pose2(0, 0, 0), (0.2, 0.0, 0.0), tilt_limit=None)
 
     def test_projection_lands_on_target_row(self):
         # random camera/object configurations with the camera yawed toward
@@ -273,18 +276,18 @@ class TestTilt:
         for _ in range(200):
             vfov = rng.uniform(math.radians(40), math.radians(110))
             h_px = int(rng.integers(100, 500))
-            cam = CameraModel.pinhole(
+            cam = CameraModel(
                 height=float(rng.uniform(0.8, 2.0)),
                 vertical_fov=float(vfov),
-                width_px=int(rng.integers(100, 500)),
-                height_px=h_px,
+                image_width_px=int(rng.integers(100, 500)),
+                image_height_px=h_px,
             )
             rho = float(rng.uniform(0.4, 8.0))
             ang = float(rng.uniform(-math.pi, math.pi))
             px, py = 2.0 + rho * math.cos(ang), -1.0 + rho * math.sin(ang)
             pt = (px, py, float(rng.uniform(0, 0.5)))
             pose = Pose2(2.0, -1.0, ang)  # camera faces the point
-            alpha = compute_tilt(cam, pose, pt, tilt_limit=None)
+            alpha = compute_tilt(cam, pose, pt)
             rel = se2_relative(pose, Pose2(pt[0], pt[1], 0.0))
             u, v = project_to_pixel(cam, alpha, np.array([rel.x, rel.y, pt[2]]))
             assert u == pytest.approx(cam.cx_px, abs=1e-6)

@@ -4,8 +4,8 @@
 ``_branches``; ``rollout`` builds each segment's rows with numpy instead of
 one state at a time; ``collision_check`` and ``clearance`` run a scalar loop
 over the scene's boxes instead of ``obstacle_distances``;
-``waypoints_from_path`` grows a step prefix only as far as the horizon
-instead of reading a whole-path step table; ``_lookat_integral`` and
+``waypoints_from_path`` computes step lengths and turns only as far as the
+horizon reaches instead of reading a whole-path step table; ``_lookat_integral`` and
 ``_sampled_sweep`` spell out ``linspace`` and ``norm``; ``_Roadmap.evaluate``
 skips chain vertices whose edges it swept earlier in the batch; and
 ``pure_pursuit``, ``tilt_step`` and the oracle's terminal rotation work on
@@ -266,7 +266,7 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
 
 def reference_tilt_step(state, camera, target_lowest_point, cfg):
     try:
-        setpoint = compute_tilt(camera, state.pose, target_lowest_point, tilt_limit=None)
+        setpoint = compute_tilt(camera, state.pose, target_lowest_point)
     except ValueError:
         return state.tilt
     setpoint = float(np.clip(setpoint, -cfg.tilt_limit, cfg.tilt_limit))
@@ -381,9 +381,9 @@ def reference_lattice(box, grid_n):
     return box.center + local @ rot2(box.yaw).T
 
 
-def reference_visible_from(camera_pose, target, scene, hfov=math.pi / 2, fraction=0.5, grid_n=5):
-    """``visible_from`` building the lattice on every call and casting before counting."""
-    world = reference_lattice(target.box, grid_n)
+def reference_visible_from(camera_pose, target, scene, hfov=math.pi / 2, fraction=0.5):
+    """``visible_from`` building the 5 x 5 lattice on every call and casting before counting."""
+    world = reference_lattice(target.box, 5)
     cam = np.array([camera_pose.x, camera_pose.y])
     in_fov = [
         abs(wrap_angle(math.atan2(pt[1] - cam[1], pt[0] - cam[0]) - camera_pose.heading)) <= hfov / 2
@@ -546,7 +546,7 @@ def test_path_shorter_than_horizon():
     start = Pose2(0.2, 0.1, 0.4)
     segs = [Rotate(0.3), Translate(0.25), Rotate(-0.1)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
-    queries = [(Pose2.from_array(path.states[i]), speed, 12) for i in (0, 5, 40) for speed in SPEEDS]
+    queries = [(Pose2(*path.states[i]), speed, 12) for i in (0, 5, 40) for speed in SPEEDS]
     assert_labels_match(path, queries)
 
 
@@ -554,7 +554,7 @@ def test_projection_at_the_last_state():
     start = Pose2(-1.0, 0.5, 2.0)
     segs = [Translate(1.5), Rotate(2.0)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
-    last = Pose2.from_array(path.states[-1])
+    last = Pose2(*path.states[-1])
     assert_labels_match(path, [(last, SPEEDS[0], 12), (Pose2(last.x + 0.05, last.y, 0.0), SPEEDS[1], 5)])
 
 
@@ -564,18 +564,14 @@ def test_one_state_path():
     assert_labels_match(path, [(start, SPEEDS[0], 12), (Pose2(1.1, 2.0, 0.0), SPEEDS[2], 3)])
 
 
-def test_long_path_grows_only_its_horizon():
+def test_long_path_labels_from_its_start_and_anywhere_on_it():
     start = Pose2(0.0, 0.0, 0.0)
     segs = [Translate(4.0), Rotate(3.0), Translate(-4.0), Rotate(-3.0), Translate(4.0)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
     assert_labels_match(path, [(start, SPEEDS[0], 12)])
-    assert len(path._lengths) < len(path.states) // 4
     rng = np.random.default_rng(3)
     rows = rng.permutation(len(path.states))[:40]
-    assert_labels_match(path, [(Pose2.from_array(path.states[i]), SPEEDS[i % 4], 12) for i in rows])
-    lengths, turns = path.steps_to(len(path.states) - 1)
-    want = reference_step_table(path.states)
-    assert bits(lengths) == bits(want[0]) and bits(turns) == bits(want[1])
+    assert_labels_match(path, [(Pose2(*path.states[i]), SPEEDS[i % 4], 12) for i in rows])
 
 
 def test_dt_must_be_positive():
@@ -765,7 +761,7 @@ def test_pure_pursuit_matches_array_version(pose, offs, cfg):
     assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
 
 
-CAMERA = CameraModel.pinhole()
+CAMERA = CameraModel()
 
 
 @given(
@@ -983,9 +979,9 @@ def ray_calls(fn):
     return result, calls
 
 
-def assert_views_match(scene, cam, target, hfov, fraction, grid_n):
-    got, got_calls = ray_calls(lambda: visible_from(cam, target, scene, hfov, fraction, grid_n))
-    want, want_calls = ray_calls(lambda: reference_visible_from(cam, target, scene, hfov, fraction, grid_n))
+def assert_views_match(scene, cam, target, hfov, fraction):
+    got, got_calls = ray_calls(lambda: visible_from(cam, target, scene, hfov, fraction))
+    want, want_calls = ray_calls(lambda: reference_visible_from(cam, target, scene, hfov, fraction))
     assert got is want
     # a short-circuited view casts no ray; any view that casts casts the same rays
     assert got_calls == want_calls or (not got_calls and got is False)
@@ -1016,7 +1012,6 @@ VIEW_SCENES = [
 def views(draw):
     scene = draw(st.sampled_from(VIEW_SCENES))
     target = draw(st.sampled_from(scene.objects))
-    grid_n = draw(st.integers(1, 7))
     hfov = draw(st.one_of(st.sampled_from([math.pi / 2, 2 * math.pi, 1.0]), st.floats(0.05, 6.0)))
     fraction = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.04]), st.floats(0.0, 1.0)))
     b = scene.bounds
@@ -1025,15 +1020,15 @@ def views(draw):
     heading = draw(st.floats(-math.pi, math.pi))
     kind = draw(st.sampled_from(["random", "on_point", "fov_edge"]))
     if kind != "random":
-        # a lattice point of this or another grid size
-        lattice = reference_lattice(target.box, draw(st.sampled_from([grid_n, draw(st.integers(1, 7))])))
+        # a point of the sampled 5 x 5 lattice, or of a lattice of another size
+        lattice = reference_lattice(target.box, draw(st.sampled_from([5, draw(st.integers(1, 7))])))
         px, py = lattice[draw(st.integers(0, len(lattice) - 1))].tolist()
         if kind == "on_point":
             x, y = px, py  # that sight line has length 0
         else:
             # that point's bearing lands on (or within rounding of) one edge of the view
             heading = math.atan2(py - y, px - x) + draw(st.sampled_from([-1.0, 1.0])) * hfov / 2
-    return scene, Pose2(x, y, heading), target, hfov, fraction, grid_n
+    return scene, Pose2(x, y, heading), target, hfov, fraction
 
 
 @given(views())
@@ -1045,41 +1040,28 @@ def test_visible_from_matches_uncached_casting(view):
 def test_visible_from_edge_cases():
     scene = VIEW_SCENES[2]
     target = scene.objects[2]
-    for grid_n in (1, 2, 5, 7, 3, 5):  # the cache is per grid size
-        lattice = reference_lattice(target.box, grid_n)
-        cams = [Pose2(-2.5, -0.5, 0.0), Pose2(-2.5, -0.5, math.pi), Pose2(*lattice[0].tolist(), 0.3)]
-        # each lattice point on either edge of the view
-        cams += [
-            Pose2(-2.5, -0.5, math.atan2(py + 0.5, px + 2.5) + sign * math.pi / 4)
-            for px, py in lattice.tolist()
-            for sign in (-1.0, 1.0)
-        ]
-        for cam in cams:
-            for fraction in (0.0, 1.0, 0.5, 1.0 / grid_n**2):
-                assert_views_match(scene, cam, target, math.pi / 2, fraction, grid_n)
-
-
-def test_visible_from_cache_keeps_grid_sizes_apart():
-    # the whole target in view and nothing in between: every lattice point
-    # is cast, so a lattice of the wrong size shows in the rays
-    scene = _partly_outside_scene()
-    target = scene.objects[2]
-    cam = Pose2(-2.5, -0.5, 0.0)
-    for grid_n in (3, 5, 3, 1, 5):
-        calls = assert_views_match(scene, cam, target, math.pi / 2, 0.0, grid_n)
-        assert [len(dirs) for _, dirs, _ in calls] == [2 * grid_n**2]
-    assert sorted(scene._views) == [(2, 1), (2, 3), (2, 5)]
+    lattice = reference_lattice(target.box, 5)
+    cams = [Pose2(-2.5, -0.5, 0.0), Pose2(-2.5, -0.5, math.pi), Pose2(*lattice[0].tolist(), 0.3)]
+    # each lattice point on either edge of the view
+    cams += [
+        Pose2(-2.5, -0.5, math.atan2(py + 0.5, px + 2.5) + sign * math.pi / 4)
+        for px, py in lattice.tolist()
+        for sign in (-1.0, 1.0)
+    ]
+    for cam in cams:
+        for fraction in (0.0, 1.0, 0.5, 1.0 / 25):
+            assert_views_match(scene, cam, target, math.pi / 2, fraction)
 
 
 def test_visible_from_other_object_under_a_cached_id():
     scene = _partly_outside_scene()
     target = scene.objects[2]
     cam = Pose2(-2.5, -0.5, 0.0)
-    assert_views_match(scene, cam, target, math.pi / 2, 0.5, 5)
+    assert_views_match(scene, cam, target, math.pi / 2, 0.5)
     # the same id on another box, and an equal copy that is not the scene's
     # object (its own box is not skipped, so it hides its own lattice)
     moved = dataclasses.replace(target, box=OrientedBox(0.5, 1.0, 0.3, 0.2, 0.0))
     for other in (moved, dataclasses.replace(target), target):
         for fraction in (0.0, 0.5, 1.0):
-            assert_views_match(scene, cam, other, math.pi / 2, fraction, 5)
+            assert_views_match(scene, cam, other, math.pi / 2, fraction)
 

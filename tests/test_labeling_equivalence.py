@@ -1,7 +1,7 @@
 """Keyframe labelling matches the code it replaced bit for bit.
 
-``waypoints_from_path`` slices ``PlannedPath``'s step prefix instead of
-re-deriving every remaining step's length and turn, and ``record_to_dict``
+``waypoints_from_path`` computes each step's length and turn only as far as
+the horizon reaches instead of re-deriving every remaining step, and ``record_to_dict``
 builds step dicts directly instead of through ``dataclasses.asdict``. Then
 ``planner.label_poses`` labelled every keyframe of a path in one array pass,
 with ``codec.encode_steps`` as its quantizer, in place of a
@@ -59,7 +59,7 @@ def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, m
     for k in range(1, n + 1):
         t = k * dt
         if len(rem) == 1 or t >= tau[-1]:
-            world.append(Pose2.from_array(rem[-1]))
+            world.append(Pose2(*rem[-1]))
             continue
         i = int(np.searchsorted(tau, t, side="right"))
         f = (t - tau[i - 1]) / (tau[i] - tau[i - 1])
@@ -128,9 +128,9 @@ def test_pure_rotations():
     start = Pose2(0.5, -0.2, 0.3)
     segs = [Rotate(2.0), Translate(0.4), Rotate(-3.0), Translate(-0.7), Rotate(0.05)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
-    lengths, turns = path.steps_to(len(path.states) - 1)
+    lengths, turns = parent_step_slice(path.states, 0, len(path.states) - 1)
     assert (lengths <= 1e-12).sum() > 100 and (lengths > 1e-12).sum() > 100
-    poses = [Pose2.from_array(s) for s in path.states[::7]]
+    poses = [Pose2(*s) for s in path.states[::7]]
     assert_bit_identical(path, poses)
 
 
@@ -138,7 +138,7 @@ def test_one_state_path():
     start = Pose2(1.0, 2.0, -0.5)
     path = PlannedPath(start, [], rollout(start, []), 0.0)
     assert len(path.states) == 1
-    assert all(len(a) == 0 for a in path.steps_to(0))
+    assert all(len(a) == 0 for a in parent_step_slice(path.states, 0, 0))
     assert_bit_identical(path, [start, Pose2(1.1, 2.0, 0.0)])
 
 
@@ -304,7 +304,7 @@ def test_one_pass_pure_rotations_and_one_state_path():
     start = Pose2(0.5, -0.2, 0.3)
     segs = [Rotate(2.0), Rotate(-3.0), Rotate(0.05), Rotate(-6.5)]
     path = PlannedPath(start, segs, rollout(start, segs), 0.0)
-    poses = [Pose2.from_array(s) for s in path.states[::9]] + [Pose2(0.55, -0.2, 1.0)]
+    poses = [Pose2(*s) for s in path.states[::9]] + [Pose2(0.55, -0.2, 1.0)]
     for v_ref, omega_ref in SPEEDS:
         assert_labels_match(fresh(path), poses, 12, 0.2, v_ref, omega_ref)
     one = PlannedPath(start, [], rollout(start, []), 0.0)
@@ -319,9 +319,9 @@ def test_one_pass_duplicate_states():
     rows = rollout(start, segs)
     states = np.concatenate([rows[:1], rows[:5], rows[5:6], rows[5:40], rows[39:], rows[-1:], rows[-1:]])
     path = PlannedPath(start, segs, states, 0.0)
-    lengths, turns = path.steps_to(len(states) - 1)
+    lengths, turns = parent_step_slice(states, 0, len(states) - 1)
     assert ((lengths == 0) & (turns == 0)).sum() >= 4
-    poses = [Pose2.from_array(s) for s in states[::3]] + [Pose2.from_array(states[-1])]
+    poses = [Pose2(*s) for s in states[::3]] + [Pose2(*states[-1])]
     for v_ref, omega_ref in SPEEDS:
         assert_labels_match(fresh(path), poses, 12, 0.2, v_ref, omega_ref)
 
@@ -333,7 +333,7 @@ def test_one_pass_horizon_past_the_first_window():
     # at 1 m/s, 160 one-centimetre steps last 1.6 s: a 24-step horizon (4.8 s) outgrows it twice
     ds, dh = parent_step_slice(path.states, 0, 160)
     assert np.where(ds > 1e-12, ds / 1.0, dh / 2.5).sum() < 24 * 0.2 / 2
-    poses = [Pose2.from_array(s) for s in path.states[::37]]
+    poses = [Pose2(*s) for s in path.states[::37]]
     assert_labels_match(fresh(path), poses, 24, 0.2, 1.0, 2.5)
     assert_labels_match(fresh(path), poses[:1], 24, 0.2, 1.0, 2.5)
 
@@ -347,7 +347,7 @@ def test_one_pass_revisited_positions_project_to_the_first():
     back[:, 2] = wrap_angle(0.7 + math.pi)
     states = np.concatenate([out, back, out[1:]])
     path = PlannedPath(start, [], states, 0.0)
-    poses = [Pose2.from_array(s) for s in states[len(out):][::11]]
+    poses = [Pose2(*s) for s in states[len(out):][::11]]
     poses += [Pose2(s[0] + 0.01, s[1] - 0.02, s[2]) for s in out[::17]]
     for v_ref, omega_ref in SPEEDS:
         assert_labels_match(fresh(path), poses, 12, 0.2, v_ref, omega_ref)

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from amr_navkit.pipeline import (
     audit_keyframe_gaps,
     generate_episode,
     load_scene,
+    parallel_map,
     read_dataset,
     record_from_dict,
     record_to_dict,
@@ -59,6 +61,37 @@ def one_episode():
     task = sample_task(scene, 3)
     record = generate_episode(scene, task, seed=3)
     return scene, task, record
+
+
+class RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records the process count and
+    maps inline, so no process is started."""
+
+    started: list[int] = []
+
+    def __init__(self, processes):
+        RecordingPool.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, processes",
+    [(64, 8, [8]), (2, 8, [2]), (8, 2, [2]), (64, 1, []), (4, 0, []), (1, 8, [])],
+)
+def test_parallel_map_starts_at_most_one_process_per_job(monkeypatch, workers, jobs, processes):
+    # --workers 64 with 8 jobs once started 64 processes
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    assert parallel_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+    assert RecordingPool.started == processes
 
 
 class TestSampleTask:

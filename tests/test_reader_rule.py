@@ -8,13 +8,14 @@ unknown key, a dropped key, or an array where an object belongs.
 import dataclasses
 import json
 import math
+import re
 import typing
 
 import pytest
 
 from amr_navkit.cli import main
 from amr_navkit.config import RunConfig, config_from_dict
-from amr_navkit.errors import SchemaMismatch, checked, field_types
+from amr_navkit.errors import IoFailure, SchemaMismatch, checked, field_types
 from amr_navkit.evaluation import MetricsReport, report_from_dict, report_to_dict, summarize
 from amr_navkit.pipeline import (
     _SHAPES,
@@ -168,6 +169,22 @@ def test_dataset_line_that_is_an_array(episode, tmp_path):
     write_dataset([episode[2]], str(path))
     path.write_text(path.read_text() + "[]\n")
     with pytest.raises(SchemaMismatch, match="record 1: expected an object, got list"):
+        read_dataset(str(path))
+
+
+def test_dataset_that_is_not_utf8(episode, tmp_path):
+    # read_json's rule; this once raised a bare UnicodeDecodeError
+    path = tmp_path / "d.jsonl"
+    write_dataset([episode[2]], str(path))
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(SchemaMismatch, match="^" + re.escape(f"{path}: 'utf-8' codec can't decode")):
+        read_dataset(str(path))
+
+
+def test_dataset_that_cannot_be_read(tmp_path):
+    # read_json's rule; this once raised a bare FileNotFoundError
+    path = tmp_path / "missing.jsonl"
+    with pytest.raises(IoFailure, match="^" + re.escape(f"cannot read {path}: ")):
         read_dataset(str(path))
 
 

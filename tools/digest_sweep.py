@@ -13,18 +13,20 @@ config with ``--workers 1``, sized like the benchmark's suite rounds:
 Each round also gets a ``scenes`` digest over the ``gen-scenes`` output
 (the scene files in name order).
 
-Usage, from the root of the tree to check::
+Usage::
 
-    PYTHONPATH=src python3 tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
+    python3 <tree>/tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
 
 runs eval rounds 0-5 and gen-data rounds 0-11, then every ``--seeds`` master
 seed of both, and prints ``scenes <master seed> <sha256>`` and then
-``<workload> <master seed> <sha256>`` per round. To
-compare two trees, save the output of one and ``diff`` the other against it;
-``diff`` prints every round that differs and exits 1 if any does::
+``<workload> <master seed> <sha256>`` per round. It always digests the tree
+it lives in: ``<tree>/src`` goes first on ``sys.path``, and it exits 2 if
+``amr_navkit`` is imported from anywhere else. To compare two trees, save
+the output of one and ``diff`` the other against it; ``diff`` prints every
+round that differs and exits 1 if any does::
 
-    PYTHONPATH=src python3 tools/digest_sweep.py --seeds 8001000 > before.txt
-    PYTHONPATH=src python3 tools/digest_sweep.py --seeds 8001000 | diff before.txt -
+    python3 parent/tools/digest_sweep.py --seeds 8001000 > before.txt
+    python3 change/tools/digest_sweep.py --seeds 8001000 | diff before.txt -
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from amr_navkit import cli
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EVAL_ROUNDS = range(6)
 GEN_ROUNDS = range(12)
@@ -47,6 +49,8 @@ EPISODES_PER_SCENE = 1
 
 
 def _cli(master_seed: int, *argv: str) -> None:
+    from amr_navkit import cli
+
     rc = cli.main(["--seed", str(master_seed), "--workers", "1", *argv])
     if rc != 0:
         raise SystemExit(f"amr-navkit {argv[0]} exited with {rc} (master seed {master_seed})")
@@ -88,6 +92,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[], help="extra master seeds, run on both workloads")
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    import amr_navkit
+
+    if Path(amr_navkit.__file__).resolve().parent != SRC / "amr_navkit":
+        print(f"error: imported amr_navkit from {amr_navkit.__file__}, not {SRC}", file=sys.stderr)
+        return 2
     # the default config is the one being checked: drop any env override of it
     for name in [n for n in os.environ if n.startswith("AMR_")]:
         del os.environ[name]
