@@ -1,10 +1,14 @@
 """Batch entry points: scene generation, dataset generation, eval, reporting.
 
+Settings are read once (``config``), and the expert, probe budget and
+camera built from them, before any command runs: a refused value exits 2
+before any work or output.
+
 Exit codes: 0 success, 2 config/usage error, 3 generation or eval hard
 failure, an unreadable or malformed scene or report file, or an output
-file that cannot be written. All commands
-are deterministic under an identical resolved config (timestamps appear
-only inside manifest metadata).
+file that cannot be written. A command's output files all appear or none
+do. All commands are deterministic under an identical resolved config
+(timestamps appear only inside manifest metadata).
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
-from .config import RunConfig, apply_env_overrides, config_hash, load_config
+from .config import RunConfig, apply_env_overrides, config_from_dict, config_hash, load_config
 from .errors import (
     GenerationFailed,
     IoFailure,
@@ -34,7 +38,10 @@ from .evaluation import (
     report_to_csv,
     report_to_dict,
 )
+from .geometry import CameraModel
 from .pipeline import (
+    Expert,
+    all_or_none,
     generate_episode,
     load_scene,
     parallel_map,
@@ -43,13 +50,22 @@ from .pipeline import (
     save_scene,
     write_dataset,
 )
+from .planner import PlannerBudget
 from .scene import sample_scene
 
 log = logging.getLogger("amr_navkit")
 
-# policy name -> use_residual; the oracle's horizon always goes through the
-# codec, so "codec" is the oracle under another name
-_POLICIES = {"oracle": True, "codec": True, "codec-noresidual": False}
+# policy name -> use_residual; the oracle's horizon always goes through the codec
+_POLICIES = {"oracle": True, "codec-noresidual": False}
+
+
+class Run(NamedTuple):
+    """The resolved config and what the commands build from it, built once."""
+
+    cfg: RunConfig
+    expert: Expert
+    probe: PlannerBudget
+    camera: CameraModel
 
 
 def _scene_seed(master_seed: int, index: int) -> int:
@@ -74,41 +90,42 @@ def _load_scene_dir(scenes_dir: str):
     return [load_scene(str(p)) for p in paths]
 
 
-def cmd_gen_scenes(cfg: RunConfig, args) -> int:
+def cmd_gen_scenes(run: Run, args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         log.error("cannot create output directory %s: %s", out_dir, err)
         return 2
-    for i in range(args.count):
-        seed = _scene_seed(cfg.master_seed, i)
-        scene = sample_scene(seed, cfg.scene_gen)
-        path = out_dir / f"scene_{i:05d}.json"
-        save_scene(scene, str(path))
-        log.info("wrote %s (seed %d, %d objects)", path, seed, len(scene.objects))
+    paths = [str(out_dir / f"scene_{i:05d}.json") for i in range(args.count)]
+    with all_or_none(paths) as temps:
+        for i, tmp in enumerate(temps):
+            seed = _scene_seed(run.cfg.master_seed, i)
+            scene = sample_scene(seed, run.cfg.scene_gen)
+            save_scene(scene, tmp)
+            log.info("generated %s (seed %d, %d objects)", paths[i], seed, len(scene.objects))
     return 0
 
 
 def _gen_one(job):
-    cfg, scene, task_seed = job
-    expert, camera = cfg.expert(), cfg.camera.model()
+    run, scene, task_seed = job
     try:
-        task = sample_task(scene, task_seed, cfg.task, expert, cfg.planner.probe_budget(), camera)
+        task = sample_task(scene, task_seed, run.cfg.task, run.expert, run.probe, run.camera)
         record = generate_episode(
-            scene, task, expert, camera, task_seed, cfg.sensor.num_rays, cfg.sensor.max_range
+            scene, task, run.expert, run.camera, task_seed, run.cfg.sensor.num_rays, run.cfg.sensor.max_range
         )
         return task_seed, record, None
     except (SamplingExhausted, NoPathFound, GenerationFailed) as err:
         return task_seed, None, f"{type(err).__name__}: {err}"
 
 
-def cmd_gen_data(cfg: RunConfig, args) -> int:
+def cmd_gen_data(run: Run, args) -> int:
+    cfg = run.cfg
     scenes = _load_scene_dir(args.scenes)
     jobs = []
     for si, scene in enumerate(scenes):
         for e in range(args.episodes_per_scene):
-            jobs.append((cfg, scene, _task_seed(cfg.master_seed, si * 1000 + e)))
+            jobs.append((run, scene, _task_seed(cfg.master_seed, si * 1000 + e)))
 
     records = []
     for task_seed, record, err in parallel_map(_gen_one, jobs, cfg.workers):
@@ -129,11 +146,11 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(run: Run, args) -> int:
+    cfg = run.cfg
     scenes = _load_scene_dir(args.scenes)
     by_seed = {s.seed: s for s in scenes}
-    expert = cfg.expert()
-    spec = PolicySpec(expert, cfg.master_seed, _POLICIES[args.policy])
+    spec = PolicySpec(run.expert, cfg.master_seed, _POLICIES[args.policy])
 
     tasks = []
     seed_index = 0
@@ -142,11 +159,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         task_seed = _task_seed(cfg.master_seed, seed_index)
         seed_index += 1
         try:
-            tasks.append(
-                sample_task(
-                    scene, task_seed, cfg.task, expert, cfg.planner.probe_budget(), cfg.camera.model()
-                )
-            )
+            tasks.append(sample_task(scene, task_seed, cfg.task, run.expert, run.probe, run.camera))
             log.info("task %d sampled with seed %d", len(tasks) - 1, task_seed)
         except SamplingExhausted as err:
             log.warning("task seed %d skipped: %s", task_seed, err)
@@ -159,7 +172,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         by_seed,
         spec,
         cfg.executor,
-        cfg.camera.model(),
+        run.camera,
         cfg.workers,
         cfg.eval.success_pos_tol,
         cfg.eval.success_ang_tol_deg,
@@ -169,11 +182,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise IoFailure(f"cannot create output directory {out.parent}: {err}") from err
-    report_export(report, "json", str(out.with_suffix(".json")))
-    report_export(report, "csv", str(out.with_suffix(".csv")))
-    traces = out.with_suffix(".traces.jsonl")
-    try:
-        with open(traces, "w") as fh:
+    paths = [str(out.with_suffix(ext)) for ext in (".json", ".csv", ".traces.jsonl")]
+    with all_or_none(paths) as (json_tmp, csv_tmp, traces_tmp):
+        report_export(report, "json", json_tmp)
+        report_export(report, "csv", csv_tmp)
+        with open(traces_tmp, "w") as fh:
             for summary, result in episodes:
                 fh.write(
                     json.dumps(
@@ -193,8 +206,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                     )
                     + "\n"
                 )
-    except OSError as err:
-        raise IoFailure(f"cannot write traces to {traces}: {err}") from err
     log.info(
         "evaluated %d tasks: median %.4f m / %.3f deg, collisions %.1f%%",
         report.n_episodes,
@@ -205,10 +216,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
+def cmd_report(run: Run, args) -> int:
     report = report_from_dict(read_json(args.report))
     if args.out:
-        report_export(report, args.format, args.out)
+        with all_or_none([args.out]) as (tmp,):
+            report_export(report, args.format, tmp)
     elif args.format == "csv":
         sys.stdout.write(report_to_csv(report))
     else:
@@ -257,18 +269,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = {"AMR_RUN_MASTER_SEED": args.seed, "AMR_RUN_WORKERS": args.workers}
+    environ = {**os.environ, **{key: str(value) for key, value in flags.items() if value is not None}}
     try:
-        cfg = load_config(args.config)
-        cfg = apply_env_overrides(cfg, os.environ)
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
-        if args.workers is not None:
-            cfg = replace(cfg, workers=args.workers)
-    except (ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError) as err:
+        cfg = config_from_dict(apply_env_overrides(load_config(args.config), environ))
+        run = Run(cfg, cfg.expert(), cfg.planner.probe_budget(), cfg.camera.model())
+    except (ValueError, TypeError, OverflowError, OSError) as err:
         log.error("config error: %s", err)
         return 2
     try:
-        return args.func(cfg, args)
+        return args.func(run, args)
     except IoFailure as err:
         log.error("%s", err)
         return 3

@@ -1,10 +1,13 @@
-"""Run configuration: one structured document with env-var overrides.
+"""Run configuration: one structured document, read once.
 
 The config is a JSON file of flat sections. Any scalar field can be
-overridden with AMR_<SECTION>_<FIELD> (e.g. AMR_EXECUTOR_SPEED=0.4,
-AMR_RUN_MASTER_SEED=7). Every field is an int, float or str, and file and
-env values alike are checked against that type. The canonical hash of the
-resolved config is recorded in dataset manifests.
+overridden with AMR_<SECTION>_<FIELD> (e.g. AMR_EXECUTOR_SPEED=0.4), a
+top-level one with AMR_RUN_<FIELD>. The overrides are written into the
+file's dict, which ``config_from_dict`` reads once with ``errors.checked``,
+so every rule judges the final values. Each field's ``Range`` is declared
+beside it; a field that a type built from it holds to a rule declares none
+(the expert's weights, budget and speeds, the sensor's scan). The canonical
+hash of the resolved config is recorded in dataset manifests.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Annotated
 
 from .controller import ExecutorConfig
-from .errors import checked, field_types
+from .errors import AT_LEAST_1, NON_NEGATIVE, Range, check_ranges, checked, field_types
 from .geometry import CameraModel
 from .pipeline import Expert, TaskParams
-from .planner import CostWeights, PlannerBudget
+from .planner import CostWeights, PlannerBudget, check_labelling
 from .scene import SceneGenParams, check_lidar_params
 
 
@@ -31,16 +35,13 @@ class PlannerParams:
     w_lookat: float = 0.5
     batches: int = 4
     batch_size: int = 24
-    probe_batches: int = 1
-    probe_batch_size: int = 16
-    safety_margin: float = 0.1
+    # declared here, where the message can name them; PlannerBudget would say "batches"
+    probe_batches: Annotated[int, AT_LEAST_1] = 1
+    probe_batch_size: Annotated[int, AT_LEAST_1] = 16
+    safety_margin: Annotated[float, NON_NEGATIVE] = 0.1
 
     def __post_init__(self):
-        for name in ("batches", "batch_size", "probe_batches", "probe_batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)}")
-        if self.safety_margin < 0:
-            raise ValueError(f"planner safety_margin must not be negative, got {self.safety_margin}")
+        check_ranges(self, "planner")
 
     def probe_budget(self) -> PlannerBudget:
         return PlannerBudget(self.probe_batches, self.probe_batch_size)
@@ -51,24 +52,16 @@ class OracleParams:
     v_ref: float = 0.5
     omega_ref: float = 1.0
 
-    def __post_init__(self):
-        if not (0 < self.v_ref < math.inf and 0 < self.omega_ref < math.inf):
-            raise ValueError("oracle v_ref and omega_ref must be finite and positive")
-
 
 @dataclass(frozen=True)
 class CameraParams:
     height: float = 1.5
-    vertical_fov_deg: float = 90.0
-    width_px: int = 224
-    height_px: int = 224
+    vertical_fov_deg: Annotated[float, Range(0, 180, lo_open=True, hi_open=True)] = 90.0
+    width_px: Annotated[int, AT_LEAST_1] = 224
+    height_px: Annotated[int, AT_LEAST_1] = 224
 
     def __post_init__(self):
-        if not 0 < self.vertical_fov_deg < 180:
-            raise ValueError(f"camera vertical_fov_deg must be in (0, 180), got {self.vertical_fov_deg}")
-        for name in ("width_px", "height_px"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"camera {name} must be at least 1, got {getattr(self, name)}")
+        check_ranges(self, "camera")
 
     def model(self) -> CameraModel:
         return CameraModel(self.height, math.radians(self.vertical_fov_deg), self.width_px, self.height_px)
@@ -85,14 +78,17 @@ class SensorParams:
 
 @dataclass(frozen=True)
 class EvalParams:
-    success_pos_tol: float = 0.1
-    success_ang_tol_deg: float = 10.0
+    success_pos_tol: Annotated[float, NON_NEGATIVE] = 0.1
+    success_ang_tol_deg: Annotated[float, NON_NEGATIVE] = 10.0
+
+    def __post_init__(self):
+        check_ranges(self, "eval")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    master_seed: int = 0
-    workers: int = 1
+    master_seed: Annotated[int, NON_NEGATIVE] = 0
+    workers: Annotated[int, AT_LEAST_1] = 1
     scene_gen: SceneGenParams = SceneGenParams()
     planner: PlannerParams = PlannerParams()
     task: TaskParams = TaskParams()
@@ -103,26 +99,33 @@ class RunConfig:
     eval: EvalParams = EvalParams()
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        check_ranges(self, "run")
 
     def expert(self) -> Expert:
-        """The expert that plans and labels, for gen-data and the eval oracle alike."""
+        """The expert that plans and labels, for gen-data and the eval oracle
+        alike; a step or speeds that labelling refuses raise ValueError here."""
+        dt, v_ref, omega_ref = self.executor.dt, self.oracle.v_ref, self.oracle.omega_ref
+        try:
+            check_labelling(dt, v_ref, omega_ref)
+        except ValueError as err:
+            got = f"executor.dt {dt}, oracle.v_ref {v_ref}, oracle.omega_ref {omega_ref}"
+            raise ValueError(f"{err}, got {got}") from None
         p = self.planner
         return Expert(
             weights=CostWeights(p.w_translate, p.w_rotate, p.w_backward, p.w_lookat),
             budget=PlannerBudget(p.batches, p.batch_size),
             safety_margin=p.safety_margin,
             horizon_n=self.executor.horizon_n,
-            dt=self.executor.dt,
-            v_ref=self.oracle.v_ref,
-            omega_ref=self.oracle.omega_ref,
+            dt=dt,
+            v_ref=v_ref,
+            omega_ref=omega_ref,
         )
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Config from its JSON dict, read by ``errors.checked`` once every absent
-    key and section field is filled in with its default."""
+    key and section field is filled in with its default: the one read by
+    which every setting reaches a ``RunConfig``."""
     if type(d) is dict:
         full = config_to_dict(RunConfig())
         for k, v in d.items():
@@ -135,46 +138,44 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Load a JSON config file; None yields pure defaults."""
+def load_config(path: str | None):
+    """The parsed JSON of a config file, for ``apply_env_overrides`` and
+    ``config_from_dict``; None yields an empty one."""
     if path is None:
-        return RunConfig()
+        return {}
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        return json.load(fh)
 
 
-def _env_value(raw: str, hint, where: str):
-    if hint is not str:
-        try:
-            raw = int(raw)
-        except ValueError:
-            raw = float(raw)
-    return checked(raw, hint, where)
-
-
-def apply_env_overrides(cfg: RunConfig, environ) -> RunConfig:
-    """Apply AMR_<SECTION>_<FIELD> scalar overrides; unknown names raise."""
-    for key, raw in sorted(environ.items()):
+def apply_env_overrides(d, environ) -> dict:
+    """A copy of ``d``, a parsed config file, with each AMR_<SECTION>_<FIELD>
+    or AMR_RUN_<FIELD> in ``environ`` written in, as ``checked`` will read
+    it; an AMR_* name that matches no field, or a number that does not
+    parse, raises ValueError. A ``d`` that is not an object comes back as it
+    is, for ``config_from_dict`` to refuse."""
+    if type(d) is not dict:
+        return d
+    out = {k: dict(v) if type(v) is dict else v for k, v in d.items()}
+    names = {}
+    for name, hint in field_types(RunConfig).items():
+        if dataclasses.is_dataclass(hint):
+            names.update({f"AMR_{name}_{f}".upper(): (name, f, h) for f, h in field_types(hint).items()})
+        else:
+            names[f"AMR_RUN_{name}".upper()] = (None, name, hint)
+    for key, raw in environ.items():
         if not key.startswith("AMR_"):
             continue
-        rest = key[len("AMR_"):].lower()
-        if rest in ("run_master_seed", "run_workers"):
-            field = rest[len("run_"):]
-            cfg = replace(cfg, **{field: _env_value(raw, int, field)})
-            continue
-        for name, cls in field_types(RunConfig).items():
-            prefix = name + "_"
-            if dataclasses.is_dataclass(cls) and rest.startswith(prefix):
-                field = rest[len(prefix):]
-                types = field_types(cls)
-                if field not in types:
-                    raise ValueError(f"env override {key} names unknown field {field!r}")
-                value = _env_value(raw, types[field], f"{name}.{field}")
-                cfg = replace(cfg, **{name: replace(getattr(cfg, name), **{field: value})})
-                break
-        else:
-            raise ValueError(f"env override {key} names no config section")
-    return cfg
+        if key not in names:
+            raise ValueError(f"env override {key} names no config field")
+        section, field, hint = names[key]
+        try:
+            value = raw if hint is str else int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
+        except ValueError:
+            raise ValueError(f"env override {key} is not a number: {raw!r}") from None
+        target = out if section is None else out.setdefault(section, {})
+        if type(target) is dict:  # else config_from_dict refuses the file's section
+            target[field] = value
+    return out
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
+from typing import Annotated, Protocol, Sequence
 
 import numpy as np
 
 from .codec import TokenizedStep, decode_trajectory, encode_trajectory
-from .errors import EmptyTrajectory, NoPathFound
+from .errors import AT_LEAST_1, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, EmptyTrajectory, NoPathFound, check_ranges
 from .geometry import (
     CameraModel,
     Pose2,
@@ -47,38 +47,31 @@ from .scene import (
 class ExecutorConfig:
     """Closed-loop execution parameters."""
 
-    horizon_n: int = 12
-    dt: float = 0.2
-    replan_every: int = 8
-    lookahead: float = 0.3
-    speed: float = 0.5
-    stop_pos_tol: float = 0.01
-    stop_ang_tol: float = math.radians(0.5)
-    max_steps: int = 600
+    horizon_n: Annotated[int, AT_LEAST_1] = 12
+    dt: Annotated[float, FINITE_POSITIVE] = 0.2
+    replan_every: Annotated[int, AT_LEAST_1] = 8
+    lookahead: Annotated[float, POSITIVE] = 0.3
+    speed: Annotated[float, POSITIVE] = 0.5
+    stop_pos_tol: Annotated[float, POSITIVE] = 0.01
+    stop_ang_tol: Annotated[float, POSITIVE] = math.radians(0.5)
+    max_steps: Annotated[int, AT_LEAST_1] = 600
     kinematics: str = "omnidirectional"
-    omega_gain: float = 2.0
-    tilt_rate: float = math.radians(90.0)  # slew limit, rad/s
-    tilt_limit: float = math.radians(60.0)
-    v_max: float = 1.5
-    omega_max: float = 3.0
+    omega_gain: Annotated[float, NON_NEGATIVE] = 2.0
+    # a negative slew rate moves the tilt away from its setpoint, and a
+    # negative limit pins the setpoint at the limit
+    tilt_rate: Annotated[float, NON_NEGATIVE] = math.radians(90.0)  # slew limit, rad/s
+    tilt_limit: Annotated[float, NON_NEGATIVE] = math.radians(60.0)
+    v_max: Annotated[float, POSITIVE] = 1.5
+    omega_max: Annotated[float, NON_NEGATIVE] = 3.0
 
     def __post_init__(self):
+        check_ranges(self, "executor")
         if self.replan_every > self.horizon_n:
-            raise ValueError("replan_every must not exceed horizon_n")
-        for name in ("replan_every", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"executor {name} must be at least 1, got {getattr(self, name)}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("executor dt must be finite and positive")
-        if min(self.stop_pos_tol, self.stop_ang_tol) <= 0:
-            raise ValueError("stop tolerances must be positive")
-        # a negative slew rate moves the tilt away from its setpoint, and a
-        # negative limit pins the setpoint at the limit
-        for name in ("tilt_rate", "tilt_limit"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"executor {name} must be non-negative, got {getattr(self, name)}")
+            raise ValueError(
+                f"executor replan_every must not exceed horizon_n, got {self.replan_every} > {self.horizon_n}"
+            )
         if self.kinematics not in KINEMATICS_KINDS:
-            raise ValueError(f"unknown kinematics {self.kinematics!r}")
+            raise ValueError(f"executor kinematics must be one of {KINEMATICS_KINDS}, got {self.kinematics!r}")
 
     @property
     def limits(self) -> SpeedLimits:

@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit, and ``checked``, the one rule by
+"""Exception types shared across the toolkit; ``checked``, the one rule by
 which every file reader (config, scene, dataset, report) reads parsed JSON:
 exact scalar types, and at every level of a file an object with exactly its
-dataclass's fields, each read by the field's type hint."""
+dataclass's fields, each read by the field's type hint; and ``check_ranges``,
+which holds fields to the ``Range`` declared beside each."""
 
 import dataclasses
 import functools
@@ -63,6 +64,52 @@ def field_types(cls) -> dict:
     """``{field name: resolved type hint}`` of a dataclass, in field order."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """A numeric field's allowed values, declared beside it as
+    ``Annotated[float, Range(lo, hi)]``: an end is excluded when its
+    ``*_open`` flag is set, and NaN is never in range."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def admits(self, v) -> bool:
+        return (self.lo < v if self.lo_open else self.lo <= v) and (v < self.hi if self.hi_open else v <= self.hi)
+
+    def __str__(self) -> str:
+        if self.hi != math.inf:
+            return f"in {'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
+        if self.lo == 0:
+            words = "positive" if self.lo_open else "non-negative"
+        else:
+            words = f"{'above' if self.lo_open else 'at least'} {self.lo}"
+        return f"finite and {words}" if self.hi_open else words
+
+
+POSITIVE = Range(0, lo_open=True)
+FINITE_POSITIVE = Range(0, lo_open=True, hi_open=True)
+NON_NEGATIVE = Range(0)
+AT_LEAST_1 = Range(1)
+UNIT = Range(0, 1)
+
+
+@functools.cache
+def field_ranges(cls) -> dict:
+    """``{field name: Range}`` of each field of dataclass ``cls`` that declares one."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {k: m for k in field_types(cls) for m in getattr(hints[k], "__metadata__", ()) if isinstance(m, Range)}
+
+
+def check_ranges(obj, where: str) -> None:
+    """Refuse (ValueError) the first field of dataclass ``obj`` outside its
+    ``Range``, naming it by ``where``, the field name and the value."""
+    for name, allowed in field_ranges(type(obj)).items():
+        if not allowed.admits(getattr(obj, name)):
+            raise ValueError(f"{where} {name} must be {allowed}, got {getattr(obj, name)}")
 
 
 def _prefix(where: str) -> str:

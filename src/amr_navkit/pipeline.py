@@ -12,21 +12,29 @@ a SchemaMismatch.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import multiprocessing
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import __version__ as _generator_version
 from .codec import TokenizedStep
 from .errors import (
+    AT_LEAST_1,
+    POSITIVE,
+    UNIT,
     AmbiguousView,
     IoFailure,
     NoPathFound,
     SamplingExhausted,
     SchemaMismatch,
+    check_ranges,
     checked,
     field_types,
     require_fields,
@@ -141,30 +149,28 @@ class Expert:
 
 @dataclass(frozen=True)
 class TaskParams:
-    d_min: float = 0.1
-    d_max: float = 0.5
-    p_ffr: float = 0.5
-    visibility_fraction: float = 0.5
-    max_start_target_dist: float = 10.0
-    max_attempts: int = 300
+    # a goal distance outside [0, 1] fails GoalSpec mid-run, and a
+    # fraction above 1 makes every task unsatisfiable
+    d_min: Annotated[float, UNIT] = 0.1
+    d_max: Annotated[float, UNIT] = 0.5
+    p_ffr: Annotated[float, UNIT] = 0.5
+    visibility_fraction: Annotated[float, UNIT] = 0.5
+    max_start_target_dist: Annotated[float, POSITIVE] = 10.0
+    max_attempts: Annotated[int, AT_LEAST_1] = 300
 
     def __post_init__(self):
-        # a goal distance outside [0, 1] fails GoalSpec mid-run, and a
-        # fraction above 1 makes every task unsatisfiable
-        for name in ("d_min", "d_max", "p_ffr", "visibility_fraction"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"task {name} must be in [0, 1], got {getattr(self, name)}")
+        check_ranges(self, "task")
         if self.d_min > self.d_max:
             raise ValueError(f"task d_min must not exceed d_max, got {self.d_min} > {self.d_max}")
-        if not self.max_start_target_dist > 0:
-            raise ValueError(f"task max_start_target_dist must be positive, got {self.max_start_target_dist}")
-        if self.max_attempts < 1:
-            raise ValueError(f"task max_attempts must be at least 1, got {self.max_attempts}")
 
 
-def _sample_free_pose(rng, scene: Scene, radius: float, tries: int = 50) -> Pose2 | None:
+# free-pose draws before one task attempt gives up
+_FREE_POSE_TRIES = 50
+
+
+def _sample_free_pose(rng, scene: Scene, radius: float) -> Pose2 | None:
     b = scene.bounds
-    for _ in range(tries):
+    for _ in range(_FREE_POSE_TRIES):
         pose = Pose2(
             float(rng.uniform(b.xmin + radius, b.xmax - radius)),
             float(rng.uniform(b.ymin + radius, b.ymax - radius)),
@@ -495,7 +501,8 @@ def write_dataset(
     """Write records as compact JSONL plus a manifest.
 
     LiDAR ranges are stored as integer steps of ``LIDAR_UNIT``; every other
-    float keeps full precision. A file that cannot be written is an IoFailure.
+    float keeps full precision. Both files appear or neither does, and a
+    file that cannot be written is an IoFailure (``all_or_none``).
     """
     manifest = {
         "version": DATASET_VERSION,
@@ -505,16 +512,40 @@ def write_dataset(
         "config_hash": config_hash,
         "metadata": {"created_at": created_at},
     }
-    try:
-        with open(path, "w") as fh:
+    with all_or_none([path, manifest_path(path)]) as (data_tmp, manifest_tmp):
+        with open(data_tmp, "w") as fh:
             for record in records:
                 line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
                 fh.write(line + "\n")
-        with open(manifest_path(path), "w") as fh:
+        with open(manifest_tmp, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
+
+
+@contextmanager
+def all_or_none(paths: list[str]):
+    """Yield a hidden temporary path beside each of ``paths`` to write in its
+    place, and rename them all into place once the block has written them all.
+
+    If the block raises, or a path is a directory, the temporary files are
+    removed and the files at ``paths`` stay as they were; an OSError is an
+    IoFailure naming the path it was writing.
+    """
+    temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.partial") for p in paths]
+    try:
+        yield temps
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except OSError as err:
-        raise IoFailure(f"cannot write dataset {path}: {err}") from err
+        path = dict(zip(temps, paths)).get(err.filename, err.filename) or ", ".join(paths)
+        raise IoFailure(f"cannot write {path}: {err}") from err
+    finally:
+        for tmp in temps:
+            if os.path.isfile(tmp):
+                os.remove(tmp)
 
 
 def read_json(path: str):

@@ -12,11 +12,21 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .codec import TokenizedStep, encode_steps
-from .errors import InvalidEndpoint, NoPathFound, OffPath
+from .codec import R_MAX, TokenizedStep, encode_steps
+from .errors import (
+    AT_LEAST_1,
+    FINITE_POSITIVE,
+    NON_NEGATIVE,
+    POSITIVE,
+    InvalidEndpoint,
+    NoPathFound,
+    OffPath,
+    check_ranges,
+)
 from .geometry import TWO_PI, Pose2, wrap_angle
 from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
 
@@ -44,25 +54,22 @@ PathSegment = Rotate | Translate
 
 @dataclass(frozen=True)
 class CostWeights:
-    w_translate: float = 1.0
-    w_rotate: float = 0.3
-    w_backward: float = 2.0
-    w_lookat: float = 0.5
+    w_translate: Annotated[float, POSITIVE] = 1.0
+    w_rotate: Annotated[float, NON_NEGATIVE] = 0.3
+    w_backward: Annotated[float, NON_NEGATIVE] = 2.0
+    w_lookat: Annotated[float, NON_NEGATIVE] = 0.5
 
     def __post_init__(self):
-        if self.w_translate <= 0 or min(self.w_rotate, self.w_backward, self.w_lookat) < 0:
-            raise ValueError("weights must be nonnegative with w_translate > 0")
+        check_ranges(self, "planner")
 
 
 @dataclass(frozen=True)
 class PlannerBudget:
-    batches: int = 4
-    batch_size: int = 24
+    batches: Annotated[int, AT_LEAST_1] = 4
+    batch_size: Annotated[int, AT_LEAST_1] = 24
 
     def __post_init__(self):
-        for name in ("batches", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)}")
+        check_ranges(self, "planner")
 
 
 @dataclass
@@ -517,6 +524,17 @@ def resample_keyframes(path: PlannedPath) -> list[Pose2]:
 _FIRST_WINDOW = 160  # path steps first read per pose: the default 2.4 s horizon at 1 cm / 1 degree
 
 
+def check_labelling(dt: float, v_ref: float, omega_ref: float) -> None:
+    """Refuse (ValueError) a labelling step ``dt`` or reference speed that is
+    not finite and positive, or a ``v_ref * dt`` beyond the codec's ``R_MAX``."""
+    if not (FINITE_POSITIVE.admits(v_ref) and FINITE_POSITIVE.admits(omega_ref)):
+        raise ValueError("v_ref and omega_ref must be finite and positive")
+    if not FINITE_POSITIVE.admits(dt):
+        raise ValueError("dt must be finite and positive")
+    if v_ref * dt > R_MAX + 1e-12:
+        raise ValueError(f"v_ref * dt must not exceed the {R_MAX} m step range")
+
+
 def _horizons(
     path: PlannedPath, poses: list[Pose2], n: int, dt: float, v_ref: float, omega_ref: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OffPath | None]:
@@ -534,15 +552,9 @@ def _horizons(
     Returns the rows of the poses before the first one that projects more
     than ``MAX_PROJECTION`` from the path, and that pose's OffPath (else
     None), so a caller can raise what a per-pose loop would have raised
-    first. Raises ValueError unless v_ref, omega_ref and dt are finite and
-    positive and v_ref * dt is within the 0.2 m step range.
+    first. Raises what ``check_labelling`` raises.
     """
-    if not (0 < v_ref < math.inf and 0 < omega_ref < math.inf):
-        raise ValueError("v_ref and omega_ref must be finite and positive")
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
-    if v_ref * dt > 0.2 + 1e-12:
-        raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
+    check_labelling(dt, v_ref, omega_ref)
     states = path.states
     cur = np.array([(p.x, p.y, p.heading) for p in poses], dtype=float).reshape(-1, 3)
 

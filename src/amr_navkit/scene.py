@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidCommand
+from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, GenerationFailed, InvalidCommand, check_ranges
 from .geometry import OrientedBox, Pose2, rot2, wrap_angle
 
 KINEMATICS_KINDS = ("differential", "omnidirectional")
@@ -105,7 +106,8 @@ class Scene:
 
 @dataclass(frozen=True)
 class RobotState:
-    """Disc robot state: base pose, footprint radius, camera tilt, drive type."""
+    """Disc robot state: base pose, footprint radius, camera tilt, and drive
+    type, one of ``KINEMATICS_KINDS`` (``ExecutorConfig`` checks the setting)."""
 
     pose: Pose2
     radius: float
@@ -115,8 +117,6 @@ class RobotState:
     def __post_init__(self):
         if not 0.1 <= self.radius <= 0.5:
             raise ValueError(f"radius {self.radius} outside [0.1, 0.5]")
-        if self.kinematics not in KINEMATICS_KINDS:
-            raise ValueError(f"unknown kinematics {self.kinematics!r}")
 
 
 @dataclass(frozen=True)
@@ -618,17 +618,24 @@ def step_kinematics(
 
 @dataclass(frozen=True)
 class SceneGenParams:
-    room_min: float = 6.0
-    room_max: float = 12.0
-    objects_min: int = 5
-    objects_max: int = 15
-    size_min: float = 0.2
-    size_max: float = 2.0
-    min_clearance: float = 0.4
-    min_free_area: float = 10.0
-    wall_thickness: float = 0.1
-    free_probe_radius: float = 0.5
-    max_attempts: int = 200
+    room_min: Annotated[float, POSITIVE] = 6.0
+    room_max: Annotated[float, POSITIVE] = 12.0
+    objects_min: Annotated[int, NON_NEGATIVE] = 5
+    objects_max: Annotated[int, NON_NEGATIVE] = 15
+    size_min: Annotated[float, POSITIVE] = 0.2
+    size_max: Annotated[float, POSITIVE] = 2.0
+    min_clearance: Annotated[float, NON_NEGATIVE] = 0.4
+    min_free_area: Annotated[float, NON_NEGATIVE] = 10.0
+    wall_thickness: Annotated[float, POSITIVE] = 0.1
+    free_probe_radius: Annotated[float, NON_NEGATIVE] = 0.5
+    max_attempts: Annotated[int, AT_LEAST_1] = 200
+
+    def __post_init__(self):
+        check_ranges(self, "scene_gen")
+        for lo, hi in (("room_min", "room_max"), ("objects_min", "objects_max"), ("size_min", "size_max")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if a > b:
+                raise ValueError(f"scene_gen {lo} must not exceed {hi}, got {a} > {b}")
 
 
 def _boxes_overlap(a: OrientedBox, b: OrientedBox, margin: float = 0.0) -> bool:
@@ -655,11 +662,15 @@ def _room_walls(bounds: Bounds, t: float) -> list[OrientedBox]:
     ]
 
 
-def _largest_free_area(scene: Scene, probe_radius: float, cell: float = 0.25) -> float:
+# cell size of the free-area occupancy grid, meters
+_FREE_AREA_CELL = 0.25
+
+
+def _largest_free_area(scene: Scene, probe_radius: float) -> float:
     """Area of the largest 4-connected free region on a coarse occupancy grid."""
     b = scene.bounds
-    nx = max(1, int(b.w / cell))
-    ny = max(1, int(b.h / cell))
+    nx = max(1, int(b.w / _FREE_AREA_CELL))
+    ny = max(1, int(b.h / _FREE_AREA_CELL))
     xs = b.xmin + (np.arange(nx) + 0.5) * (b.w / nx)
     ys = b.ymin + (np.arange(ny) + 0.5) * (b.h / ny)
     gx, gy = np.meshgrid(xs, ys)
@@ -707,6 +718,8 @@ def sample_scene(seed: int, params: SceneGenParams = SceneGenParams()) -> Scene:
             hx = float(rng.uniform(params.size_min, params.size_max)) / 2
             hy = float(rng.uniform(params.size_min, params.size_max)) / 2
             margin = math.hypot(hx, hy)
+            if bounds.xmax - margin < bounds.xmin + margin or bounds.ymax - margin < bounds.ymin + margin:
+                continue  # no centre keeps the box's bounding circle in the room
             cx = float(rng.uniform(bounds.xmin + margin, bounds.xmax - margin))
             cy = float(rng.uniform(bounds.ymin + margin, bounds.ymax - margin))
             yaw = float(rng.uniform(-math.pi, math.pi))

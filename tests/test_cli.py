@@ -52,7 +52,6 @@ class TestConfig:
             config_from_dict({"planner": {"no_such_field": 1}})
 
     def test_env_overrides(self):
-        cfg = RunConfig()
         env = {
             "AMR_EXECUTOR_SPEED": "0.4",
             "AMR_PLANNER_BATCHES": "7",
@@ -60,7 +59,7 @@ class TestConfig:
             "AMR_TASK_P_FFR": "0.25",
             "IGNORED": "x",
         }
-        out = apply_env_overrides(cfg, env)
+        out = config_from_dict(apply_env_overrides({}, env))
         assert out.executor.speed == 0.4
         assert out.planner.batches == 7
         assert out.master_seed == 99
@@ -68,12 +67,12 @@ class TestConfig:
 
     def test_env_override_unknown_field(self):
         with pytest.raises(ValueError):
-            apply_env_overrides(RunConfig(), {"AMR_PLANNER_NOPE": "1"})
+            apply_env_overrides({}, {"AMR_PLANNER_NOPE": "1"})
 
     def test_hash_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
         assert config_hash(a) == config_hash(b)
-        c = apply_env_overrides(a, {"AMR_EXECUTOR_SPEED": "0.4"})
+        c = config_from_dict(apply_env_overrides({}, {"AMR_EXECUTOR_SPEED": "0.4"}))
         assert config_hash(c) != config_hash(a)
 
     def test_default_expert_is_the_config_default(self):
@@ -97,17 +96,18 @@ class TestConfig:
     )
     def test_env_override_reaches_expert(self, key, raw, field):
         read = attrgetter(field)
-        assert read(apply_env_overrides(RunConfig(), {key: raw}).expert()) == float(raw)
+        assert read(config_from_dict(apply_env_overrides({}, {key: raw})).expert()) == float(raw)
         assert read(RunConfig().expert()) != float(raw)
 
     def test_load_missing_returns_defaults(self):
-        assert load_config(None) == RunConfig()
+        assert config_from_dict(load_config(None)) == RunConfig()
 
     @pytest.mark.parametrize("field", ["v_ref", "omega_ref"])
     @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
     def test_oracle_speeds_must_be_finite_positive(self, field, value):
+        # the labelling rule, run when the expert is built at load
         with pytest.raises(ValueError):
-            OracleParams(**{field: value})
+            RunConfig(oracle=OracleParams(**{field: value})).expert()
 
     def test_oracle_zero_speed_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMR_ORACLE_V_REF", "0")
@@ -132,7 +132,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(body)
         with pytest.raises(ValueError, match=match):
-            load_config(str(path))
+            config_from_dict(load_config(str(path)))
         assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
 
     def test_workers_flag_below_one_exits_2(self, tmp_path):
@@ -143,7 +143,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"workers": 0}')
         with pytest.raises(ValueError, match="workers"):
-            load_config(str(path))
+            config_from_dict(load_config(str(path)))
         assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
 
     def test_workers_env_below_one_exits_2(self, tmp_path, monkeypatch):
@@ -207,9 +207,10 @@ class TestConfig:
          ("safety_margin", -0.2)],
     )
     def test_planner_params_refused(self, field, value):
+        # batches and batch_size are PlannerBudget's rule, run when the expert is built
         with pytest.raises(ValueError, match=f"planner {field} must"):
-            PlannerParams(**{field: value})
-        assert PlannerParams(**{field: 0.0 if field == "safety_margin" else 1})
+            RunConfig(planner=PlannerParams(**{field: value})).expert()
+        assert RunConfig(planner=PlannerParams(**{field: 0.0 if field == "safety_margin" else 1})).expert()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -229,7 +230,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(body)
         with pytest.raises(ValueError, match="sensor"):
-            load_config(str(path))
+            config_from_dict(load_config(str(path)))
         scenes = tmp_path / "scenes"
         assert run(["gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
         out = tmp_path / "d.jsonl"
@@ -301,6 +302,76 @@ class TestConfig:
         assert run(["gen-data", "--scenes", str(scenes), "--episodes-per-scene", "1", "--out", str(out)]) == 2
         assert f"{field} must" in caplog.text
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["gen-scenes", "gen-data", "eval"])
+    @pytest.mark.parametrize(
+        "argv, env, words",
+        [
+            # the first two crashed in CostWeights, the next two at label time,
+            # the scene_gen three in gen-scenes, lookahead 0 with a
+            # ZeroDivisionError and --seed -1 in numpy, each with exit 1; a
+            # negative omega_max was an eval "hard failure" and a negative
+            # speed ran to exit 0 with every episode a collision
+            ([], {"AMR_PLANNER_W_TRANSLATE": "0"}, "planner w_translate must be positive, got 0.0"),
+            ([], {"AMR_PLANNER_W_ROTATE": "-1"}, "planner w_rotate must be non-negative, got -1.0"),
+            ([], {"AMR_ORACLE_V_REF": "2"}, "step range, got executor.dt 0.2, oracle.v_ref 2.0,"),
+            ([], {"AMR_EXECUTOR_DT": "2"}, "step range, got executor.dt 2.0, oracle.v_ref 0.5,"),
+            ([], {"AMR_SCENE_GEN_OBJECTS_MIN": "20"}, "objects_min must not exceed objects_max, got 20 > 15"),
+            ([], {"AMR_SCENE_GEN_ROOM_MIN": "-3"}, "scene_gen room_min must be positive, got -3.0"),
+            ([], {"AMR_SCENE_GEN_WALL_THICKNESS": "0"}, "scene_gen wall_thickness must be positive, got 0.0"),
+            ([], {"AMR_EXECUTOR_LOOKAHEAD": "0"}, "executor lookahead must be positive, got 0.0"),
+            (["--seed", "-1"], {}, "run master_seed must be non-negative, got -1"),
+            ([], {"AMR_EXECUTOR_OMEGA_MAX": "-1"}, "executor omega_max must be non-negative, got -1.0"),
+            ([], {"AMR_EXECUTOR_SPEED": "-1"}, "executor speed must be positive, got -1.0"),
+        ],
+    )
+    def test_refused_at_load_before_any_work(self, tmp_path, monkeypatch, caplog, command, argv, env, words):
+        scenes = tmp_path / "scenes"
+        assert run(["gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+        for key, raw in env.items():
+            monkeypatch.setenv(key, raw)
+        out = tmp_path / "out"
+        rest = ["--count", "1"] if command == "gen-scenes" else ["--scenes", str(scenes)]
+        caplog.clear()
+        assert run([*argv, command, *rest, "--out", str(out)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [errors[0]] and errors[0].startswith("config error: ") and words in errors[0]
+        assert [r.getMessage() for r in caplog.records] == errors  # nothing ran before the refusal
+        assert sorted(tmp_path.iterdir()) == [scenes]
+
+    def test_room_too_small_for_its_boxes_is_a_hard_failure(self, tmp_path, monkeypatch, caplog):
+        # once numpy's "high - low < 0" with exit 1: no box of size_min fits the room
+        monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MIN", "1")
+        monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MAX", "1.5")
+        caplog.clear()
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 3
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert list((tmp_path / "s").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "env, body",
+        [
+            ({"AMR_EXECUTOR_HORIZON_N": "6", "AMR_EXECUTOR_REPLAN_EVERY": "4"},
+             {"executor": {"horizon_n": 6, "replan_every": 4}}),
+            ({"AMR_TASK_D_MAX": "0.05", "AMR_TASK_D_MIN": "0.01"}, {"task": {"d_max": 0.05, "d_min": 0.01}}),
+        ],
+    )
+    def test_env_overrides_are_judged_together(self, tmp_path, monkeypatch, env, body):
+        # each pair was refused when the first override in name order met the other's default
+        want = config_from_dict(body)
+        for order in (env, dict(reversed(env.items()))):
+            got = config_from_dict(apply_env_overrides({}, order))
+            assert got == want and config_hash(got) == config_hash(want)
+        section, fields = next(iter(body.items()))
+        first, second = fields
+        split = config_from_dict(apply_env_overrides({section: {first: fields[first]}}, {
+            f"AMR_{section.upper()}_{second.upper()}": str(fields[second])}))
+        assert split == want
+        for key, raw in env.items():
+            monkeypatch.setenv(key, raw)
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 0
 
 
 class TestGenScenes:
@@ -550,11 +621,14 @@ def test_unwritable_output_exits_3_with_one_log_line(tmp_path, fast_config, capl
     command, *rest = argv.format(tmp=tmp_path).split()
     if command != "gen-scenes":
         rest += ["--scenes", str(scenes)]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()}
     caplog.clear()
     assert run(["--config", fast_config, command, *rest]) == 3
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None
     assert errors[0].getMessage().startswith("cannot ")
+    # no output that could be written is left behind, nor any temporary file
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()} == before
 
 
 def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
@@ -704,22 +778,10 @@ class TestEval:
         assert run(["report", "--report", str(path), "--format", "csv"]) == 0
         assert "\n0-2,1,1,0,0," in capsys.readouterr().out
 
-    def test_codec_is_the_oracle(self, tmp_path, fast_config):
-        # the oracle's horizon already goes through the codec
-        scenes = tmp_path / "scenes"
-        assert run(["--config", fast_config, "gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
-        outputs = {}
-        for policy in ("oracle", "codec"):
-            out = tmp_path / policy / "report"
-            assert run(["--config", fast_config, "eval", "--scenes", str(scenes), "--n-tasks", "2",
-                        "--policy", policy, "--out", str(out)]) == 0
-            outputs[policy] = [out.with_suffix(ext).read_bytes() for ext in (".json", ".csv", ".traces.jsonl")]
-        assert outputs["oracle"] == outputs["codec"]
-
     def test_codec_policy_names(self, tmp_path, fast_config):
         scenes = tmp_path / "scenes"
         run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)])
-        for policy in ("codec", "codec-noresidual"):
+        for policy in ("oracle", "codec-noresidual"):
             out = tmp_path / f"rep_{policy}"
             rc = run(
                 [
@@ -738,6 +800,12 @@ class TestEval:
             )
             assert rc == 0
             assert (tmp_path / f"rep_{policy}.json").exists()
+        # "codec" was the oracle under another name
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", fast_config, "eval", "--scenes", str(scenes), "--n-tasks", "1",
+                 "--policy", "codec", "--out", str(tmp_path / "rep_codec")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("rep_codec.*"))
 
     def test_seed_flag_changes_output(self, tmp_path, fast_config):
         scenes1, scenes2 = tmp_path / "s1", tmp_path / "s2"

@@ -1,0 +1,90 @@
+"""Every config field declares its allowed ``Range`` beside it, or is on
+``ALLOWED`` with the reason it declares none; and every declared range is
+enforced at load, from a config file and from an AMR_* variable alike.
+
+The fields on ``ALLOWED`` are held to a rule that a type built from the
+config owns, or to no range at all, so an entry whose field is gone or now
+declares a range fails the check too.
+"""
+
+import json
+import math
+
+import pytest
+
+from amr_navkit.cli import main
+from amr_navkit.config import RunConfig, config_to_dict
+from amr_navkit.errors import field_ranges, field_types
+
+_EXPERT = "refused when cli.main builds the expert at load"
+ALLOWED = {
+    "planner.w_translate": f"CostWeights' range, {_EXPERT}",
+    "planner.w_rotate": f"CostWeights' range, {_EXPERT}",
+    "planner.w_backward": f"CostWeights' range, {_EXPERT}",
+    "planner.w_lookat": f"CostWeights' range, {_EXPERT}",
+    "planner.batches": f"PlannerBudget's range, {_EXPERT}",
+    "planner.batch_size": f"PlannerBudget's range, {_EXPERT}",
+    "oracle.v_ref": f"planner.check_labelling's rule with executor.dt, {_EXPERT}",
+    "oracle.omega_ref": f"planner.check_labelling's rule, {_EXPERT}",
+    "sensor.num_rays": "scene.check_lidar_params' rule, which every scan caster and reader shares",
+    "sensor.max_range": "scene.check_lidar_params' rule, which every scan caster and reader shares",
+    "executor.kinematics": "a choice among scene.KINEMATICS_KINDS, not a range",
+    "camera.height": "no code constrains the mounting height",
+}
+
+
+def _fields():
+    """(dotted name, owning dataclass, field name) of every config field."""
+    sections = field_types(RunConfig)
+    for key, value in config_to_dict(RunConfig()).items():
+        if isinstance(value, dict):
+            for field in value:
+                yield f"{key}.{field}", sections[key], field
+        else:
+            yield key, RunConfig, key
+
+
+def test_every_field_declares_a_range_or_is_allowed():
+    undeclared = {name for name, cls, field in _fields() if field not in field_ranges(cls)}
+    assert undeclared - ALLOWED.keys() == set(), "declare a Range beside the field, or allow it with a reason"
+    assert ALLOWED.keys() - undeclared == set(), "allowed but gone, or declares a range now: drop the entry"
+
+
+def _nearest_refused():
+    """(dotted name, value) of the refused value nearest each finite end of each declared range."""
+    for name, cls, field in _fields():
+        allowed = field_ranges(cls).get(field)
+        if allowed is None:
+            continue
+        kind = field_types(cls)[field]
+        ends = [(allowed.lo, allowed.lo_open, -math.inf)]
+        if allowed.hi != math.inf:
+            ends.append((allowed.hi, allowed.hi_open, math.inf))
+        for end, is_open, away in ends:
+            if is_open:
+                value = kind(end)
+            elif kind is int:
+                value = end + (1 if away > 0 else -1)
+            else:
+                value = math.nextafter(end, away)
+            yield pytest.param(name, value, id=f"{name}={value}")
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("name, value", list(_nearest_refused()))
+def test_each_range_refuses_its_nearest_outside_value(tmp_path, monkeypatch, caplog, source, name, value):
+    section, _, field = name.rpartition(".")
+    argv = []
+    if source == "file":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {field: value}} if section else {field: value}))
+        argv = ["--config", str(path)]
+    else:
+        monkeypatch.setenv(f"AMR_{(section or 'run').upper()}_{field.upper()}", str(value))
+    out = tmp_path / "out"
+    caplog.clear()
+    assert main([*argv, "gen-scenes", "--count", "1", "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("config error: ")
+    assert f"{field} must be " in errors[0] and errors[0].endswith(f", got {value}")
+    assert not out.exists()
