@@ -187,7 +187,9 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
         try:
             return kind(**fields)
         except ValueError as err:  # a rule of the type itself, such as unique ids
-            raise ValueError(f"{_prefix(where)}{err}") from err
+            # a config section's own rules already begin with its name
+            message = str(err)
+            raise ValueError(message if message.startswith(f"{where} ") else _prefix(where) + message) from err
     if form == "list" and t is list:
         try:
             return [checked(v, spec, where, shapes) for v in value]

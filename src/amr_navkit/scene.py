@@ -636,20 +636,73 @@ class SceneGenParams:
             a, b = getattr(self, lo), getattr(self, hi)
             if a > b:
                 raise ValueError(f"scene_gen {lo} must not exceed {hi}, got {a} > {b}")
+        # no free region is larger than the room, w * h <= room_max squared
+        largest = self.room_max * self.room_max
+        if self.min_free_area > largest:
+            raise ValueError(
+                f"scene_gen min_free_area must not exceed room_max squared, got {self.min_free_area} > {largest}"
+            )
 
 
-def _boxes_overlap(a: OrientedBox, b: OrientedBox, margin: float = 0.0) -> bool:
-    """Separating-axis overlap test for two oriented boxes, with inflation."""
-    ca = a if margin == 0 else OrientedBox(a.cx, a.cy, a.hx + margin, a.hy + margin, a.yaw)
-    cb = b if margin == 0 else OrientedBox(b.cx, b.cy, b.hx + margin, b.hy + margin, b.yaw)
-    pa, pb = ca.corners(), cb.corners()
-    for yaw in (ca.yaw, cb.yaw):
-        for ang in (yaw, yaw + math.pi / 2):
-            axis = np.array([math.cos(ang), math.sin(ang)])
-            qa, qb = pa @ axis, pb @ axis
-            if qa.max() < qb.min() or qb.max() < qa.min():
-                return False
+class _Placed:
+    """A box inflated by a clearance margin: the radii of its circumscribed
+    and inscribed circles, and what ``_boxes_overlap`` reads of it, computed
+    on first use and then kept."""
+
+    __slots__ = ("box", "margin", "outer", "inner", "_sides")
+
+    def __init__(self, box: OrientedBox, margin: float):
+        self.box, self.margin = box, margin
+        self.outer = math.hypot(box.hx + margin, box.hy + margin)
+        self.inner = min(box.hx, box.hy) + margin
+        self._sides = None
+
+    def sides(self) -> tuple:
+        """(corners (4, 2), the unit axes of its two sides) of the inflated box."""
+        if self._sides is None:
+            b, m = self.box, self.margin
+            inflated = b if m == 0 else OrientedBox(b.cx, b.cy, b.hx + m, b.hy + m, b.yaw)
+            axes = [np.array([math.cos(a), math.sin(a)]) for a in (b.yaw, b.yaw + math.pi / 2)]
+            self._sides = inflated.corners(), axes
+        return self._sides
+
+
+def _boxes_overlap(a: _Placed, b: _Placed) -> bool:
+    """Separating-axis overlap test for two inflated oriented boxes."""
+    (pa, axes_a), (pb, axes_b) = a.sides(), b.sides()
+    for axis in (*axes_a, *axes_b):
+        # a max or min of floats is exact, so lists give numpy's verdict
+        qa, qb = (pa @ axis).tolist(), (pb @ axis).tolist()
+        if max(qa) < min(qb) or max(qb) < min(qa):
+            return False
     return True
+
+
+# slack of the circle pre-tests, far above the rounding of the SAT's projections
+_CIRCLE_SLACK = 1e-6
+
+
+def _overlaps_any(box: _Placed, placed: list[_Placed]) -> bool:
+    """Whether ``box`` overlaps any of ``placed``, by ``_boxes_overlap``.
+
+    Circles decide most pairs first. A box lies inside its circumscribed
+    circle, so centres farther apart than the sum of the two circumradii
+    leave the boxes disjoint, at a distance g > 1e-6; two disjoint
+    rectangles are then separated along one of their side axes by at least
+    g / sqrt(2), which the SAT's projections resolve. A box holds its
+    inscribed circle, so centres closer than the sum of the inscribed radii
+    make the circles, and so every projection of the two boxes, overlap by
+    more than 1e-6, and the SAT finds no separating axis. Only pairs between
+    the two bounds, 1e-6 slack included, reach the SAT.
+    """
+    x, y = box.box.cx, box.box.cy
+    for other in placed:
+        d = math.hypot(x - other.box.cx, y - other.box.cy)
+        if d > box.outer + other.outer + _CIRCLE_SLACK:
+            continue
+        if d < box.inner + other.inner - _CIRCLE_SLACK or _boxes_overlap(box, other):
+            return True
+    return False
 
 
 def _room_walls(bounds: Bounds, t: float) -> list[OrientedBox]:
@@ -666,8 +719,53 @@ def _room_walls(bounds: Bounds, t: float) -> list[OrientedBox]:
 _FREE_AREA_CELL = 0.25
 
 
+def _largest_component(free: np.ndarray) -> int:
+    """Cell count of the largest 4-connected component of True cells in a 2-D grid, 0 if none.
+
+    Run-based labelling (He, Chao & Suzuki, IEEE TIP 2008): each row's runs
+    of True cells are found at once, and runs of adjacent rows that share a
+    column are merged by union-find; a component's cell count is the sum of
+    its runs' lengths.
+    """
+    ny = len(free)
+    edges = np.diff(np.pad(free.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edges == 1)  # in row order, as are the ends
+    ends = np.nonzero(edges == -1)[1].tolist()
+    starts = starts.tolist()
+    first = np.searchsorted(rows, np.arange(ny + 1)).tolist()  # row r's runs: first[r]:first[r + 1]
+    parent = list(range(len(starts)))
+    size = [e - s for s, e in zip(starts, ends)]
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for r in range(ny - 1):
+        i, i_end, j, j_end = first[r], first[r + 1], first[r + 1], first[r + 2]
+        while i < i_end and j < j_end:
+            if starts[i] < ends[j] and starts[j] < ends[i]:
+                a, b = root(i), root(j)
+                if a != b:
+                    parent[b] = a
+                    size[a] += size[b]
+            if ends[i] < ends[j]:
+                i += 1
+            else:
+                j += 1
+    return max((size[i] for i in range(len(parent)) if parent[i] == i), default=0)
+
+
 def _largest_free_area(scene: Scene, probe_radius: float) -> float:
-    """Area of the largest 4-connected free region on a coarse occupancy grid."""
+    """Area of the largest 4-connected free region on a coarse occupancy grid.
+
+    A cell is free when a disc of ``probe_radius`` at its centre is. The
+    components come from ``_largest_component``'s row runs, and are exactly
+    a flood fill's: the cells of a run are 4-linked along their row, and two
+    runs of adjacent rows that share a column are 4-linked across it, which
+    are all the links there are. The area is the same integer cell count
+    times the same cell area.
+    """
     b = scene.bounds
     nx = max(1, int(b.w / _FREE_AREA_CELL))
     ny = max(1, int(b.h / _FREE_AREA_CELL))
@@ -676,29 +774,20 @@ def _largest_free_area(scene: Scene, probe_radius: float) -> float:
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     free = ~collision_mask(scene, pts, probe_radius)
-    free = free.reshape(ny, nx)
-    seen = np.zeros_like(free)
-    best = 0
     cell_area = (b.w / nx) * (b.h / ny)
-    for i in range(ny):
-        for j in range(nx):
-            if free[i, j] and not seen[i, j]:
-                stack, count = [(i, j)], 0
-                seen[i, j] = True
-                while stack:
-                    ci, cj = stack.pop()
-                    count += 1
-                    for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-                        if 0 <= ni < ny and 0 <= nj < nx and free[ni, nj] and not seen[ni, nj]:
-                            seen[ni, nj] = True
-                            stack.append((ni, nj))
-                best = max(best, count)
-    return best * cell_area
+    return _largest_component(free.reshape(ny, nx)) * cell_area
 
 
 def sample_scene(seed: int, params: SceneGenParams = SceneGenParams()) -> Scene:
     """Deterministically generate a walled room with non-overlapping obstacles.
 
+    A candidate box is rejected when it overlaps a placed box, both inflated
+    by half of ``min_clearance``. ``_overlaps_any`` settles most pairs by
+    circles alone, and exactly: centres more than the sum of the
+    circumscribed radii plus 1e-6 apart cannot overlap, and centres less
+    than the sum of the inscribed radii minus 1e-6 apart must, with the
+    slack far above the SAT's rounding. The pairs between reach the
+    separating-axis test, which reads each box's corners, built once.
     Raises GenerationFailed when the rejection budget runs out before a
     layout with a large-enough traversable region is found.
     """
@@ -709,7 +798,7 @@ def sample_scene(seed: int, params: SceneGenParams = SceneGenParams()) -> Scene:
         bounds = Bounds(w, h)
         walls = _room_walls(bounds, params.wall_thickness)
         count = int(rng.integers(params.objects_min, params.objects_max + 1))
-        boxes: list[OrientedBox] = []
+        placed_boxes: list[_Placed] = []
         objects: list[SceneObject] = []
         placed = 0
         tries = 0
@@ -724,9 +813,10 @@ def sample_scene(seed: int, params: SceneGenParams = SceneGenParams()) -> Scene:
             cy = float(rng.uniform(bounds.ymin + margin, bounds.ymax - margin))
             yaw = float(rng.uniform(-math.pi, math.pi))
             box = OrientedBox(cx, cy, hx, hy, yaw)
-            if any(_boxes_overlap(box, other, margin=params.min_clearance / 2) for other in boxes):
+            candidate = _Placed(box, params.min_clearance / 2)
+            if _overlaps_any(candidate, placed_boxes):
                 continue
-            boxes.append(box)
+            placed_boxes.append(candidate)
             objects.append(
                 SceneObject(
                     id=placed,

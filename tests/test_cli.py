@@ -340,15 +340,33 @@ class TestConfig:
         assert [r.getMessage() for r in caplog.records] == errors  # nothing ran before the refusal
         assert sorted(tmp_path.iterdir()) == [scenes]
 
-    def test_room_too_small_for_its_boxes_is_a_hard_failure(self, tmp_path, monkeypatch, caplog):
-        # once numpy's "high - low < 0" with exit 1: no box of size_min fits the room
+    def test_room_too_small_for_its_free_area_is_refused_at_load(self, tmp_path, monkeypatch, caplog):
+        # once numpy's "high - low < 0" with exit 1, then about 2 s of
+        # attempts to exit 3: no 1.5 m room holds 10 m2 of free area
         monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MIN", "1")
         monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MAX", "1.5")
+        caplog.clear()
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "config error: scene_gen min_free_area must not exceed room_max squared, got 10.0 > 2.25"
+        ]
+        assert not (tmp_path / "s").exists()
+
+    def test_unmeetable_free_area_is_a_hard_failure(self, tmp_path, monkeypatch, caplog):
+        # admitted, as 15 <= 4 ** 2, but the probe disc keeps 0.5 m off each wall
+        for key, raw in {"ROOM_MIN": "4", "ROOM_MAX": "4", "MIN_FREE_AREA": "15", "MAX_ATTEMPTS": "3"}.items():
+            monkeypatch.setenv(f"AMR_SCENE_GEN_{key}", raw)
         caplog.clear()
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 3
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].exc_info is None
         assert list((tmp_path / "s").iterdir()) == []
+
+    def test_a_value_error_keeps_its_path(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MIN", "nan")
+        caplog.clear()
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        assert [r.getMessage() for r in caplog.records] == ["config error: scene_gen.room_min: non-finite number nan"]
 
     @pytest.mark.parametrize(
         "env, body",

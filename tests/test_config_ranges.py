@@ -1,6 +1,7 @@
 """Every config field declares its allowed ``Range`` beside it, or is on
-``ALLOWED`` with the reason it declares none; and every declared range is
-enforced at load, from a config file and from an AMR_* variable alike.
+``ALLOWED`` with the reason it declares none; and every declared range and
+every rule between fields is enforced at load, from a config file and from
+an AMR_* variable alike, with one log line that names the section once.
 
 The fields on ``ALLOWED`` are held to a rule that a type built from the
 config owns, or to no range at all, so an entry whose field is gone or now
@@ -51,7 +52,7 @@ def test_every_field_declares_a_range_or_is_allowed():
 
 
 def _nearest_refused():
-    """(dotted name, value) of the refused value nearest each finite end of each declared range."""
+    """(dotted name, value, its Range) of the refused value nearest each finite end of each declared range."""
     for name, cls, field in _fields():
         allowed = field_ranges(cls).get(field)
         if allowed is None:
@@ -67,12 +68,12 @@ def _nearest_refused():
                 value = end + (1 if away > 0 else -1)
             else:
                 value = math.nextafter(end, away)
-            yield pytest.param(name, value, id=f"{name}={value}")
+            yield pytest.param(name, value, allowed, id=f"{name}={value}")
 
 
-@pytest.mark.parametrize("source", ["file", "env"])
-@pytest.mark.parametrize("name, value", list(_nearest_refused()))
-def test_each_range_refuses_its_nearest_outside_value(tmp_path, monkeypatch, caplog, source, name, value):
+def _refusal(tmp_path, monkeypatch, caplog, source, name, value) -> str:
+    """The one log line of gen-scenes run with ``name`` set to ``value`` by
+    a config file or an AMR_* variable, which must exit 2 and write nothing."""
     section, _, field = name.rpartition(".")
     argv = []
     if source == "file":
@@ -84,7 +85,38 @@ def test_each_range_refuses_its_nearest_outside_value(tmp_path, monkeypatch, cap
     out = tmp_path / "out"
     caplog.clear()
     assert main([*argv, "gen-scenes", "--count", "1", "--out", str(out)]) == 2
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].startswith("config error: ")
-    assert f"{field} must be " in errors[0] and errors[0].endswith(f", got {value}")
     assert not out.exists()
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 1 and caplog.records[0].levelname == "ERROR"
+    return lines[0]
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("name, value, allowed", list(_nearest_refused()))
+def test_each_range_refuses_its_nearest_outside_value(tmp_path, monkeypatch, caplog, source, name, value, allowed):
+    section, _, field = name.rpartition(".")
+    line = _refusal(tmp_path, monkeypatch, caplog, source, name, value)
+    # the section is named once; a top-level field's section is "run"
+    assert line == f"config error: {section or 'run'} {field} must be {allowed}, got {value}"
+
+
+# each rule between fields: (field, the rule, the bound it holds the field to at the defaults)
+CROSS_FIELD = [
+    ("scene_gen.room_min", "must not exceed room_max", 12.0),
+    ("scene_gen.objects_min", "must not exceed objects_max", 15),
+    ("scene_gen.size_min", "must not exceed size_max", 2.0),
+    ("scene_gen.min_free_area", "must not exceed room_max squared", 144.0),
+    ("task.d_min", "must not exceed d_max", 0.5),
+    ("executor.replan_every", "must not exceed horizon_n", 12),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("name, rule, bound", CROSS_FIELD)
+def test_each_rule_between_fields_refuses_its_nearest_outside_value(
+    tmp_path, monkeypatch, caplog, source, name, rule, bound
+):
+    value = bound + 1 if type(bound) is int else math.nextafter(bound, math.inf)
+    line = _refusal(tmp_path, monkeypatch, caplog, source, name, value)
+    section, _, field = name.rpartition(".")
+    assert line == f"config error: {section} {field} {rule}, got {value} > {bound}"

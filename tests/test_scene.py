@@ -17,6 +17,7 @@ from amr_navkit.scene import (
     SceneObject,
     SpeedLimits,
     _boxes_overlap,
+    _Placed,
     _room_walls,
     collision_check,
     obstacle_distances,
@@ -295,9 +296,10 @@ class TestSceneGeneration:
         assert a == b
 
     def test_no_pairwise_overlaps_seed_sweep(self):
+        margin = SceneGenParams().min_clearance / 2
         for seed in range(1, 101):
             scene = sample_scene(seed)
-            boxes = [o.box for o in scene.objects]
+            boxes = [_Placed(o.box, margin) for o in scene.objects]
             for i in range(len(boxes)):
                 for j in range(i + 1, len(boxes)):
                     assert not _boxes_overlap(boxes[i], boxes[j]), f"seed {seed}: {i} vs {j}"
@@ -311,7 +313,8 @@ class TestSceneGeneration:
                     assert b.xmin <= cx <= b.xmax and b.ymin <= cy <= b.ymax
 
     def test_generation_failure(self):
-        params = SceneGenParams(min_free_area=1e9, max_attempts=5)
+        # the largest admitted value: the probe disc keeps the free area below the room's
+        params = SceneGenParams(min_free_area=SceneGenParams().room_max ** 2, max_attempts=5)
         with pytest.raises(GenerationFailed):
             sample_scene(1, params)
 
