@@ -29,17 +29,18 @@ from .errors import (
     NavkitError,
     NoPathFound,
     SamplingExhausted,
+    written,
 )
 from .evaluation import (
     PolicySpec,
     evaluate,
     report_export,
     report_from_dict,
-    report_to_csv,
-    report_to_dict,
+    report_text,
 )
 from .geometry import CameraModel
 from .pipeline import (
+    SHAPES,
     Expert,
     all_or_none,
     generate_episode,
@@ -188,24 +189,8 @@ def cmd_eval(run: Run, args) -> int:
         report_export(report, "csv", csv_tmp)
         with open(traces_tmp, "w") as fh:
             for summary, result in episodes:
-                fh.write(
-                    json.dumps(
-                        {
-                            "task_index": summary.task_index,
-                            "outcome": result.outcome,
-                            "distance_error": result.distance_error,
-                            "angle_error": result.angle_error,
-                            "steps": result.steps,
-                            "min_clearance": result.min_clearance,
-                            "trace": [
-                                [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]
-                                for e in result.trace
-                            ],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                line = {"task_index": summary.task_index, **written(result, SHAPES)}
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
     log.info(
         "evaluated %d tasks: median %.4f m / %.3f deg, collisions %.1f%%",
         report.n_episodes,
@@ -221,11 +206,8 @@ def cmd_report(run: Run, args) -> int:
     if args.out:
         with all_or_none([args.out]) as (tmp,):
             report_export(report, args.format, tmp)
-    elif args.format == "csv":
-        sys.stdout.write(report_to_csv(report))
     else:
-        json.dump(report_to_dict(report), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(report_text(report, args.format))
     return 0
 
 

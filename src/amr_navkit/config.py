@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Annotated
 
 from .controller import ExecutorConfig
-from .errors import AT_LEAST_1, NON_NEGATIVE, Range, check_ranges, checked, field_types
+from .errors import AT_LEAST_1, NON_NEGATIVE, Range, check_ranges, checked, field_types, written
 from .geometry import CameraModel
 from .pipeline import Expert, TaskParams
 from .planner import CostWeights, PlannerBudget, check_labelling
@@ -127,15 +127,11 @@ def config_from_dict(d: dict) -> RunConfig:
     key and section field is filled in with its default: the one read by
     which every setting reaches a ``RunConfig``."""
     if type(d) is dict:
-        full = config_to_dict(RunConfig())
+        full = written(RunConfig())
         for k, v in d.items():
             full[k] = {**full[k], **v} if type(v) is dict and type(full.get(k)) is dict else v
         d = full
     return checked(d, RunConfig, "")
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def load_config(path: str | None):
@@ -179,5 +175,5 @@ def apply_env_overrides(d, environ) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(written(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -26,7 +26,7 @@ from .geometry import (
     se2_relative,
     wrap_angle,
 )
-from .pipeline import Expert
+from .pipeline import Expert, TraceEntry
 from .planner import PlannerBudget
 from .scene import (
     KINEMATICS_KINDS,
@@ -76,14 +76,6 @@ class ExecutorConfig:
     @property
     def limits(self) -> SpeedLimits:
         return SpeedLimits(self.v_max, self.omega_max)
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    step: int
-    pose: Pose2
-    tilt: float
-    trajectory_id: int
 
 
 @dataclass

@@ -1,14 +1,15 @@
 """Exception types shared across the toolkit; ``checked``, the one rule by
 which every file reader (config, scene, dataset, report) reads parsed JSON:
 exact scalar types, and at every level of a file an object with exactly its
-dataclass's fields, each read by the field's type hint; and ``check_ranges``,
-which holds fields to the ``Range`` declared beside each."""
+dataclass's fields, each read by the field's type hint; ``written``, its
+inverse, by which every file is written; and ``check_ranges``, which holds
+fields to the ``Range`` declared beside each."""
 
 import dataclasses
 import functools
 import math
 from types import MappingProxyType
-from typing import Mapping, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 
 class NavkitError(Exception):
@@ -126,6 +127,15 @@ def require_fields(value, names, where: str) -> None:
         raise ValueError(_prefix(where) + ", ".join(wrong))
 
 
+class Shape(NamedTuple):
+    """The file form of a type that is not stored as an object of its fields
+    (a pose stored as ``[x, y, heading]``, say): ``read(value, where)`` for
+    ``checked`` and ``write(obj)`` for ``written``, each the other's inverse."""
+
+    read: Callable
+    write: Callable
+
+
 _NO_SHAPES: Mapping = MappingProxyType({})
 
 
@@ -152,9 +162,9 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
     string; types are matched exactly, as JSON parsing yields them, which is
     the cheaper test. A dataclass takes an object with exactly its fields, a
     ``list[X]`` a list and a ``dict[str, X]`` an object, each value read in
-    turn, except that ``shapes`` maps a type whose file form differs (a pose
-    stored as ``[x, y, heading]``, say) to its reader ``read(value, where)``.
-    Anything else raises ValueError naming ``where``, the value's dotted path.
+    turn, except that a type in ``shapes`` is read by its ``Shape``'s
+    ``read(value, where)``. Anything else raises ValueError naming ``where``,
+    the value's dotted path.
     """
     t = type(value)
     if kind is float and (t is float or t is int):
@@ -168,9 +178,9 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
         return value
     if kind in (float, int, bool, str):
         raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
-    read = shapes.get(kind)
-    if read is not None:
-        return read(value, where)
+    shape = shapes.get(kind)
+    if shape is not None:
+        return shape.read(value, where)
     form, spec = _file_form(kind)
     if form == "object":
         if t is not dict or value.keys() != spec.keys():
@@ -202,3 +212,44 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
         form = "a list" if form == "list" else "an object"
         raise ValueError(f"{_prefix(where)}expected {form}, got {t.__name__}")
     raise TypeError(f"{where}: no file form for {kind!r}")
+
+
+_SCALARS = frozenset((float, int, bool, str))
+
+
+@functools.cache
+def _object_form(cls) -> tuple | None:
+    """(field names, whether every field is a scalar) of a dataclass ``cls``,
+    in ``field_types`` order; None for any other type. Resolved once per type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    hints = field_types(cls)
+    return tuple(hints), all(h in _SCALARS for h in hints.values())
+
+
+def written(value, shapes: Mapping = _NO_SHAPES):
+    """``value`` in the form ``checked`` reads it as, ready for ``json.dumps``.
+
+    A type in ``shapes`` goes through its ``Shape``'s ``write``. A dataclass
+    becomes an object of its fields in ``field_types`` order, a list or dict
+    is written value by value, and anything else (a scalar) is as it is. A
+    dataclass of scalars only, such as a tokenized step, is copied field by
+    field without a call per field: a dataset record holds thousands.
+    """
+    t = type(value)
+    if t in _SCALARS:
+        return value
+    if t is list:
+        return [written(v, shapes) for v in value]
+    if t is dict:
+        return {k: written(v, shapes) for k, v in value.items()}
+    shape = shapes.get(t)
+    if shape is not None:
+        return shape.write(value)
+    form = _object_form(t)
+    if form is None:
+        return value
+    names, flat = form
+    if flat:
+        return {k: getattr(value, k) for k in names}
+    return {k: written(getattr(value, k), shapes) for k in names}

@@ -13,13 +13,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .controller import EpisodeResult, ExecutorConfig, OraclePolicy, run_episode
-from .errors import IoFailure, SchemaMismatch, checked
+from .errors import SchemaMismatch, checked, written
 from .geometry import CameraModel
 from .pipeline import Expert, Task, parallel_map
 from .scene import Scene
@@ -231,20 +231,15 @@ def evaluate(
 # export
 
 
-def _sig6(x: float) -> float:
-    return float(f"{x:.6g}")
+def _sig6(d):
+    """A written report with every float rounded to 6 significant digits."""
+    if type(d) is dict:
+        return {k: _sig6(v) for k, v in d.items()}
+    return float(f"{d:.6g}") if isinstance(d, float) else d
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    d = asdict(report)
-    for key, val in d.items():
-        if isinstance(val, float):
-            d[key] = _sig6(val)
-    d["buckets"] = {
-        k: {f: (_sig6(v) if isinstance(v, float) else v) for f, v in b.items()}
-        for k, b in d["buckets"].items()
-    }
-    return d
+    return _sig6(written(report))
 
 
 _BUCKET_NAMES = {f"{r}/{f}/{v}" for r in BUCKET_LABELS for f in ("ffr", "nonffr") for v in ("visible", "hidden")}
@@ -290,17 +285,17 @@ def report_to_csv(report: MetricsReport) -> str:
     return buf.getvalue()
 
 
+def report_text(report: MetricsReport, fmt: str) -> str:
+    """A report as JSON or CSV text; field order is deterministic."""
+    if fmt == "json":
+        return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        return report_to_csv(report)
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
 def report_export(report: MetricsReport, fmt: str, path: str) -> None:
-    """Write a report as JSON or CSV; field order is deterministic."""
-    try:
-        if fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        elif fmt == "csv":
-            with open(path, "w") as fh:
-                fh.write(report_to_csv(report))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-    except OSError as err:
-        raise IoFailure(f"cannot write report to {path}: {err}") from err
+    """Write ``report_text`` to a path that ``all_or_none`` yields."""
+    text = report_text(report, fmt)
+    with open(path, "w") as fh:
+        fh.write(text)

@@ -5,9 +5,10 @@ goal derived from a reference view. Episodes record expert keyframe
 observations and tokenized waypoint actions along a planned path; the eval
 oracle plans and labels with the same ``Expert``. Datasets are
 line-delimited JSON with an explicit schema version and a manifest, and
-scene files are JSON; every reader goes through ``errors.checked``. A file
-that cannot be read or written is an IoFailure, and one that is not UTF-8
-a SchemaMismatch.
+scene files are JSON; every file is written by ``errors.written`` and read
+by ``errors.checked``, with ``SHAPES`` holding the forms that are not an
+object of their fields. A file that cannot be read or written is an
+IoFailure, and one that is not UTF-8 a SchemaMismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import multiprocessing
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -34,10 +35,12 @@ from .errors import (
     NoPathFound,
     SamplingExhausted,
     SchemaMismatch,
+    Shape,
     check_ranges,
     checked,
     field_types,
     require_fields,
+    written,
 )
 from .geometry import (
     GOAL_ANGLES,
@@ -110,6 +113,29 @@ class EpisodeRecord:
     keyframes: list[Keyframe]
     planner_cost: float
     generator_version: str = _generator_version
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    """One executor step, as a row of an eval run's traces file."""
+
+    step: int
+    pose: Pose2
+    tilt: float
+    trajectory_id: int
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    """What a dataset's manifest file holds beside its version: the run that
+    wrote it, and the record count that ``read_dataset`` checks; ``metadata``
+    holds what differs between identical runs (the write time)."""
+
+    master_seed: int
+    scene_count: int
+    record_count: int
+    config_hash: str
+    metadata: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -361,10 +387,6 @@ def _ranges_from_steps(steps, num_rays: int, max_range: float, where: str) -> np
     return np.array(ints, dtype=np.int64) * LIDAR_UNIT
 
 
-def _pose_to_list(p: Pose2) -> list[float]:
-    return [p.x, p.y, p.heading]
-
-
 def _pose_from_list(v, where: str) -> Pose2:
     if type(v) is not list or len(v) != 3:
         raise ValueError(f"{where} must be [x, y, heading], got {v!r}")
@@ -379,87 +401,53 @@ def _lidar_from_dict(d, where: str) -> LidarScan:
     return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range, f"{where}.ranges"), max_range)
 
 
+def _lidar_to_dict(scan: LidarScan) -> dict:
+    return {"num_rays": scan.num_rays, "max_range": scan.max_range, "ranges": _range_steps(scan.ranges).tolist()}
+
+
 # a scene object stores its box fields inline, beside its own; the box's are read first
 _BOX_FIELDS = tuple(field_types(OrientedBox))
-_OBJECT_FIELDS = {
-    **field_types(OrientedBox),
-    **{k: hint for k, hint in field_types(SceneObject).items() if k != "box"},
-}
+_OWN_FIELDS = tuple(k for k in field_types(SceneObject) if k != "box")
+_OBJECT_FIELDS = {**field_types(OrientedBox), **{k: field_types(SceneObject)[k] for k in _OWN_FIELDS}}
 
 
 def _object_from_dict(d, where: str) -> SceneObject:
     """A scene object, each field read as ``errors.checked`` reads it; a box
     that ``OrientedBox`` refuses is a ValueError naming ``where``."""
     require_fields(d, _OBJECT_FIELDS.keys(), where)
-    fields = {}
-    for k, hint in _OBJECT_FIELDS.items():
-        v = d[k]
-        # as the walker does: a value of exactly its scalar type needs no call
-        if type(v) is hint and (hint is not float or math.isfinite(v)):
-            fields[k] = v
-        else:
-            fields[k] = checked(v, hint, f"{where}.{k}")
-    try:
-        box = OrientedBox(**{k: fields.pop(k) for k in _BOX_FIELDS})
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from err
-    return SceneObject(box=box, **fields)
+    box = checked({k: d[k] for k in _BOX_FIELDS}, OrientedBox, where)
+    return SceneObject(box=box, **{k: checked(d[k], _OBJECT_FIELDS[k], f"{where}.{k}") for k in _OWN_FIELDS})
+
+
+def _object_to_dict(o: SceneObject) -> dict:
+    return {**written(o.box), **{k: getattr(o, k) for k in _OWN_FIELDS}}
+
+
+_TRACE_ROW = (int, float, float, float, float, int)
+
+
+def _trace_from_list(v, where: str) -> TraceEntry:
+    if type(v) is not list or len(v) != len(_TRACE_ROW):
+        raise ValueError(f"{where} must be [step, x, y, heading, tilt, trajectory_id], got {v!r}")
+    step, x, y, heading, tilt, trajectory_id = (
+        checked(value, kind, f"{where}.{i}") for i, (value, kind) in enumerate(zip(v, _TRACE_ROW))
+    )
+    return TraceEntry(step, Pose2(x, y, heading), tilt, trajectory_id)
 
 
 # the file-format types that are not stored as an object of their fields
-_SHAPES = {Pose2: _pose_from_list, LidarScan: _lidar_from_dict, SceneObject: _object_from_dict}
-
-
-def task_to_dict(task: Task) -> dict:
-    return {
-        "scene_seed": task.scene_seed,
-        "start": _pose_to_list(task.start),
-        "robot_radius": task.robot_radius,
-        "reference_view": _pose_to_list(task.reference_view),
-        "target_id": task.target_id,
-        "side_labels": asdict(task.side_labels),
-        "goal_spec": {
-            "side": task.goal_spec.side,
-            "distance_d": task.goal_spec.distance_d,
-            "angle_theta": task.goal_spec.angle_theta,
-        },
-        "goal_pose": _pose_to_list(task.goal_pose),
-        "ffr": task.ffr,
-        "initially_visible": task.initially_visible,
-    }
+SHAPES = {
+    Pose2: Shape(_pose_from_list, lambda p: [p.x, p.y, p.heading]),
+    LidarScan: Shape(_lidar_from_dict, _lidar_to_dict),
+    SceneObject: Shape(_object_from_dict, _object_to_dict),
+    TraceEntry: Shape(
+        _trace_from_list, lambda e: [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]
+    ),
+}
 
 
 def record_to_dict(record: EpisodeRecord) -> dict:
-    return {
-        "version": DATASET_VERSION,
-        "task": task_to_dict(record.task),
-        "keyframes": [
-            {
-                "pose": _pose_to_list(kf.pose),
-                "tilt": kf.tilt,
-                "lidar": {
-                    "num_rays": kf.lidar.num_rays,
-                    "max_range": kf.lidar.max_range,
-                    "ranges": _range_steps(kf.lidar.ranges).tolist(),
-                },
-                "expert_steps": [
-                    {
-                        "psi_bin": s.psi_bin,
-                        "r_bin": s.r_bin,
-                        "phi_bin": s.phi_bin,
-                        "psi_res": s.psi_res,
-                        "r_res": s.r_res,
-                        "phi_res": s.phi_res,
-                    }
-                    for s in kf.expert_steps
-                ],
-                "expert_tilt_target": kf.expert_tilt_target,
-            }
-            for kf in record.keyframes
-        ],
-        "planner_cost": record.planner_cost,
-        "generator_version": record.generator_version,
-    }
+    return {"version": DATASET_VERSION, **written(record, SHAPES)}
 
 
 def _read_versioned(d, kind: type, version: str, where: str, what: str):
@@ -473,7 +461,7 @@ def _read_versioned(d, kind: type, version: str, where: str, what: str):
     body = dict(d)
     del body["version"]
     try:
-        return checked(body, kind, "", _SHAPES)
+        return checked(body, kind, "", SHAPES)
     except (ValueError, OverflowError) as err:
         raise SchemaMismatch(f"{where}: {err}") from err
 
@@ -504,21 +492,14 @@ def write_dataset(
     float keeps full precision. Both files appear or neither does, and a
     file that cannot be written is an IoFailure (``all_or_none``).
     """
-    manifest = {
-        "version": DATASET_VERSION,
-        "master_seed": master_seed,
-        "scene_count": scene_count,
-        "record_count": len(records),
-        "config_hash": config_hash,
-        "metadata": {"created_at": created_at},
-    }
+    manifest = DatasetManifest(master_seed, scene_count, len(records), config_hash, {"created_at": created_at})
     with all_or_none([path, manifest_path(path)]) as (data_tmp, manifest_tmp):
         with open(data_tmp, "w") as fh:
             for record in records:
                 line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
                 fh.write(line + "\n")
         with open(manifest_tmp, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
+            json.dump({"version": DATASET_VERSION, **written(manifest)}, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
@@ -528,8 +509,9 @@ def all_or_none(paths: list[str]):
     place, and rename them all into place once the block has written them all.
 
     If the block raises, or a path is a directory, the temporary files are
-    removed and the files at ``paths`` stay as they were; an OSError is an
-    IoFailure naming the path it was writing.
+    removed and the files at ``paths`` stay as they were. An OSError, the
+    block's included, is an IoFailure naming the output it was writing, not
+    that output's temporary file: the one place a write error is worded.
     """
     temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.partial") for p in paths]
     try:
@@ -541,7 +523,7 @@ def all_or_none(paths: list[str]):
             os.replace(tmp, path)
     except OSError as err:
         path = dict(zip(temps, paths)).get(err.filename, err.filename) or ", ".join(paths)
-        raise IoFailure(f"cannot write {path}: {err}") from err
+        raise IoFailure(f"cannot write {path}: {err.strerror or err}") from err
     finally:
         for tmp in temps:
             if os.path.isfile(tmp):
@@ -564,9 +546,9 @@ def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
     """Read a JSONL dataset; strict mode re-audits the keyframe gap rule.
 
     As for ``read_json``, an unreadable file is an IoFailure and one that is
-    not UTF-8 a SchemaMismatch. After the records, the manifest must exist,
-    carry ``DATASET_VERSION`` and count exactly the records read, so a
-    truncated dataset is a SchemaMismatch.
+    not UTF-8 a SchemaMismatch. After the records, the manifest must exist
+    and read as a ``DatasetManifest`` of ``DATASET_VERSION`` that counts
+    exactly the records read, so a truncated dataset is a SchemaMismatch.
     """
     records = []
     try:
@@ -588,14 +570,11 @@ def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
         raise SchemaMismatch(f"{path}: {err}") from err
     mpath = manifest_path(path)
     try:
-        manifest = read_json(mpath)
-        if type(manifest) is not dict or manifest.get("version") != DATASET_VERSION:
-            raise ValueError(f"not a version {DATASET_VERSION!r} manifest")
-        count = checked(manifest.get("record_count"), int, "record_count")
-    except (IoFailure, ValueError) as err:
+        manifest = _read_versioned(read_json(mpath), DatasetManifest, DATASET_VERSION, "manifest", "manifest")
+    except (IoFailure, SchemaMismatch) as err:
         raise SchemaMismatch(f"dataset manifest {mpath}: {err}") from err
-    if count != len(records):
-        raise SchemaMismatch(f"{path}: {len(records)} records read, manifest says {count}")
+    if manifest.record_count != len(records):
+        raise SchemaMismatch(f"{path}: {len(records)} records read, manifest says {manifest.record_count}")
     return records
 
 
@@ -603,25 +582,7 @@ def read_dataset(path: str, strict: bool = False) -> list[EpisodeRecord]:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    def box(b: OrientedBox) -> dict:
-        return {"cx": b.cx, "cy": b.cy, "hx": b.hx, "hy": b.hy, "yaw": b.yaw}
-
-    return {
-        "version": SCENE_VERSION,
-        "seed": scene.seed,
-        "bounds": {"w": scene.bounds.w, "h": scene.bounds.h},
-        "walls": [box(b) for b in scene.walls],
-        "objects": [
-            dict(
-                id=o.id,
-                **box(o.box),
-                base_height=o.base_height,
-                category=o.category,
-                target_eligible=o.target_eligible,
-            )
-            for o in scene.objects
-        ],
-    }
+    return {"version": SCENE_VERSION, **written(scene, SHAPES)}
 
 
 def scene_from_dict(d: dict) -> Scene:
@@ -633,13 +594,10 @@ def scene_from_dict(d: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path: str) -> None:
-    """Write a scene file; a file that cannot be written is an IoFailure."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(scene_to_dict(scene), fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as err:
-        raise IoFailure(f"cannot write scene {path}: {err}") from err
+    """Write a scene file, as a path that ``all_or_none`` yields."""
+    with open(path, "w") as fh:
+        json.dump(scene_to_dict(scene), fh, sort_keys=True)
+        fh.write("\n")
 
 
 def load_scene(path: str) -> Scene:

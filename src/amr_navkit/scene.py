@@ -636,11 +636,18 @@ class SceneGenParams:
             a, b = getattr(self, lo), getattr(self, hi)
             if a > b:
                 raise ValueError(f"scene_gen {lo} must not exceed {hi}, got {a} > {b}")
-        # no free region is larger than the room, w * h <= room_max squared
-        largest = self.room_max * self.room_max
+        largest = _countable_free_area(self.room_max, self.free_probe_radius)
         if self.min_free_area > largest:
             raise ValueError(
-                f"scene_gen min_free_area must not exceed room_max squared, got {self.min_free_area} > {largest}"
+                "scene_gen min_free_area must not exceed the area the free-area grid can count in a room_max room,"
+                f" got {self.min_free_area} > {largest}"
+            )
+        # sample_scene's own test, for the smallest box in the largest room
+        room, margin = Bounds(self.room_max, self.room_max), math.hypot(self.size_min / 2, self.size_min / 2)
+        if self.objects_min >= 1 and room.xmax - margin < room.xmin + margin:
+            raise ValueError(
+                f"scene_gen size_min must let a box fit a room_max room, got {self.size_min}: its bounding"
+                f" circle is {2 * margin} m across, the room {self.room_max} m"
             )
 
 
@@ -717,6 +724,16 @@ def _room_walls(bounds: Bounds, t: float) -> list[OrientedBox]:
 
 # cell size of the free-area occupancy grid, meters
 _FREE_AREA_CELL = 0.25
+
+
+def _countable_free_area(room_max: float, probe_radius: float) -> float:
+    """A bound on what ``_largest_free_area`` counts in any room of sides at
+    most ``room_max``: no region is larger than the room, and a free cell's
+    centre lies at least ``probe_radius`` from each wall, with cells narrower
+    than twice ``_FREE_AREA_CELL``, so the free cells of a row or column span
+    less than ``max(0, room_max - 2 * probe_radius) + 2 * _FREE_AREA_CELL``."""
+    side = max(0.0, room_max - 2 * probe_radius) + 2 * _FREE_AREA_CELL
+    return min(room_max * room_max, side * side)
 
 
 def _largest_component(free: np.ndarray) -> int:

@@ -15,9 +15,9 @@ from amr_navkit.config import (
     apply_env_overrides,
     config_from_dict,
     config_hash,
-    config_to_dict,
     load_config,
 )
+from amr_navkit.errors import written
 from amr_navkit.evaluation import report_to_dict, summarize
 from amr_navkit.pipeline import Expert, TaskParams, read_dataset, scene_to_dict
 from amr_navkit.scene import sample_scene
@@ -43,7 +43,7 @@ def fast_config(tmp_path):
 class TestConfig:
     def test_defaults_roundtrip(self):
         cfg = RunConfig()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(written(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -340,6 +340,8 @@ class TestConfig:
         assert [r.getMessage() for r in caplog.records] == errors  # nothing ran before the refusal
         assert sorted(tmp_path.iterdir()) == [scenes]
 
+    _FREE_AREA_RULE = "scene_gen min_free_area must not exceed the area the free-area grid can count in a room_max room"
+
     def test_room_too_small_for_its_free_area_is_refused_at_load(self, tmp_path, monkeypatch, caplog):
         # once numpy's "high - low < 0" with exit 1, then about 2 s of
         # attempts to exit 3: no 1.5 m room holds 10 m2 of free area
@@ -347,20 +349,35 @@ class TestConfig:
         monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MAX", "1.5")
         caplog.clear()
         assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
-        assert [r.getMessage() for r in caplog.records] == [
-            "config error: scene_gen min_free_area must not exceed room_max squared, got 10.0 > 2.25"
-        ]
+        # the probe disc keeps 0.5 m off each wall: (1.5 - 2 * 0.5 + 0.5) ** 2
+        assert [r.getMessage() for r in caplog.records] == [f"config error: {self._FREE_AREA_RULE}, got 10.0 > 1.0"]
         assert not (tmp_path / "s").exists()
 
-    def test_unmeetable_free_area_is_a_hard_failure(self, tmp_path, monkeypatch, caplog):
-        # admitted, as 15 <= 4 ** 2, but the probe disc keeps 0.5 m off each wall
-        for key, raw in {"ROOM_MIN": "4", "ROOM_MAX": "4", "MIN_FREE_AREA": "15", "MAX_ATTEMPTS": "3"}.items():
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            # once admitted, as 15 <= 4 ** 2, then every attempt failed with exit 3
+            pytest.param(
+                {"ROOM_MIN": "4", "ROOM_MAX": "4", "MIN_FREE_AREA": "15"},
+                f"{_FREE_AREA_RULE}, got 15.0 > 12.25",
+                id="free-area-the-grid-cannot-count",
+            ),
+            # once 200 attempts, each placing no box, then exit 3
+            pytest.param(
+                {"ROOM_MIN": "1", "ROOM_MAX": "1.5", "MIN_FREE_AREA": "0", "SIZE_MIN": "1.9"},
+                "scene_gen size_min must let a box fit a room_max room, got 1.9",
+                id="no-box-fits",
+            ),
+        ],
+    )
+    def test_unmeetable_scene_gen_is_refused_at_load(self, tmp_path, monkeypatch, caplog, env, message):
+        for key, raw in env.items():
             monkeypatch.setenv(f"AMR_SCENE_GEN_{key}", raw)
         caplog.clear()
-        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 3
-        errors = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and errors[0].exc_info is None
-        assert list((tmp_path / "s").iterdir()) == []
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
+        assert not (tmp_path / "s").exists()
 
     def test_a_value_error_keeps_its_path(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MIN", "nan")
@@ -628,6 +645,9 @@ def test_bad_scene_file_exits_3(tmp_path, fast_config, command, content):
         pytest.param("eval --n-tasks 1 --out {tmp}/file/report", None, id="eval-out-under-a-file"),
         pytest.param("eval --n-tasks 1 --out {tmp}/report", "report.traces.jsonl", id="traces-is-a-dir"),
         pytest.param("gen-scenes --count 1 --out {tmp}/more", "more/scene_00000.json", id="scene-is-a-dir"),
+        # these two once named the temporary file instead of the output
+        pytest.param("gen-scenes --count 1 --out {tmp}/t1", "t1/.scene_00000.json.partial", id="scene-temp-is-a-dir"),
+        pytest.param("eval --n-tasks 1 --out {tmp}/report", ".report.json.partial", id="report-temp-is-a-dir"),
     ],
 )
 def test_unwritable_output_exits_3_with_one_log_line(tmp_path, fast_config, caplog, argv, directory):
@@ -645,6 +665,11 @@ def test_unwritable_output_exits_3_with_one_log_line(tmp_path, fast_config, capl
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None
     assert errors[0].getMessage().startswith("cannot ")
+    if directory and directory.endswith(".partial"):
+        temp = tmp_path / directory
+        output = temp.with_name(temp.name.removeprefix(".").removesuffix(".partial"))
+        assert errors[0].getMessage().startswith(f"cannot write {output}: ")
+        assert ".partial" not in errors[0].getMessage()
     # no output that could be written is left behind, nor any temporary file
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()} == before
 

@@ -14,8 +14,8 @@ import math
 import pytest
 
 from amr_navkit.cli import main
-from amr_navkit.config import RunConfig, config_to_dict
-from amr_navkit.errors import field_ranges, field_types
+from amr_navkit.config import RunConfig
+from amr_navkit.errors import field_ranges, field_types, written
 
 _EXPERT = "refused when cli.main builds the expert at load"
 ALLOWED = {
@@ -37,7 +37,7 @@ ALLOWED = {
 def _fields():
     """(dotted name, owning dataclass, field name) of every config field."""
     sections = field_types(RunConfig)
-    for key, value in config_to_dict(RunConfig()).items():
+    for key, value in written(RunConfig()).items():
         if isinstance(value, dict):
             for field in value:
                 yield f"{key}.{field}", sections[key], field
@@ -105,7 +105,8 @@ CROSS_FIELD = [
     ("scene_gen.room_min", "must not exceed room_max", 12.0),
     ("scene_gen.objects_min", "must not exceed objects_max", 15),
     ("scene_gen.size_min", "must not exceed size_max", 2.0),
-    ("scene_gen.min_free_area", "must not exceed room_max squared", 144.0),
+    # (room_max - 2 * free_probe_radius + 2 * cell) ** 2, the free-area grid's bound
+    ("scene_gen.min_free_area", "must not exceed the area the free-area grid can count in a room_max room", 132.25),
     ("task.d_min", "must not exceed d_max", 0.5),
     ("executor.replan_every", "must not exceed horizon_n", 12),
 ]

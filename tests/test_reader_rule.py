@@ -18,8 +18,8 @@ from amr_navkit.config import RunConfig, config_from_dict
 from amr_navkit.errors import IoFailure, SchemaMismatch, checked, field_types
 from amr_navkit.evaluation import MetricsReport, report_from_dict, report_to_dict, summarize
 from amr_navkit.pipeline import (
-    _SHAPES,
     DATASET_VERSION,
+    SHAPES,
     EpisodeRecord,
     generate_episode,
     manifest_path,
@@ -284,7 +284,7 @@ def test_reachable_dataclasses_resolve_their_hints(root):
     seen = set()
     _reachable(root, seen)
     assert root in seen
-    for cls in seen - set(_SHAPES):
+    for cls in seen - set(SHAPES):
         for name, hint in field_types(cls).items():
             origin = typing.get_origin(hint)
             assert (

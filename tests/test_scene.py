@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amr_navkit.errors import GenerationFailed, InvalidCommand
 from amr_navkit.geometry import OrientedBox, Pose2, rot2, se2_compose
@@ -17,6 +19,8 @@ from amr_navkit.scene import (
     SceneObject,
     SpeedLimits,
     _boxes_overlap,
+    _countable_free_area,
+    _largest_free_area,
     _Placed,
     _room_walls,
     collision_check,
@@ -313,10 +317,52 @@ class TestSceneGeneration:
                     assert b.xmin <= cx <= b.xmax and b.ymin <= cy <= b.ymax
 
     def test_generation_failure(self):
-        # the largest admitted value: the probe disc keeps the free area below the room's
-        params = SceneGenParams(min_free_area=SceneGenParams().room_max ** 2, max_attempts=5)
+        # the largest admitted value, which the grid can never count
+        defaults = SceneGenParams()
+        largest = _countable_free_area(defaults.room_max, defaults.free_probe_radius)
+        params = SceneGenParams(min_free_area=largest, max_attempts=5)
         with pytest.raises(GenerationFailed):
             sample_scene(1, params)
+        with pytest.raises(ValueError, match="min_free_area must not exceed"):
+            SceneGenParams(min_free_area=math.nextafter(largest, math.inf))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        room_max=st.floats(0.05, 14.0),
+        w_share=st.floats(0.01, 1.0),
+        h_share=st.floats(0.01, 1.0),
+        probe=st.one_of(st.floats(0.0, 3.0), st.integers(0, 60)),
+    )
+    def test_free_area_bound_holds_on_the_grid(self, room_max, w_share, h_share, probe):
+        # an empty room frees the most cells; min_free_area above the bound is
+        # refused, so a value the grid can count must never be above it. An
+        # integer draws the tightest radius, a column's centre-to-wall distance,
+        # at which that column is free (touching a wall is not a collision).
+        bounds = Bounds(room_max * w_share, room_max * h_share)
+        nx = max(1, int(bounds.w / 0.25))
+        probe_radius = probe if type(probe) is float else (probe % nx + 0.5) * (bounds.w / nx)
+        scene = Scene(bounds, _room_walls(bounds, 0.1), [], 0)
+        assert _largest_free_area(scene, probe_radius) <= _countable_free_area(room_max, probe_radius)
+
+    def test_free_area_bound_is_reached_within_a_cell(self):
+        # the free cells of an empty largest room span more than side - 2 * 0.5 m each way
+        for room_max, probe_radius in ((12.0, 0.5), (4.0, 0.5), (6.0, 0.0), (3.3, 1.0)):
+            scene = Scene(Bounds(room_max, room_max), _room_walls(Bounds(room_max, room_max), 0.1), [], 0)
+            side = math.sqrt(_countable_free_area(room_max, probe_radius))
+            assert _largest_free_area(scene, probe_radius) > (side - 1.0) ** 2
+
+    def test_smallest_box_must_fit_the_largest_room(self):
+        # sample_scene keeps a box's bounding circle in the room: sides up to room_max / sqrt(2)
+        fits = 1.5 / math.sqrt(2) * (1 - 1e-9)
+        params = SceneGenParams(
+            room_min=1.5, room_max=1.5, objects_min=1, objects_max=1, size_min=fits, size_max=fits, min_free_area=0
+        )
+        assert len(sample_scene(0, params).objects) == 1
+        too_big = 1.5 / math.sqrt(2) * (1 + 1e-9)
+        with pytest.raises(ValueError, match="size_min must let a box fit a room_max room"):
+            SceneGenParams(room_min=1.5, room_max=1.5, size_min=too_big, size_max=too_big, min_free_area=0)
+        # with no box required, a room no box fits is still a scene
+        SceneGenParams(room_min=1.5, room_max=1.5, objects_min=0, size_min=too_big, size_max=too_big, min_free_area=0)
 
     def test_unique_ids_enforced(self):
         box = OrientedBox(1, 1, 0.2, 0.2, 0)

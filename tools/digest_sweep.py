@@ -18,15 +18,22 @@ Usage::
     python3 <tree>/tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
 
 runs eval rounds 0-5 and gen-data rounds 0-11, then every ``--seeds`` master
-seed of both, and prints ``scenes <master seed> <sha256>`` and then
-``<workload> <master seed> <sha256>`` per round. It always digests the tree
-it lives in: ``<tree>/src`` goes first on ``sys.path``, and it exits 2 if
-``amr_navkit`` is imported from anywhere else. To compare two trees, save
-the output of one and ``diff`` the other against it; ``diff`` prints every
-round that differs and exits 1 if any does::
+seed of both. It prints a ``# python <version> numpy <version>`` line, since
+``math`` and numpy may round some inputs differently on another build, then
+``scenes <master seed> <sha256>`` and ``<workload> <master seed> <sha256>``
+per round. It always digests the tree it lives in: ``<tree>/src`` goes first
+on ``sys.path``, and it exits 2 if ``amr_navkit`` is imported from anywhere
+else. To compare two trees, save the output of one and ``diff`` the other
+against it; ``diff`` prints every round that differs and exits 1 if any does::
 
     python3 parent/tools/digest_sweep.py --seeds 8001000 > before.txt
     python3 change/tools/digest_sweep.py --seeds 8001000 | diff before.txt -
+
+``tools/digests.txt`` holds the output without ``--seeds``; Tier-1's
+``tests/test_golden_digests.py`` reruns its round-0 lines. A change that is
+meant to change outputs rewrites it::
+
+    python3 tools/digest_sweep.py > tools/digests.txt
 """
 
 from __future__ import annotations
@@ -35,9 +42,12 @@ import argparse
 import hashlib
 import logging
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,6 +98,19 @@ def gen_digest(scenes: Path, work: Path, master_seed: int) -> str:
     return _digest(data)
 
 
+def build() -> str:
+    """The header line: the Python and numpy that made the digests."""
+    return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+def round_lines(workload: str, master_seed: int) -> list[str]:
+    """The ``scenes`` and ``<workload>`` lines of one round, run in a temporary directory."""
+    run = {"eval": eval_digest, "gen-data": gen_digest}[workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes, digest = gen_scenes(Path(tmp), master_seed)
+        return [f"scenes {master_seed} {digest}", f"{workload} {master_seed} {run(scenes, Path(tmp), master_seed)}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[], help="extra master seeds, run on both workloads")
@@ -104,12 +127,9 @@ def main(argv=None) -> int:
     logging.disable(logging.WARNING)
     rounds = [("eval", s) for s in [*EVAL_ROUNDS, *args.seeds]]
     rounds += [("gen-data", s) for s in [*GEN_ROUNDS, *args.seeds]]
-    run = {"eval": eval_digest, "gen-data": gen_digest}
+    print(build(), flush=True)
     for workload, seed in rounds:
-        with tempfile.TemporaryDirectory() as tmp:
-            scenes, digest = gen_scenes(Path(tmp), seed)
-            print("scenes", seed, digest, flush=True)
-            print(workload, seed, run[workload](scenes, Path(tmp), seed), flush=True)
+        print(*round_lines(workload, seed), sep="\n", flush=True)
     return 0
 
 
