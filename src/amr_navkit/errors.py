@@ -130,9 +130,10 @@ def require_fields(value, names, where: str) -> None:
 class Shape(NamedTuple):
     """The file form of a type that is not stored as an object of its fields
     (a pose stored as ``[x, y, heading]``, say): ``read(value, where)`` for
-    ``checked`` and ``write(obj)`` for ``written``, each the other's inverse."""
+    ``checked`` and ``write(obj)`` for ``written``, each the other's inverse;
+    ``read`` is None for a form that no file is read back as."""
 
-    read: Callable
+    read: Callable | None
     write: Callable
 
 
@@ -214,42 +215,36 @@ def checked(value, kind, where: str, shapes: Mapping = _NO_SHAPES):
     raise TypeError(f"{where}: no file form for {kind!r}")
 
 
-_SCALARS = frozenset((float, int, bool, str))
+def written(value, shapes: Mapping = _NO_SHAPES):
+    """``value``, a dataclass, in the form ``checked`` reads it as, ready for
+    ``json.dumps``.
+
+    The form follows the type hints, as ``checked`` reads them: a type in
+    ``shapes`` goes through its ``Shape``'s ``write``, a dataclass becomes an
+    object of its fields in ``field_types`` order, a ``list[X]`` or
+    ``dict[str, X]`` is written value by value, and a scalar is as it is.
+    """
+    return _writer(type(value), tuple(shapes.items()))(value)
 
 
 @functools.cache
-def _object_form(cls) -> tuple | None:
-    """(field names, whether every field is a scalar) of a dataclass ``cls``,
-    in ``field_types`` order; None for any other type. Resolved once per type."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    hints = field_types(cls)
-    return tuple(hints), all(h in _SCALARS for h in hints.values())
-
-
-def written(value, shapes: Mapping = _NO_SHAPES):
-    """``value`` in the form ``checked`` reads it as, ready for ``json.dumps``.
-
-    A type in ``shapes`` goes through its ``Shape``'s ``write``. A dataclass
-    becomes an object of its fields in ``field_types`` order, a list or dict
-    is written value by value, and anything else (a scalar) is as it is. A
-    dataclass of scalars only, such as a tokenized step, is copied field by
-    field without a call per field: a dataset record holds thousands.
-    """
-    t = type(value)
-    if t in _SCALARS:
-        return value
-    if t is list:
-        return [written(v, shapes) for v in value]
-    if t is dict:
-        return {k: written(v, shapes) for k, v in value.items()}
-    shape = shapes.get(t)
+def _writer(kind, shapes: tuple) -> Callable | None:
+    """The function that writes a ``kind`` for ``written``, or None for a kind
+    written as it is (a scalar). Built once per type and shape table."""
+    shape = dict(shapes).get(kind)
     if shape is not None:
-        return shape.write(value)
-    form = _object_form(t)
-    if form is None:
-        return value
-    names, flat = form
-    if flat:
-        return {k: getattr(value, k) for k in names}
-    return {k: written(getattr(value, k), shapes) for k in names}
+        return shape.write
+    form, spec = _file_form(kind)
+    if form == "object":
+        # one dict display per dataclass, as fast as a hand-written writer: a
+        # dataset record holds thousands of steps. Field names are identifiers.
+        env = {f"w_{k}": _writer(hint, shapes) for k, hint in spec.items()}
+        items = (f"{k!r}: o.{k}" if env[f"w_{k}"] is None else f"{k!r}: w_{k}(o.{k})" for k in spec)
+        return eval(f"lambda o: {{{', '.join(items)}}}", env)
+    if form == "list":
+        write = _writer(spec, shapes)
+        return list if write is None else lambda v: [write(x) for x in v]
+    if form == "dict":
+        write = _writer(spec, shapes)
+        return dict if write is None else lambda v: {k: write(x) for k, x in v.items()}
+    return None

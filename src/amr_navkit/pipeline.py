@@ -423,26 +423,13 @@ def _object_to_dict(o: SceneObject) -> dict:
     return {**written(o.box), **{k: getattr(o, k) for k in _OWN_FIELDS}}
 
 
-_TRACE_ROW = (int, float, float, float, float, int)
-
-
-def _trace_from_list(v, where: str) -> TraceEntry:
-    if type(v) is not list or len(v) != len(_TRACE_ROW):
-        raise ValueError(f"{where} must be [step, x, y, heading, tilt, trajectory_id], got {v!r}")
-    step, x, y, heading, tilt, trajectory_id = (
-        checked(value, kind, f"{where}.{i}") for i, (value, kind) in enumerate(zip(v, _TRACE_ROW))
-    )
-    return TraceEntry(step, Pose2(x, y, heading), tilt, trajectory_id)
-
-
 # the file-format types that are not stored as an object of their fields
 SHAPES = {
     Pose2: Shape(_pose_from_list, lambda p: [p.x, p.y, p.heading]),
     LidarScan: Shape(_lidar_from_dict, _lidar_to_dict),
     SceneObject: Shape(_object_from_dict, _object_to_dict),
-    TraceEntry: Shape(
-        _trace_from_list, lambda e: [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]
-    ),
+    # no file is read back as traces, so the trace row has no reader
+    TraceEntry: Shape(None, lambda e: [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]),
 }
 
 

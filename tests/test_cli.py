@@ -379,6 +379,16 @@ class TestConfig:
         assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
         assert not (tmp_path / "s").exists()
 
+    def test_unmeetable_free_area_is_a_hard_failure(self, tmp_path, monkeypatch, caplog):
+        # admitted, as 12.25 is the bound itself, but a 4 m room's free cells give only 9 m2
+        for key, raw in {"ROOM_MIN": "4", "ROOM_MAX": "4", "MIN_FREE_AREA": "12.25", "MAX_ATTEMPTS": "3"}.items():
+            monkeypatch.setenv(f"AMR_SCENE_GEN_{key}", raw)
+        caplog.clear()
+        assert run(["gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 3
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert list((tmp_path / "s").iterdir()) == []
+
     def test_a_value_error_keeps_its_path(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("AMR_SCENE_GEN_ROOM_MIN", "nan")
         caplog.clear()

@@ -19,12 +19,18 @@ sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
 
-def test_round_0_matches_the_committed_digests(monkeypatch):
+def test_round_0_matches_the_committed_digests(tmp_path, monkeypatch):
     made_on, *lines = DIGESTS.read_text().splitlines()
     # the default config is the one digested
     for name in [n for n in os.environ if n.startswith("AMR_")]:
         monkeypatch.delenv(name)
-    got = sweep.round_lines("eval", 0) + sweep.round_lines("gen-data", 0)
-    want = [line for line in lines if line.split()[1] == "0"]
-    assert len(want) == 4
+    # both workloads' round 0 run on the same scenes, so they are made once
+    scenes, digest = sweep.gen_scenes(tmp_path, 0)
+    got = [
+        f"scenes 0 {digest}",
+        f"eval 0 {sweep.eval_digest(scenes, tmp_path, 0)}",
+        f"gen-data 0 {sweep.gen_digest(scenes, tmp_path, 0)}",
+    ]
+    want = list(dict.fromkeys(line for line in lines if line.split()[1] == "0"))
+    assert len(want) == 3
     assert got == want, f"outputs differ from tools/digests.txt, made on {made_on[2:]}; this is {sweep.build()[2:]}"
