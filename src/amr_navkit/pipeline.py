@@ -13,6 +13,7 @@ IoFailure, and one that is not UTF-8 a SchemaMismatch.
 
 from __future__ import annotations
 
+import base64
 import errno
 import json
 import math
@@ -20,14 +21,17 @@ import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Annotated
 
 import numpy as np
 
 from . import __version__ as _generator_version
-from .codec import TokenizedStep
+from .codec import PHI_BINS, PSI_BINS, R_BINS, TokenizedStep
 from .errors import (
     AT_LEAST_1,
+    NON_NEGATIVE,
     POSITIVE,
     UNIT,
     AmbiguousView,
@@ -76,7 +80,7 @@ from .scene import (
 )
 
 SCENE_VERSION = "1"
-DATASET_VERSION = "2"
+DATASET_VERSION = "3"
 LIDAR_UNIT = 1e-4  # metres per stored LiDAR range step (0.1 mm)
 
 
@@ -104,7 +108,6 @@ class Keyframe:
     tilt: float
     lidar: LidarScan
     expert_steps: list[TokenizedStep]
-    expert_tilt_target: float
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def generate_episode(
 ) -> EpisodeRecord:
     """Plan the expert path and record keyframed observations and actions.
 
-    The tilt target follows the geometric gaze rule from the target's lowest
+    The tilt follows the geometric gaze rule from the target's lowest
     point even when the object would be out of view. LiDAR ranges are
     recorded as the nearest multiple of ``LIDAR_UNIT``, as a dataset stores
     them, so a record reads back field for field.
@@ -331,7 +334,6 @@ def generate_episode(
                 tilt=tilt,
                 lidar=LidarScan(num_rays, scan, max_range),
                 expert_steps=steps,
-                expert_tilt_target=tilt,
             )
         )
     return EpisodeRecord(task=task, keyframes=keyframes, planner_cost=path.cost)
@@ -360,49 +362,125 @@ def _range_steps(ranges: np.ndarray) -> np.ndarray:
     return np.rint(ranges / LIDAR_UNIT).astype(np.int64)
 
 
-def _ranges_from_steps(steps, num_rays: int, max_range: float, where: str) -> np.ndarray:
-    """LiDAR ranges from their stored steps, ``num_rays`` ints in ``0..rint(max_range / LIDAR_UNIT)``.
-
-    One pass tests each value with ``type(q) is int`` and the bounds; only
-    when a value fails does a second pass apply ``errors.checked`` to find
-    it and word the error (which also lets an integral float through, as it
-    does for every int field). Errors name ``where``, the list's dotted path.
-    """
-    if type(steps) is not list:
-        raise ValueError(f"{where} must be a list, got {type(steps).__name__}")
-    if len(steps) != num_rays:
-        raise ValueError(f"{where}: {len(steps)} values for {num_rays} rays")
-    top = round(max_range / LIDAR_UNIT)
-    for q in steps:
-        if type(q) is not int or not 0 <= q <= top:
-            break
-    else:
-        return np.array(steps, dtype=np.int64) * LIDAR_UNIT
-    ints = []
-    for i, v in enumerate(steps):
-        q = checked(v, int, f"{where}.{i}")
-        if not 0 <= q <= top:
-            raise ValueError(f"{where}.{i}: {q} is outside 0..{top} (max_range {max_range} m)")
-        ints.append(q)
-    return np.array(ints, dtype=np.int64) * LIDAR_UNIT
-
-
 def _pose_from_list(v, where: str) -> Pose2:
     if type(v) is not list or len(v) != 3:
         raise ValueError(f"{where} must be [x, y, heading], got {v!r}")
     return Pose2(*(checked(x, float, f"{where}.{i}") for i, x in enumerate(v)))
 
 
-def _lidar_from_dict(d, where: str) -> LidarScan:
-    require_fields(d, field_types(LidarScan).keys(), where)
-    num_rays = checked(d["num_rays"], int, f"{where}.num_rays")
-    max_range = checked(d["max_range"], float, f"{where}.max_range")
-    check_lidar_params(num_rays, max_range, where)
-    return LidarScan(num_rays, _ranges_from_steps(d["ranges"], num_rays, max_range, f"{where}.ranges"), max_range)
+@dataclass(frozen=True)
+class KeyframeColumns:
+    """A record's keyframes as a dataset stores them: ``count`` keyframes,
+    each with ``horizon`` expert steps and a ``num_rays``-ray scan out to
+    ``max_range``, and five columns, each the base64 of one packed array in
+    keyframe order:
+
+    * ``poses``, (count, 3) ``<f8``: x, y, heading;
+    * ``tilts``, (count,) ``<f8``;
+    * ``bins``, (count, horizon, 3) ``i1``: psi, r and phi bin of each step;
+    * ``residuals``, (count, horizon, 3) ``<f8``: psi, r and phi residual;
+    * ``range_steps``, (count, num_rays) ``<u4``: each range in whole steps
+      of ``LIDAR_UNIT``, at most ``rint(max_range / LIDAR_UNIT)``.
+    """
+
+    count: Annotated[int, NON_NEGATIVE]
+    horizon: Annotated[int, NON_NEGATIVE]
+    num_rays: Annotated[int, NON_NEGATIVE]
+    max_range: float
+    poses: str
+    tilts: str
+    bins: str
+    residuals: str
+    range_steps: str
+
+    def __post_init__(self):
+        check_ranges(self, "keyframes")
+        if self.count:
+            check_lidar_params(self.num_rays, self.max_range, "keyframes")
 
 
-def _lidar_to_dict(scan: LidarScan) -> dict:
-    return {"num_rays": scan.num_rays, "max_range": scan.max_range, "ranges": _range_steps(scan.ranges).tolist()}
+# each bin column's name and bin count, in the order a step's bins are stored
+_BIN_COLUMNS = (("psi_bin", PSI_BINS), ("r_bin", R_BINS), ("phi_bin", PHI_BINS))
+_STEP_FIELDS = attrgetter("psi_bin", "r_bin", "phi_bin", "psi_res", "r_res", "phi_res")
+
+
+def _refuse_bad_values(poses, tilts, bins, residuals, range_steps, max_range: float, where: str) -> None:
+    """Refuse (ValueError) the first column holding a value that no keyframe
+    can: a non-finite pose, tilt or residual, a bin outside ``0..N-1`` for
+    its N bins, or a range step outside ``0..rint(max_range / LIDAR_UNIT)``.
+    The error names the column and the keyframe, each array's first axis."""
+    top = round(max_range / LIDAR_UNIT)
+    rules = [
+        (column, "value", a, ~np.isfinite(a), "is not finite")
+        for column, a in (("poses", poses), ("tilts", tilts), ("residuals", residuals))
+    ]
+    rules += [
+        ("bins", name, b, (b < 0) | (b >= n), f"is outside 0..{n - 1}")
+        for (name, n), b in zip(_BIN_COLUMNS, np.moveaxis(bins, -1, 0))
+    ]
+    outside = (range_steps < 0) | (range_steps > top)
+    rules.append(("range_steps", "step", range_steps, outside, f"is outside 0..{top} (max_range {max_range} m)"))
+    for column, label, values, bad, rule in rules:
+        if bad.any():
+            rows = bad.reshape(len(bad), -1)
+            k = int(rows.any(axis=1).argmax())
+            value = values.reshape(len(values), -1)[k][rows[k]][0]
+            raise ValueError(f"{where}.{column}: keyframe {k}: {label} {value} {rule}")
+
+
+def _column(text: str, dtype: str, shape: tuple, where: str) -> np.ndarray:
+    """The array of ``shape`` and ``dtype`` that ``text`` holds in base64;
+    text that is not base64 or not exactly that many bytes is a ValueError."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"{where}: invalid base64 ({err})") from err
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValueError(f"{where}: {len(raw)} bytes, expected {size} for {dtype} of shape {shape}")
+    return np.frombuffer(raw, dtype).reshape(shape)
+
+
+def _keyframes_from_columns(d, where: str) -> list[Keyframe]:
+    c = checked(d, KeyframeColumns, where)
+    count, horizon = c.count, c.horizon
+    poses = _column(c.poses, "<f8", (count, 3), f"{where}.poses")
+    tilts = _column(c.tilts, "<f8", (count,), f"{where}.tilts")
+    bins = _column(c.bins, "i1", (count, horizon, 3), f"{where}.bins")
+    residuals = _column(c.residuals, "<f8", (count, horizon, 3), f"{where}.residuals")
+    range_steps = _column(c.range_steps, "<u4", (count, c.num_rays), f"{where}.range_steps")
+    _refuse_bad_values(poses, tilts, bins, residuals, range_steps, c.max_range, where)
+    steps = list(map(TokenizedStep, *bins.reshape(-1, 3).T.tolist(), *residuals.reshape(-1, 3).T.tolist()))
+    ranges = range_steps.astype(np.int64) * LIDAR_UNIT
+    return [
+        Keyframe(Pose2(*pose), tilt, LidarScan(c.num_rays, scan, c.max_range), steps[k * horizon : (k + 1) * horizon])
+        for k, (pose, tilt, scan) in enumerate(zip(poses.tolist(), tilts.tolist(), ranges))
+    ]
+
+
+def _b64(a: np.ndarray) -> str:
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _keyframes_to_columns(keyframes: list[Keyframe]) -> dict:
+    """The ``KeyframeColumns`` of ``keyframes``, written; keyframes that differ
+    in horizon, ray count or range, or hold a value the reader refuses, are a
+    ValueError, since no column form holds them."""
+    count = len(keyframes)
+    dims = [(len(kf.expert_steps), kf.lidar.num_rays, kf.lidar.max_range) for kf in keyframes]
+    horizon, num_rays, max_range = dims[0] if dims else (0, 0, 0.0)
+    for k, dim in enumerate(dims):
+        if dim != dims[0]:
+            raise ValueError(f"keyframe {k} has horizon, num_rays, max_range {dim}, keyframe 0 {dims[0]}")
+    poses = np.array([(kf.pose.x, kf.pose.y, kf.pose.heading) for kf in keyframes], "<f8").reshape(count, 3)
+    tilts = np.array([kf.tilt for kf in keyframes], "<f8")
+    flat = list(chain.from_iterable(kf.expert_steps for kf in keyframes))
+    steps = np.fromiter(chain.from_iterable(map(_STEP_FIELDS, flat)), float, 6 * len(flat)).reshape(count, horizon, 6)
+    range_steps = _range_steps(np.array([kf.lidar.ranges for kf in keyframes], float).reshape(count, num_rays))
+    bins, residuals = steps[..., :3], steps[..., 3:]
+    _refuse_bad_values(poses, tilts, bins, residuals, range_steps, max_range, "keyframes")
+    columns = (poses, tilts, bins.astype("i1"), residuals, range_steps.astype("<u4"))
+    return written(KeyframeColumns(count, horizon, num_rays, max_range, *map(_b64, columns)))
 
 
 # a scene object stores its box fields inline, beside its own; the box's are read first
@@ -426,7 +504,7 @@ def _object_to_dict(o: SceneObject) -> dict:
 # the file-format types that are not stored as an object of their fields
 SHAPES = {
     Pose2: Shape(_pose_from_list, lambda p: [p.x, p.y, p.heading]),
-    LidarScan: Shape(_lidar_from_dict, _lidar_to_dict),
+    list[Keyframe]: Shape(_keyframes_from_columns, _keyframes_to_columns),
     SceneObject: Shape(_object_from_dict, _object_to_dict),
     # no file is read back as traces, so the trace row has no reader
     TraceEntry: Shape(None, lambda e: [e.step, e.pose.x, e.pose.y, e.pose.heading, e.tilt, e.trajectory_id]),
@@ -455,8 +533,8 @@ def _read_versioned(d, kind: type, version: str, where: str, what: str):
 
 def record_from_dict(d: dict, index: int = -1) -> EpisodeRecord:
     """Record from its JSON dict; a wrong version, a value ``errors.checked``
-    refuses (a missing or unknown field at any level included) or a LiDAR
-    scan ``_lidar_from_dict`` refuses is a SchemaMismatch."""
+    refuses (a missing or unknown field at any level included) or a
+    keyframe column ``_keyframes_from_columns`` refuses is a SchemaMismatch."""
     where = f"record {index}" if index >= 0 else "record"
     return _read_versioned(d, EpisodeRecord, DATASET_VERSION, where, f"{where}: dataset")
 
@@ -475,15 +553,20 @@ def write_dataset(
 ) -> None:
     """Write records as compact JSONL plus a manifest.
 
-    LiDAR ranges are stored as integer steps of ``LIDAR_UNIT``; every other
-    float keeps full precision. Both files appear or neither does, and a
-    file that cannot be written is an IoFailure (``all_or_none``).
+    A record's keyframes are packed columns (``KeyframeColumns``): LiDAR
+    ranges as whole steps of ``LIDAR_UNIT``, every float at full precision.
+    A record whose keyframes no column form holds is a ValueError naming it.
+    Both files appear or neither does, and a file that cannot be written is
+    an IoFailure (``all_or_none``).
     """
     manifest = DatasetManifest(master_seed, scene_count, len(records), config_hash, {"created_at": created_at})
     with all_or_none([path, manifest_path(path)]) as (data_tmp, manifest_tmp):
         with open(data_tmp, "w") as fh:
-            for record in records:
-                line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+            for i, record in enumerate(records):
+                try:
+                    line = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+                except ValueError as err:
+                    raise ValueError(f"record {i}: {err}") from err
                 fh.write(line + "\n")
         with open(manifest_tmp, "w") as fh:
             json.dump({"version": DATASET_VERSION, **written(manifest)}, fh, sort_keys=True, indent=2)

@@ -6,12 +6,13 @@ The bytes themselves are pinned by ``tests/test_golden_digests.py``.
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amr_navkit.codec import PHI_BINS, PSI_BINS, R_BINS, TokenizedStep
 from amr_navkit.config import RunConfig, config_from_dict
 from amr_navkit.errors import checked, field_types, written
 from amr_navkit.evaluation import EpisodeSummary, MetricsReport, report_to_dict, summarize
@@ -20,6 +21,7 @@ from amr_navkit.pipeline import (
     LIDAR_UNIT,
     SHAPES,
     DatasetManifest,
+    Keyframe,
     generate_episode,
     sample_task,
 )
@@ -27,11 +29,13 @@ from amr_navkit.scene import LidarScan, SceneObject, sample_scene
 
 
 def _same(a, b) -> bool:
-    """Equal field by field, arrays element by element, and of the same types."""
+    """Equal field by field, floats and arrays bit for bit, and of the same types."""
     if type(a) is not type(b):
         return False
     if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
     if dataclasses.is_dataclass(a):
         return all(_same(getattr(a, k), getattr(b, k)) for k in field_types(type(a)))
     if isinstance(a, list):
@@ -79,19 +83,65 @@ def test_pose_round_trip(p):
     assert _same(_round_trip(p), p)
 
 
+# every finite float: -0.0, subnormals and the extremes included
+floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+steps = st.builds(
+    TokenizedStep,
+    st.integers(0, PSI_BINS - 1),
+    st.integers(0, R_BINS - 1),
+    st.integers(0, PHI_BINS - 1),
+    floats,
+    floats,
+    floats,
+)
+
+
 @st.composite
-def lidar_scans(draw):
-    num_rays = draw(st.integers(1, 64))
-    max_range = draw(st.floats(1e-3, 200.0))
+def keyframe_lists(draw):
+    """Keyframes as one record holds them: one horizon, ray count and range
+    for all; each range a whole number of steps, at ``max_range`` or below."""
+    count = draw(st.integers(0, 4))
+    horizon = draw(st.integers(0, 6))
+    num_rays = draw(st.integers(1, 24))
+    max_range = draw(st.one_of(st.just(10.0), st.floats(1e-3, 200.0)))
     top = round(max_range / LIDAR_UNIT)
-    steps = draw(st.lists(st.integers(0, top), min_size=num_rays, max_size=num_rays))
-    return LidarScan(num_rays, np.array(steps, dtype=np.int64) * LIDAR_UNIT, max_range)
+    ray_steps = st.one_of(st.just(top), st.just(0), st.integers(0, top))
+    return [
+        Keyframe(
+            pose=draw(st.builds(Pose2, floats, floats, floats)),
+            tilt=draw(floats),
+            lidar=LidarScan(
+                num_rays,
+                np.array(draw(st.lists(ray_steps, min_size=num_rays, max_size=num_rays)), dtype=np.int64) * LIDAR_UNIT,
+                max_range,
+            ),
+            expert_steps=draw(st.lists(steps, min_size=horizon, max_size=horizon)),
+        )
+        for _ in range(count)
+    ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(lidar_scans())
-def test_lidar_round_trip_on_whole_steps(scan):
-    assert _same(_round_trip(scan), scan)
+def _keyframes_round_trip(keyframes: list) -> list:
+    """A record's keyframes, written through their shape and read back."""
+    text = json.dumps(SHAPES[list[Keyframe]].write(keyframes))
+    return checked(json.loads(text), list[Keyframe], "keyframes", SHAPES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyframe_lists())
+def test_keyframes_round_trip_bit_for_bit(keyframes):
+    assert _same(_keyframes_round_trip(keyframes), keyframes)
+
+
+def test_keyframes_round_trip_at_the_edges():
+    # -0.0 and subnormal floats in every float column, every ray at max_range
+    tiny = 5e-324
+    step = TokenizedStep(PSI_BINS - 1, R_BINS - 1, PHI_BINS - 1, -0.0, tiny, -tiny)
+    kf = Keyframe(Pose2(-0.0, tiny, -0.0), -0.0, LidarScan(5, np.full(5, 2.0), 2.0), [step] * 3)
+    for keyframes in ([], [kf], [kf, kf]):
+        back = _keyframes_round_trip(keyframes)
+        assert _same(back, keyframes)
+    assert struct.pack("<d", back[1].expert_steps[2].psi_res) == struct.pack("<d", -0.0)
 
 
 positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)

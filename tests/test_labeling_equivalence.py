@@ -2,7 +2,8 @@
 
 ``waypoints_from_path`` computes each step's length and turn only as far as
 the horizon reaches instead of re-deriving every remaining step, and ``record_to_dict``
-builds step dicts directly instead of through ``dataclasses.asdict``. Then
+packs each step's fields into a record's columns instead of writing them
+through ``dataclasses.asdict``. Then
 ``planner.label_poses`` labelled every keyframe of a path in one array pass,
 with ``codec.encode_steps`` as its quantizer, in place of a
 ``waypoints_from_path`` -> ``encode_trajectory`` loop per pose; both of those
@@ -10,6 +11,7 @@ became wrappers over the array code. The references below are the code they
 replaced. Floats are compared as uint64 bit patterns, never with a tolerance.
 """
 
+import base64
 import bisect
 import json
 import math
@@ -151,16 +153,20 @@ def test_repeated_calls_in_shuffled_order(planned_paths):
         assert_bit_identical(path, [poses[i] for i in order], speeds=SPEEDS[:2])
 
 
-def test_record_dict_bytes_match_asdict():
+def test_record_columns_hold_each_step_asdict():
     for seed in (21, 22):
         scene = sample_scene(seed)
         task = sample_task(scene, seed)
         record = generate_episode(scene, task, seed=seed)
-        reference = record_to_dict(record)
-        for kf_dict, kf in zip(reference["keyframes"], record.keyframes):
-            kf_dict["expert_steps"] = [asdict(s) for s in kf.expert_steps]
-        got = json.dumps(record_to_dict(record), sort_keys=True)
-        assert got == json.dumps(reference, sort_keys=True)
+        columns = record_to_dict(record)["keyframes"]
+        bins = np.frombuffer(base64.b64decode(columns["bins"]), "i1").reshape(-1, 3)
+        residuals = np.frombuffer(base64.b64decode(columns["residuals"]), "<f8").reshape(-1, 3)
+        reference = [asdict(s) for kf in record.keyframes for s in kf.expert_steps]
+        assert len(reference) == columns["count"] * columns["horizon"] > 0
+        want = np.array([[d["psi_bin"], d["r_bin"], d["phi_bin"]] for d in reference])
+        np.testing.assert_array_equal(bins, want)
+        want = np.array([[d["psi_res"], d["r_res"], d["phi_res"]] for d in reference])
+        np.testing.assert_array_equal(residuals.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def test_record_bytes_match_the_reference_labeller():
         task = sample_task(scene, seed)
         got = record_to_dict(generate_episode(scene, task, seed=seed))
         want = record_to_dict(generate_episode(scene, task, expert=ReferenceExpert(), seed=seed))
-        assert len(got["keyframes"]) > 5
+        assert got["keyframes"]["count"] > 5
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import multiprocessing
@@ -178,7 +179,6 @@ class TestGenerateEpisode:
     def test_tilt_targets_finite(self, one_episode):
         _, _, record = one_episode
         for kf in record.keyframes:
-            assert math.isfinite(kf.expert_tilt_target)
             assert math.isfinite(kf.tilt)
 
     def test_lidar_attached_to_every_keyframe(self, one_episode):
@@ -278,7 +278,7 @@ class TestDatasetIO:
     def test_corrupt_field_names_record_index(self, one_episode, tmp_path):
         _, _, record = one_episode
         d = record_to_dict(record)
-        d["keyframes"][0]["poze"] = d["keyframes"][0].pop("pose")
+        d["keyframes"]["poze"] = d["keyframes"].pop("poses")
         path = tmp_path / "bad.jsonl"
         with open(path, "w") as fh:
             fh.write(json.dumps(record_to_dict(record)) + "\n")
@@ -302,13 +302,6 @@ class TestDatasetIO:
             "task.reference_view.1",
             "task.robot_radius",
             "planner_cost",
-            "keyframes.0.pose.1",
-            "keyframes.0.tilt",
-            "keyframes.0.expert_tilt_target",
-            "keyframes.0.expert_steps.0.psi_res",
-            "keyframes.0.expert_steps.0.r_res",
-            "keyframes.0.expert_steps.0.phi_res",
-            "keyframes.0.lidar.ranges.7",
         ],
     )
     def test_non_finite_number_rejected(self, one_episode, tmp_path, field, value):
@@ -321,6 +314,34 @@ class TestDatasetIO:
         with pytest.raises(SchemaMismatch):
             read_dataset(str(data))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "column, keyframe, offset",
+        [
+            ("poses", 0, 1),  # keyframe 0's y
+            ("tilts", 0, 0),
+            ("tilts", -1, 0),  # the last keyframe's
+            ("residuals", 0, 0),  # step 0's psi_res
+            ("residuals", 0, 1),  # its r_res
+            ("residuals", 0, 2),  # its phi_res
+        ],
+    )
+    def test_non_finite_column_value_rejected(self, one_episode, tmp_path, column, keyframe, offset, value):
+        _, _, record = one_episode
+        d = record_to_dict(record)
+        keyframe %= len(record.keyframes)
+        values = np.frombuffer(base64.b64decode(d["keyframes"][column]), "<f8").reshape(len(record.keyframes), -1)
+        values = values.copy()
+        values[keyframe, offset] = value
+        d["keyframes"][column] = base64.b64encode(values).decode()
+        where = f"record 0: keyframes\\.{column}: keyframe {keyframe}: value {value} is not finite"
+        with pytest.raises(SchemaMismatch, match=where):
+            record_from_dict(json.loads(json.dumps(d)), index=0)
+        data = tmp_path / "nan.jsonl"
+        data.write_text(json.dumps(d) + "\n")
+        with pytest.raises(SchemaMismatch, match=where):
+            read_dataset(str(data))
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -331,8 +352,9 @@ class TestDatasetIO:
             ("task.side_labels.front", True),
             ("task.goal_spec.side", 1),
             ("task.robot_radius", "0.3"),
-            ("keyframes.0.expert_steps.0.psi_bin", 1.5),
-            ("keyframes.0.lidar.num_rays", None),
+            ("keyframes.bins", [1.5]),  # a column must be its packed bytes
+            ("keyframes.horizon", 1.5),
+            ("keyframes.num_rays", None),
             ("generator_version", 1),
         ],
     )

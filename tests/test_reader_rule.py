@@ -5,12 +5,14 @@ Every case plants one defect at one nesting level of a valid file: an
 unknown key, a dropped key, or an array where an object belongs.
 """
 
+import base64
 import dataclasses
 import json
 import math
 import re
 import typing
 
+import numpy as np
 import pytest
 
 from amr_navkit.cli import main
@@ -21,6 +23,7 @@ from amr_navkit.pipeline import (
     DATASET_VERSION,
     SHAPES,
     EpisodeRecord,
+    KeyframeColumns,
     generate_episode,
     manifest_path,
     read_dataset,
@@ -72,9 +75,11 @@ DATASET_LEVELS = {
     "task": (("task",), "ffr"),
     "side_labels": (("task", "side_labels"), "left"),
     "goal_spec": (("task", "goal_spec"), "side"),
-    "keyframe": (("keyframes", 1), "tilt"),
-    "lidar": (("keyframes", 1, "lidar"), "max_range"),
-    "expert_step": (("keyframes", 1, "expert_steps", 2), "r_bin"),
+    # a record's keyframes are one object of packed columns (KeyframeColumns),
+    # which holds the keyframe fields, the LiDAR parameters and the expert steps
+    "keyframe": (("keyframes",), "tilts"),
+    "lidar": (("keyframes",), "max_range"),
+    "expert_step": (("keyframes",), "bins"),
 }
 
 
@@ -153,7 +158,7 @@ def test_config_dropped_key_takes_its_default(level):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("path", [("task", "start"), ("task", "goal_pose"), ("keyframes", 0, "pose")])
+@pytest.mark.parametrize("path", [("task", "start"), ("task", "goal_pose"), ("task", "reference_view")])
 def test_pose_must_have_three_numbers(episode, path, n):
     # 4 numbers once loaded (the 4th dropped) and 2 raised IndexError
     d = _copy(record_to_dict(episode[2]))
@@ -248,19 +253,14 @@ def test_lidar_params_checked_at_library_boundary(episode, num_rays, max_range):
         generate_episode(scene, task, seed=3, num_rays=num_rays, max_range=max_range)
 
 
-@pytest.mark.parametrize(
-    "lidar",
-    [
-        {"num_rays": 0, "max_range": -5.0, "ranges": []},
-        {"num_rays": 0, "max_range": 10.0, "ranges": []},
-        {"num_rays": 1, "max_range": 0.0, "ranges": [0]},
-        {"num_rays": 1, "max_range": -5.0, "ranges": [0]},
-    ],
-)
-def test_record_lidar_params_checked(episode, lidar):
+@pytest.mark.parametrize("num_rays, max_range", [(0, -5.0), (0, 10.0), (1, 0.0), (1, -5.0)])
+def test_record_lidar_params_checked(episode, num_rays, max_range):
+    # the ranges are left one step each, so only the parameters are wrong
     d = _copy(record_to_dict(episode[2]))
-    d["keyframes"][0]["lidar"] = lidar
-    with pytest.raises(SchemaMismatch, match=r"record 0: keyframes\.0\.lidar (num_rays|max_range)"):
+    keyframes = d["keyframes"]
+    steps = np.zeros((keyframes["count"], num_rays), "<u4")
+    keyframes.update(num_rays=num_rays, max_range=max_range, range_steps=base64.b64encode(steps).decode())
+    with pytest.raises(SchemaMismatch, match=r"record 0: keyframes (num_rays|max_range)"):
         record_from_dict(d, index=0)
 
 
@@ -268,7 +268,7 @@ def test_record_lidar_params_checked(episode, lidar):
 
 
 def _reachable(kind, seen):
-    if kind in seen:
+    if kind in seen or kind in SHAPES:  # a shape's own reader holds its whole form
         return
     if dataclasses.is_dataclass(kind):
         seen.add(kind)
@@ -278,13 +278,13 @@ def _reachable(kind, seen):
         _reachable(arg, seen)
 
 
-@pytest.mark.parametrize("root", [EpisodeRecord, Scene, MetricsReport, RunConfig])
+@pytest.mark.parametrize("root", [EpisodeRecord, KeyframeColumns, Scene, MetricsReport, RunConfig])
 def test_reachable_dataclasses_resolve_their_hints(root):
     # a field type imported only under TYPE_CHECKING would fail here, not at the first read
     seen = set()
     _reachable(root, seen)
     assert root in seen
-    for cls in seen - set(SHAPES):
+    for cls in seen:
         for name, hint in field_types(cls).items():
             origin = typing.get_origin(hint)
             assert (
