@@ -399,6 +399,17 @@ class KeyframeColumns:
             check_lidar_params(self.num_rays, self.max_range, "keyframes")
 
 
+def _column_forms(count: int, horizon: int, num_rays: int) -> dict:
+    """Each ``KeyframeColumns`` column's dtype and array shape, in field order."""
+    return {
+        "poses": ("<f8", (count, 3)),
+        "tilts": ("<f8", (count,)),
+        "bins": ("i1", (count, horizon, 3)),
+        "residuals": ("<f8", (count, horizon, 3)),
+        "range_steps": ("<u4", (count, num_rays)),
+    }
+
+
 # each bin column's name and bin count, in the order a step's bins are stored
 _BIN_COLUMNS = (("psi_bin", PSI_BINS), ("r_bin", R_BINS), ("phi_bin", PHI_BINS))
 _STEP_FIELDS = attrgetter("psi_bin", "r_bin", "phi_bin", "psi_res", "r_res", "phi_res")
@@ -443,23 +454,18 @@ def _column(text: str, dtype: str, shape: tuple, where: str) -> np.ndarray:
 
 def _keyframes_from_columns(d, where: str) -> list[Keyframe]:
     c = checked(d, KeyframeColumns, where)
-    count, horizon = c.count, c.horizon
-    poses = _column(c.poses, "<f8", (count, 3), f"{where}.poses")
-    tilts = _column(c.tilts, "<f8", (count,), f"{where}.tilts")
-    bins = _column(c.bins, "i1", (count, horizon, 3), f"{where}.bins")
-    residuals = _column(c.residuals, "<f8", (count, horizon, 3), f"{where}.residuals")
-    range_steps = _column(c.range_steps, "<u4", (count, c.num_rays), f"{where}.range_steps")
+    forms = _column_forms(c.count, c.horizon, c.num_rays)
+    poses, tilts, bins, residuals, range_steps = (
+        _column(getattr(c, name), dtype, shape, f"{where}.{name}") for name, (dtype, shape) in forms.items()
+    )
     _refuse_bad_values(poses, tilts, bins, residuals, range_steps, c.max_range, where)
     steps = list(map(TokenizedStep, *bins.reshape(-1, 3).T.tolist(), *residuals.reshape(-1, 3).T.tolist()))
+    horizons = [steps[k * c.horizon : (k + 1) * c.horizon] for k in range(c.count)]
     ranges = range_steps.astype(np.int64) * LIDAR_UNIT
     return [
-        Keyframe(Pose2(*pose), tilt, LidarScan(c.num_rays, scan, c.max_range), steps[k * horizon : (k + 1) * horizon])
-        for k, (pose, tilt, scan) in enumerate(zip(poses.tolist(), tilts.tolist(), ranges))
+        Keyframe(Pose2(*pose), tilt, LidarScan(c.num_rays, scan, c.max_range), horizon)
+        for pose, tilt, scan, horizon in zip(poses.tolist(), tilts.tolist(), ranges, horizons)
     ]
-
-
-def _b64(a: np.ndarray) -> str:
-    return base64.b64encode(a.tobytes()).decode("ascii")
 
 
 def _keyframes_to_columns(keyframes: list[Keyframe]) -> dict:
@@ -479,8 +485,12 @@ def _keyframes_to_columns(keyframes: list[Keyframe]) -> dict:
     range_steps = _range_steps(np.array([kf.lidar.ranges for kf in keyframes], float).reshape(count, num_rays))
     bins, residuals = steps[..., :3], steps[..., 3:]
     _refuse_bad_values(poses, tilts, bins, residuals, range_steps, max_range, "keyframes")
-    columns = (poses, tilts, bins.astype("i1"), residuals, range_steps.astype("<u4"))
-    return written(KeyframeColumns(count, horizon, num_rays, max_range, *map(_b64, columns)))
+    arrays = {"poses": poses, "tilts": tilts, "bins": bins, "residuals": residuals, "range_steps": range_steps}
+    packed = {
+        name: base64.b64encode(arrays[name].astype(dtype, copy=False).tobytes()).decode("ascii")
+        for name, (dtype, _) in _column_forms(count, horizon, num_rays).items()
+    }
+    return written(KeyframeColumns(count, horizon, num_rays, max_range, **packed))
 
 
 # a scene object stores its box fields inline, beside its own; the box's are read first

@@ -9,7 +9,7 @@ import json
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amr_navkit.codec import PHI_BINS, PSI_BINS, R_BINS, TokenizedStep
@@ -73,6 +73,7 @@ def test_rounded_report_reads_back_rounded():
 
 # each shape's writer and reader are inverses
 
+# every finite float: -0.0, subnormals and the extremes included
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 poses = st.builds(Pose2, finite, finite, finite)
 
@@ -83,16 +84,14 @@ def test_pose_round_trip(p):
     assert _same(_round_trip(p), p)
 
 
-# every finite float: -0.0, subnormals and the extremes included
-floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
 steps = st.builds(
     TokenizedStep,
     st.integers(0, PSI_BINS - 1),
     st.integers(0, R_BINS - 1),
     st.integers(0, PHI_BINS - 1),
-    floats,
-    floats,
-    floats,
+    finite,
+    finite,
+    finite,
 )
 
 
@@ -108,8 +107,8 @@ def keyframe_lists(draw):
     ray_steps = st.one_of(st.just(top), st.just(0), st.integers(0, top))
     return [
         Keyframe(
-            pose=draw(st.builds(Pose2, floats, floats, floats)),
-            tilt=draw(floats),
+            pose=draw(poses),
+            tilt=draw(finite),
             lidar=LidarScan(
                 num_rays,
                 np.array(draw(st.lists(ray_steps, min_size=num_rays, max_size=num_rays)), dtype=np.int64) * LIDAR_UNIT,
@@ -127,21 +126,23 @@ def _keyframes_round_trip(keyframes: list) -> list:
     return checked(json.loads(text), list[Keyframe], "keyframes", SHAPES)
 
 
+# -0.0 and a subnormal in every float column, every ray at max_range
+_TINY = 5e-324
+_EDGE = Keyframe(
+    Pose2(-0.0, _TINY, -0.0),
+    -0.0,
+    LidarScan(5, np.full(5, 2.0), 2.0),
+    [TokenizedStep(PSI_BINS - 1, R_BINS - 1, PHI_BINS - 1, -0.0, _TINY, -_TINY)] * 3,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(keyframe_lists())
+@example([])
+@example([_EDGE])
+@example([_EDGE, _EDGE])
 def test_keyframes_round_trip_bit_for_bit(keyframes):
     assert _same(_keyframes_round_trip(keyframes), keyframes)
-
-
-def test_keyframes_round_trip_at_the_edges():
-    # -0.0 and subnormal floats in every float column, every ray at max_range
-    tiny = 5e-324
-    step = TokenizedStep(PSI_BINS - 1, R_BINS - 1, PHI_BINS - 1, -0.0, tiny, -tiny)
-    kf = Keyframe(Pose2(-0.0, tiny, -0.0), -0.0, LidarScan(5, np.full(5, 2.0), 2.0), [step] * 3)
-    for keyframes in ([], [kf], [kf, kf]):
-        back = _keyframes_round_trip(keyframes)
-        assert _same(back, keyframes)
-    assert struct.pack("<d", back[1].expert_steps[2].psi_res) == struct.pack("<d", -0.0)
 
 
 positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
