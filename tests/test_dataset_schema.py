@@ -24,7 +24,6 @@ from amr_navkit.pipeline import (
     DATASET_VERSION,
     LIDAR_UNIT,
     _range_steps,
-    manifest_path,
     generate_episode,
     read_dataset,
     record_from_dict,
@@ -168,8 +167,8 @@ def test_version_2_dataset_rejected_naming_both_versions(demos, tmp_path):
     path = tmp_path / "v2.jsonl"
     write_dataset([record], str(path))
     path.write_text(json.dumps(d, sort_keys=True) + "\n")
-    manifest = json.loads(open(manifest_path(str(path))).read())
-    (tmp_path / "v2.jsonl.manifest.json").write_text(json.dumps({**manifest, "version": "2"}))
+    manifest = tmp_path / "v2.jsonl.manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "version": "2"}))
     with pytest.raises(SchemaMismatch, match="record 0: dataset version '2' != '3'"):
         read_dataset(str(path))
 
