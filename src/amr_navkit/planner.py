@@ -28,7 +28,14 @@ from .errors import (
     check_ranges,
 )
 from .geometry import TWO_PI, Pose2, wrap_angle
-from .scene import Scene, collision_check, collision_mask, sweep_collision_checks
+from .scene import (
+    Scene,
+    certified_disconnected,
+    collision_check,
+    collision_mask,
+    note_no_path,
+    sweep_collision_checks,
+)
 
 LIN_STEP = 0.01  # dense-state spacing, meters
 ANG_STEP = math.radians(1.0)  # dense-state spacing, radians
@@ -37,6 +44,7 @@ K_NEIGHBORS = 8  # nearest roadmap vertices each vertex connects to
 KEYFRAME_TRANS_GAP = 0.2  # keyframe spacing: translation, meters
 KEYFRAME_ROT_GAP = math.radians(5.0)  # keyframe spacing: rotation, radians
 MAX_PROJECTION = 0.3  # farthest a labelled pose may lie from its path, meters
+NO_PATH = "no collision-free path within the planning budget"
 
 
 @dataclass(frozen=True)
@@ -418,11 +426,21 @@ def plan(
 
     Deterministic for a fixed seed and batch budget; returns the best path
     found, or raises NoPathFound when the budget is exhausted without one.
+    Once a plan at ``radius`` on this scene has failed, each later one raises
+    NoPathFound at once when ``certified_disconnected`` proves that start and
+    goal lie in different free-space components. No chain that a search
+    could return crosses a blocked cell: its vertices are free at
+    ``radius``, and ``_Roadmap.evaluate`` accepts an edge only when the
+    exact distance of its segment to every obstacle is at least ``radius``
+    - 1e-9, well outside the certificate's ``CERT_SLACK``. So a certified
+    plan is one that fails at any budget and seed.
     """
     if collision_check(scene, start, radius):
         raise InvalidEndpoint("start pose is in collision")
     if collision_check(scene, goal, radius):
         raise InvalidEndpoint("goal pose is in collision")
+    if certified_disconnected(scene, radius, start, goal):
+        raise NoPathFound(NO_PATH)
 
     rng = np.random.default_rng(seed)
     rm = _Roadmap(scene, radius, np.asarray(target_center, dtype=float), w)
@@ -470,7 +488,8 @@ def plan(
             break
 
     if not best_chain:
-        raise NoPathFound("no collision-free path within the planning budget")
+        note_no_path(scene, radius)  # later plans at this radius consult the certificate
+        raise NoPathFound(NO_PATH)
     segments: list[PathSegment] = []
     for i, j in zip(best_chain[:-1], best_chain[1:]):
         segments.extend(rm.connection(i, j)[1])

@@ -94,6 +94,11 @@ class Scene:
         """``visible_from``'s lattices and occluders, by object id; see ``_target_view``."""
         return {}
 
+    @cached_property
+    def _certificates(self) -> dict:
+        """``certified_disconnected``'s component labels by radius, None until first needed."""
+        return {}
+
     def object_by_id(self, object_id: int) -> SceneObject:
         for o in self.objects:
             if o.id == object_id:
@@ -349,6 +354,83 @@ def sweep_collision_check(
             scene, np.array([[start.x, start.y]]), np.array([[end.x, end.y]]), radius, step
         )[0]
     )
+
+
+# ---------------------------------------------------------------------------
+# free-space certificate
+
+CERT_CELL = 0.05  # cell side of the free-space certificate's grid, meters
+CERT_SLACK = 1e-6  # a cell is blocked within radius - CERT_SLACK, far above rounding
+
+
+def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
+    """Component labels (ny, nx) of the free cells of a ``CERT_CELL`` grid
+    from the room's corner (xmin, ymin), -1 on blocked cells.
+
+    A cell is blocked when all 4 of its corners lie within rho = radius -
+    ``CERT_SLACK`` of one box, or of one room side. Each such
+    rho-neighbourhood is convex, so the whole closed cell lies in it, and a
+    disc of ``radius`` centred anywhere in it collides. A path of free disc
+    centres therefore never touches a blocked cell, and it crosses from one
+    cell to the next only through a shared side or corner of free cells: it
+    stays in one 4-connected component of free cells (a corner shared with a
+    blocked cell is blocked itself). Disconnection proofs for motion
+    planning: Basch, Guibas, Hsu & Nguyen, ICRA 2001.
+    """
+    b, rho = scene.bounds, radius - CERT_SLACK
+    nx, ny = math.ceil(b.w / CERT_CELL), math.ceil(b.h / CERT_CELL)
+    xs = b.xmin + np.arange(nx + 1) * CERT_CELL
+    ys = b.ymin + np.arange(ny + 1) * CERT_CELL
+    # a room side blocks a column (row) when the cell's far corners are within rho of it
+    blocked = np.zeros((ny, nx), dtype=bool)
+    blocked[:, (xs[1:] - b.xmin < rho) | (b.xmax - xs[:-1] < rho)] = True
+    blocked[(ys[1:] - b.ymin < rho) | (b.ymax - ys[:-1] < rho), :] = True
+    centers, halves, cy, sy = scene._box_params
+    for (cx, cyy), (hx, hy), c, s in zip(centers.tolist(), halves.tolist(), cy.tolist(), sy.tolist()):
+        # the corners within the box's bounding square, grown by rho
+        ex, ey = abs(hx * c) + abs(hy * s) + rho, abs(hx * s) + abs(hy * c) + rho
+        i0, i1 = max(0, math.floor((cx - ex - b.xmin) / CERT_CELL)), min(nx, math.ceil((cx + ex - b.xmin) / CERT_CELL))
+        j0, j1 = max(0, math.floor((cyy - ey - b.ymin) / CERT_CELL)), min(ny, math.ceil((cyy + ey - b.ymin) / CERT_CELL))
+        if i0 >= i1 or j0 >= j1:
+            continue
+        dx = xs[i0:i1 + 1] - cx
+        dy = ys[j0:j1 + 1, None] - cyy
+        qx = np.maximum(np.abs(dx * c + dy * s) - hx, 0.0)
+        qy = np.maximum(np.abs(dy * c - dx * s) - hy, 0.0)
+        near = qx * qx + qy * qy < rho * rho
+        blocked[j0:j1, i0:i1] |= near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
+    return _component_labels(~blocked)
+
+
+def note_no_path(scene: Scene, radius: float) -> None:
+    """Have ``certified_disconnected`` consult a certificate at ``radius`` from now on."""
+    scene._certificates.setdefault(radius, None)
+
+
+def certified_disconnected(scene: Scene, radius: float, a: Pose2, b: Pose2) -> bool:
+    """Whether the ``_free_space_certificate`` at ``radius`` proves that no
+    collision-free path joins the positions of a and b, which must both be
+    free at ``radius``.
+
+    False at a radius that ``note_no_path`` has not named for this scene;
+    the first call at a named radius builds the certificate and caches it.
+    Also False when a position maps to a blocked cell, which only rounding
+    can do.
+    """
+    if radius not in scene._certificates:
+        return False
+    labels = scene._certificates[radius]
+    if labels is None:
+        labels = scene._certificates[radius] = _free_space_certificate(scene, radius)
+    bounds, (ny, nx) = scene.bounds, labels.shape
+    la, lb = (
+        labels[
+            min(max(int((p.y - bounds.ymin) // CERT_CELL), 0), ny - 1),
+            min(max(int((p.x - bounds.xmin) // CERT_CELL), 0), nx - 1),
+        ]
+        for p in (a, b)
+    )
+    return bool(la >= 0 and lb >= 0 and la != lb)
 
 
 # ---------------------------------------------------------------------------
@@ -736,22 +818,22 @@ def _countable_free_area(room_max: float, probe_radius: float) -> float:
     return min(room_max * room_max, side * side)
 
 
-def _largest_component(free: np.ndarray) -> int:
-    """Cell count of the largest 4-connected component of True cells in a 2-D grid, 0 if none.
+def _component_labels(free: np.ndarray) -> np.ndarray:
+    """4-connected component labels (int32) of the True cells of a 2-D grid, -1 on the others.
 
     Run-based labelling (He, Chao & Suzuki, IEEE TIP 2008): each row's runs
     of True cells are found at once, and runs of adjacent rows that share a
-    column are merged by union-find; a component's cell count is the sum of
-    its runs' lengths.
+    column are merged by union-find. A component is labelled by one of its
+    runs' indices, so labels are not consecutive.
     """
-    ny = len(free)
+    ny, nx = free.shape
     edges = np.diff(np.pad(free.astype(np.int8), ((0, 0), (1, 1))), axis=1)
     rows, starts = np.nonzero(edges == 1)  # in row order, as are the ends
-    ends = np.nonzero(edges == -1)[1].tolist()
-    starts = starts.tolist()
+    ends = np.nonzero(edges == -1)[1]
+    lengths = ends - starts
+    s, e = starts.tolist(), ends.tolist()
     first = np.searchsorted(rows, np.arange(ny + 1)).tolist()  # row r's runs: first[r]:first[r + 1]
-    parent = list(range(len(starts)))
-    size = [e - s for s, e in zip(starts, ends)]
+    parent = list(range(len(s)))
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -761,16 +843,26 @@ def _largest_component(free: np.ndarray) -> int:
     for r in range(ny - 1):
         i, i_end, j, j_end = first[r], first[r + 1], first[r + 1], first[r + 2]
         while i < i_end and j < j_end:
-            if starts[i] < ends[j] and starts[j] < ends[i]:
+            if s[i] < e[j] and s[j] < e[i]:
                 a, b = root(i), root(j)
                 if a != b:
                     parent[b] = a
-                    size[a] += size[b]
-            if ends[i] < ends[j]:
+            if e[i] < e[j]:
                 i += 1
             else:
                 j += 1
-    return max((size[i] for i in range(len(parent)) if parent[i] == i), default=0)
+    labels = np.full(ny * nx, -1, dtype=np.int32)
+    # every cell of run k gets its root: flat index rows*nx + starts, then + 0, 1, ...
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    labels[np.repeat(rows * nx + starts, lengths) + offsets] = np.repeat([root(k) for k in range(len(parent))], lengths)
+    return labels.reshape(ny, nx)
+
+
+def _largest_component(free: np.ndarray) -> int:
+    """Cell count of the largest 4-connected component of True cells in a 2-D grid, 0 if none."""
+    labels = _component_labels(free)
+    counts = np.bincount(labels[labels >= 0])
+    return int(counts.max()) if counts.size else 0
 
 
 def _largest_free_area(scene: Scene, probe_radius: float) -> float:
