@@ -39,7 +39,6 @@ from .scene import (
 
 LIN_STEP = 0.01  # dense-state spacing, meters
 ANG_STEP = math.radians(1.0)  # dense-state spacing, radians
-COST_STEP = 0.025  # quadrature spacing for the look-at penalty, meters
 K_NEIGHBORS = 8  # nearest roadmap vertices each vertex connects to
 KEYFRAME_TRANS_GAP = 0.2  # keyframe spacing: translation, meters
 KEYFRAME_ROT_GAP = math.radians(5.0)  # keyframe spacing: rotation, radians
@@ -191,33 +190,31 @@ def steer(a: Pose2, b: Pose2, w: CostWeights = CostWeights()) -> list[PathSegmen
     return segs
 
 
-def _lookat_integral(
-    p0: np.ndarray, p1: np.ndarray, heading: float, target: np.ndarray
-) -> float:
-    """Trapezoid of |heading - bearing to target| over a straight forward move.
+def _lookat_integral(pose: Pose2, length: float, tx: float, ty: float) -> float:
+    """Integral of |heading - bearing to (tx, ty)| over a forward move of ``length``.
 
-    The length is ``norm``'s own ``sqrt(d . d)`` and the fractions are
-    ``linspace(0, 1, k + 1)``'s own ``arange * (1 / k)`` with the end pinned,
-    without either call's per-call overhead.
+    In the move's frame the target lies at (a, b), and at arc length s the
+    deviation is atan2(|b|, a - s). With u = a - s it has the antiderivative
+    F(u) = u atan2(|b|, u) + |b|/2 ln(b^2 + u^2), which is
+    pi/2 u - u atan(u/|b|) + |b|/2 ln(b^2 + u^2) written without
+    cancellation, so the integral is F(a) - F(a - length). On the line
+    (|b| < 1e-12) the deviation is 0 before the target and pi past it.
     """
-    d = p1 - p0
-    dist = math.sqrt(d.dot(d))
-    if dist < 1e-12:
-        return 0.0
-    k = max(1, int(math.ceil(dist / COST_STEP)))
-    t = np.arange(k + 1, dtype=float) * (1.0 / k)
-    t[-1] = 1.0
-    pts = p0[None, :] + t[:, None] * d[None, :]
-    bearing = np.arctan2(target[1] - pts[:, 1], target[0] - pts[:, 0])
-    dev = np.abs((heading - bearing + math.pi) % (2 * math.pi) - math.pi)
-    return float((dev[0] / 2 + dev[1:-1].sum() + dev[-1] / 2) * (dist / k))
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    rx, ry = tx - pose.x, ty - pose.y
+    a, b = rx * c + ry * s, abs(ry * c - rx * s)
+    if b < 1e-12:
+        return math.pi * (length - min(max(a, 0.0), length))
+    u = a - length
+    f = a * math.atan2(b, a) - u * math.atan2(b, u) + b / 2 * math.log((b * b + a * a) / (b * b + u * u))
+    return max(f, 0.0)  # rounding may leave a hair below 0 when the target is near the line
 
 
 def segments_cost(
     start: Pose2, segments: list[PathSegment], target_center, w: CostWeights
 ) -> float:
     """Motion cost plus the look-at penalty accumulated over forward moves."""
-    target = np.asarray(target_center, dtype=float)
+    tx, ty = (float(v) for v in target_center)
     cost = 0.0
     pose = start
     for seg in segments:
@@ -228,11 +225,7 @@ def segments_cost(
             if seg.ds < 0:
                 cost += w.w_backward * abs(seg.ds)
             elif w.w_lookat > 0:
-                p0 = np.array([pose.x, pose.y])
-                nxt = apply_segment(pose, seg)
-                cost += w.w_lookat * _lookat_integral(
-                    p0, np.array([nxt.x, nxt.y]), pose.heading, target
-                )
+                cost += w.w_lookat * _lookat_integral(pose, seg.ds, tx, ty)
         pose = apply_segment(pose, seg)
     return cost
 
@@ -295,8 +288,8 @@ class _Roadmap:
         if new:
             self._swept.update(new)
             ends = positions[np.array(new)]  # (E, 2, 2)
-            r = self.radius + LIN_STEP / 2  # so every pose between samples is free
-            hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r, LIN_STEP)
+            r = self.radius + LIN_STEP / 2  # a 5 mm clearance pad on every edge
+            hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r)
             for (a, b), hit in zip(new, hits.tolist()):
                 if hit:
                     self.weight[a][b] = self.weight[b][a] = math.inf
@@ -431,9 +424,8 @@ def plan(
     goal lie in different free-space components. No chain that a search
     could return crosses a blocked cell: its vertices are free at
     ``radius``, and ``_Roadmap.evaluate`` accepts an edge only when the
-    exact distance of its segment to every obstacle is at least ``radius``
-    - 1e-9, well outside the certificate's ``CERT_SLACK``. So a certified
-    plan is one that fails at any budget and seed.
+    exact distance of its segment to every obstacle is at least ``radius``.
+    So a certified plan is one that fails at any budget and seed.
     """
     if collision_check(scene, start, radius):
         raise InvalidEndpoint("start pose is in collision")
@@ -577,11 +569,12 @@ def _horizons(
     states = path.states
     cur = np.array([(p.x, p.y, p.heading) for p in poses], dtype=float).reshape(-1, 3)
 
-    # projection: the first state at the least squared distance, per pose
-    # (a block of poses at once measured slower per pose)
-    xs, ys = states[:, 0].copy(), states[:, 1].copy()
+    # projection: of the states at the least squared distance, per pose, the
+    # first of those nearest in wrapped heading; every state of a rotation in
+    # place shares its position (a block of poses at once measured slower per pose)
+    xs, ys, hs = states[:, 0].copy(), states[:, 1].copy(), states[:, 2]
     proj, off = [], None
-    for x, y in cur[:, :2].tolist():
+    for x, y, h in cur.tolist():
         d2, dy = xs - x, ys - y
         d2 *= d2
         dy *= dy
@@ -590,6 +583,9 @@ def _horizons(
         if math.sqrt(d2[i]) > MAX_PROJECTION:
             off = OffPath(f"pose projects {math.sqrt(d2[i]):.3f} m from the path")
             break
+        tied = np.flatnonzero(d2 == d2[i])
+        if len(tied) > 1:
+            i = int(tied[np.abs(_wrap(hs[tied] - h)).argmin()])
         proj.append(i)
     if not proj:
         empty = np.empty((0, n))

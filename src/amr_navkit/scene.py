@@ -295,33 +295,13 @@ def _segment_box_distances(
     return np.where(crosses, 0.0, best)
 
 
-def _sampled_sweep(
-    scene: Scene, p0: np.ndarray, p1: np.ndarray, radius: float, step: float
-) -> bool:
-    """Disc collision at positions sampled along p0->p1 at spacing <= step."""
-    x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
-    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step)))
-    t = np.arange(n + 1, dtype=float) * (1.0 / n)  # linspace(0, 1, n + 1), without its overhead
-    t[-1] = 1.0
-    pts = np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=1)
-    return bool(collision_mask(scene, pts, radius).any())
-
-
-def sweep_collision_checks(
-    scene: Scene, p0: np.ndarray, p1: np.ndarray, radius: float, step: float = 0.01
-) -> np.ndarray:
+def sweep_collision_checks(scene: Scene, p0: np.ndarray, p1: np.ndarray, radius: float) -> np.ndarray:
     """Collision verdicts (E,) for straight disc sweeps p0[e] -> p1[e], (E, 2) each.
 
-    The verdict is that of sampling each sweep at arc-length spacing <= step,
-    endpoints included, and testing a disc at every sample. It is decided
-    from the exact segment-to-obstacle distance d whenever that is
-    conclusive: d >= radius + 1e-9 means every sample is free, and
-    d < radius - step/2 - 1e-9 means the sample nearest the closest point
-    (at most step/2 away; the distance is 1-Lipschitz) collides. Only sweeps
-    in the band between are sampled.
+    A sweep collides when the exact distance d from its segment to some box
+    or room side is below ``radius``: ``collision_check``'s rule at every
+    point of the segment, so a disc that only touches a face stays free.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
     p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
     centers, halves, cy, sy = scene._box_params
@@ -334,25 +314,14 @@ def sweep_collision_checks(
     )
     if centers.size:
         d = np.minimum(d, _segment_box_distances(p0, p1, centers, halves, cy, sy).min(axis=1))
-    hit = d < radius - step / 2 - 1e-9
-    for e in np.flatnonzero(~hit & (d < radius + 1e-9)):
-        hit[e] = _sampled_sweep(scene, p0[e], p1[e], radius, step)
-    return hit
+    return d < radius
 
 
-def sweep_collision_check(
-    scene: Scene, start: Pose2, end: Pose2, radius: float, step: float = 0.01
-) -> bool:
-    """Collision verdict along a straight position sweep from start to end.
-
-    Positions are linearly interpolated (headings slerped, irrelevant to a
-    disc footprint) at arc-length spacing <= step, endpoints included; see
-    ``sweep_collision_checks``.
-    """
+def sweep_collision_check(scene: Scene, start: Pose2, end: Pose2, radius: float) -> bool:
+    """Collision verdict of a disc swept straight from start to end (headings
+    are irrelevant to a disc footprint); see ``sweep_collision_checks``."""
     return bool(
-        sweep_collision_checks(
-            scene, np.array([[start.x, start.y]]), np.array([[end.x, end.y]]), radius, step
-        )[0]
+        sweep_collision_checks(scene, np.array([[start.x, start.y]]), np.array([[end.x, end.y]]), radius)[0]
     )
 
 
@@ -360,7 +329,7 @@ def sweep_collision_check(
 # free-space certificate
 
 CERT_CELL = 0.05  # cell side of the free-space certificate's grid, meters
-CERT_SLACK = 1e-6  # a cell is blocked within radius - CERT_SLACK, far above rounding
+_CERT_SLACK = 1e-6  # a cell is blocked within radius - _CERT_SLACK, far above rounding
 
 
 def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
@@ -368,7 +337,7 @@ def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
     from the room's corner (xmin, ymin), -1 on blocked cells.
 
     A cell is blocked when all 4 of its corners lie within rho = radius -
-    ``CERT_SLACK`` of one box, or of one room side. Each such
+    ``_CERT_SLACK`` of one box, or of one room side. Each such
     rho-neighbourhood is convex, so the whole closed cell lies in it, and a
     disc of ``radius`` centred anywhere in it collides. A path of free disc
     centres therefore never touches a blocked cell, and it crosses from one
@@ -377,7 +346,7 @@ def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
     blocked cell is blocked itself). Disconnection proofs for motion
     planning: Basch, Guibas, Hsu & Nguyen, ICRA 2001.
     """
-    b, rho = scene.bounds, radius - CERT_SLACK
+    b, rho = scene.bounds, radius - _CERT_SLACK
     nx, ny = math.ceil(b.w / CERT_CELL), math.ceil(b.h / CERT_CELL)
     xs = b.xmin + np.arange(nx + 1) * CERT_CELL
     ys = b.ymin + np.arange(ny + 1) * CERT_CELL

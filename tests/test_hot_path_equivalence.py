@@ -5,8 +5,7 @@
 one state at a time; ``collision_check`` and ``clearance`` run a scalar loop
 over the scene's boxes instead of ``obstacle_distances``;
 ``waypoints_from_path`` computes step lengths and turns only as far as the
-horizon reaches instead of reading a whole-path step table; ``_lookat_integral`` and
-``_sampled_sweep`` spell out ``linspace`` and ``norm``; ``_Roadmap.evaluate``
+horizon reaches instead of reading a whole-path step table; ``_Roadmap.evaluate``
 skips chain vertices whose edges it swept earlier in the batch; and
 ``pure_pursuit``, ``tilt_step`` and the oracle's terminal rotation work on
 floats instead of small arrays. ``Pose2``, ``PolarStep`` and
@@ -60,7 +59,6 @@ from amr_navkit.geometry import (
 from amr_navkit.pipeline import Expert, plan_with_margin, sample_task
 from amr_navkit.planner import (
     ANG_STEP,
-    COST_STEP,
     K_NEIGHBORS,
     LIN_STEP,
     CostWeights,
@@ -69,7 +67,6 @@ from amr_navkit.planner import (
     Rotate,
     Translate,
     _branches,
-    _lookat_integral,
     _neighbor_lists,
     _Roadmap,
     _shortest_path,
@@ -87,7 +84,6 @@ from amr_navkit.scene import (
     Scene,
     SceneObject,
     _room_walls,
-    _sampled_sweep,
     clearance,
     collision_check,
     collision_mask,
@@ -150,7 +146,8 @@ def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, m
     """``waypoints_from_path`` slicing a whole-path step table, with a world pose per sample, as it was."""
     states = path.states
     d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
-    proj = int(np.argmin(d2))
+    tied = np.flatnonzero(d2 == d2.min())
+    proj = int(tied[np.argmin([abs(wrap_angle(states[i, 2] - current.heading)) for i in tied])])
     assert math.sqrt(d2[proj]) <= max_projection
     rem = states[proj:]
     lengths, turns = reference_step_table(states)
@@ -182,26 +179,6 @@ def reference_se2_relative(a, b):
     return ReferencePose2(c * dx + s * dy, -s * dx + c * dy, b.heading - a.heading)
 
 
-def reference_lookat_integral(p0, p1, heading, target):
-    dist = float(np.linalg.norm(p1 - p0))
-    if dist < 1e-12:
-        return 0.0
-    k = max(1, int(math.ceil(dist / COST_STEP)))
-    t = np.linspace(0.0, 1.0, k + 1)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    bearing = np.arctan2(target[1] - pts[:, 1], target[0] - pts[:, 0])
-    dev = np.abs((heading - bearing + math.pi) % (2 * math.pi) - math.pi)
-    return float((dev[0] / 2 + dev[1:-1].sum() + dev[-1] / 2) * (dist / k))
-
-
-def reference_sweep_points(p0, p1, step):
-    """The positions ``_sampled_sweep`` tested, as it was."""
-    x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
-    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step)))
-    t = np.linspace(0.0, 1.0, n + 1)
-    return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=1)
-
-
 class ReferenceRoadmap(_Roadmap):
     """``_Roadmap`` with the evaluate that rebuilt the edge set from every chain vertex."""
 
@@ -214,7 +191,7 @@ class ReferenceRoadmap(_Roadmap):
             self._swept.update(new)
             ends = positions[np.array(new)]
             r = self.radius + LIN_STEP / 2
-            hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r, LIN_STEP)
+            hits = sweep_collision_checks(self.scene, ends[:, 0], ends[:, 1], r)
             for (a, b), hit in zip(new, hits.tolist()):
                 if hit:
                     self.weight[a][b] = self.weight[b][a] = math.inf
@@ -580,79 +557,6 @@ def test_dt_must_be_positive():
     for dt in (0.0, -0.2, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             waypoints_from_path(path, start, 12, dt)
-
-
-# ---------------------------------------------------------------------------
-# per-edge integrals without linspace and norm
-
-
-@st.composite
-def moves(draw, step):
-    """(p0, p1) whose sample count ceil(|p1 - p0| / step) covers 1 to 2,500, or zero length."""
-    x0, y0 = draw(coord), draw(coord)
-    kind = draw(st.sampled_from(["k", "k", "k", "zero", "tiny"]))
-    if kind == "zero":
-        return np.array([x0, y0]), np.array([x0, y0])
-    if kind == "tiny":
-        length = draw(st.floats(1e-15, 1e-10))
-    else:
-        length = (draw(st.integers(1, 2500)) - draw(st.floats(0.0, 1.0, exclude_max=True))) * step
-    ang = draw(st.floats(-math.pi, math.pi))
-    return np.array([x0, y0]), np.array([x0 + length * math.cos(ang), y0 + length * math.sin(ang)])
-
-
-@given(moves(COST_STEP), heading, st.tuples(coord, coord))
-@settings(max_examples=400, deadline=None)
-@example((np.array([0.0, 0.0]), np.array([0.0, 0.0])), 0.0, (1.0, 1.0))
-@example((np.array([0.0, 0.0]), np.array([COST_STEP, 0.0])), 0.0, (1.0, 1.0))
-@example((np.array([-3.0, 2.0]), np.array([-3.0 + 2000 * COST_STEP, 2.0])), 0.1, (0.0, 0.0))
-@example((np.array([1.0, 1.0]), np.array([1.0 + 1e-13, 1.0])), 0.0, (0.0, 0.0))
-def test_lookat_integral_matches_linspace_norm(move, h, target):
-    p0, p1 = move
-    target = np.array(target)
-    assert bits(_lookat_integral(p0, p1, h, target)) == bits(reference_lookat_integral(p0, p1, h, target))
-
-
-def test_lookat_integral_ends_on_the_end_point():
-    # k * (1 / k) rounds below 1 for some k; with the target just beside the
-    # end point, the bearing there turns by about 1e-7 rad if t[-1] is not 1
-    ks = [k for k in range(1, 2501) if k * (1.0 / k) != 1.0]
-    assert ks
-    for k in ks:
-        p0 = np.array([0.5, -0.25])
-        p1 = p0 + [(k - 0.5) * COST_STEP, 0.0]
-        target = p1 + [0.0, 1e-9]
-        assert bits(_lookat_integral(p0, p1, 0.0, target)) == bits(reference_lookat_integral(p0, p1, 0.0, target))
-
-
-def sweep_points(p0, p1, step):
-    """The positions ``_sampled_sweep`` hands to ``collision_mask``, and its verdict."""
-    seen = []
-
-    def record(scene, pts, radius):
-        seen.append(pts.copy())
-        return collision_mask(scene, pts, radius)
-
-    with mock.patch.object(scene_module, "collision_mask", record):
-        verdict = _sampled_sweep(SWEEP_SCENE, p0, p1, 0.2, step)
-    (pts,) = seen
-    return pts, verdict
-
-
-SWEEP_SCENE = sample_scene(17)
-
-
-@given(moves(LIN_STEP), st.sampled_from([LIN_STEP, 0.003, 0.05]))
-@settings(max_examples=300, deadline=None)
-@example((np.array([0.0, 0.0]), np.array([0.0, 0.0])), LIN_STEP)
-@example((np.array([-9.0, 0.5]), np.array([11.0, 0.5])), LIN_STEP)
-def test_sampled_sweep_matches_linspace(move, step):
-    p0, p1 = move
-    pts, verdict = sweep_points(p0, p1, step)
-    want = reference_sweep_points(p0, p1, step)
-    assert pts.shape == want.shape
-    assert bits(pts) == bits(want)
-    assert verdict == bool(collision_mask(SWEEP_SCENE, want, 0.2).any())
 
 
 # ---------------------------------------------------------------------------

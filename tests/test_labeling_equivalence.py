@@ -8,7 +8,10 @@ through ``dataclasses.asdict``. Then
 with ``codec.encode_steps`` as its quantizer, in place of a
 ``waypoints_from_path`` -> ``encode_trajectory`` loop per pose; both of those
 became wrappers over the array code. The references below are the code they
-replaced. Floats are compared as uint64 bit patterns, never with a tolerance.
+replaced, with one rule changed in both: of the states tied at the least
+distance, a pose projects to the first of those nearest its heading (it was
+the first of them all). Floats are compared as uint64 bit patterns, never
+with a tolerance.
 """
 
 import base64
@@ -43,12 +46,20 @@ from amr_navkit.scene import sample_scene
 SPEEDS = [(0.5, 1.0), (0.2, 0.3), (1.0, 2.5), (0.13, 0.7)]
 
 
+def projection(states, current):
+    """The state ``current`` projects to, and its squared distance: of the
+    states at the least squared distance, the first least far in wrapped heading."""
+    d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
+    tied = np.flatnonzero(d2 == d2.min())
+    proj = int(tied[np.argmin([abs(wrap_angle(states[i, 2] - current.heading)) for i in tied])])
+    return proj, d2[proj]
+
+
 def reference_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, max_projection=0.3):
     """``waypoints_from_path`` as it was, walking the remaining path on every call."""
     states = path.states
-    d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
-    proj = int(np.argmin(d2))
-    if math.sqrt(d2[proj]) > max_projection:
+    proj, d2 = projection(states, current)
+    if math.sqrt(d2) > max_projection:
         raise OffPath("off path")
     rem = states[proj:]
     durations = np.empty(max(len(rem) - 1, 0))
@@ -192,10 +203,9 @@ def parent_waypoints(path, current, n=12, dt=0.2, v_ref=0.5, omega_ref=1.0, max_
     if v_ref * dt > 0.2 + 1e-12:
         raise ValueError("v_ref * dt must not exceed the 0.2 m step range")
     states = path.states
-    d2 = (states[:, 0] - current.x) ** 2 + (states[:, 1] - current.y) ** 2
-    proj = int(np.argmin(d2))
-    if math.sqrt(d2[proj]) > max_projection:
-        raise OffPath(f"pose projects {math.sqrt(d2[proj]):.3f} m from the path")
+    proj, d2 = projection(states, current)
+    if math.sqrt(d2) > max_projection:
+        raise OffPath(f"pose projects {math.sqrt(d2):.3f} m from the path")
     last, horizon, chunk = len(states) - 1, n * dt, 160
     while True:
         end = min(proj + chunk, last)
@@ -344,9 +354,10 @@ def test_one_pass_horizon_past_the_first_window():
     assert_labels_match(fresh(path), poses[:1], 24, 0.2, 1.0, 2.5)
 
 
-def test_one_pass_revisited_positions_project_to_the_first():
+def test_one_pass_revisited_positions_project_to_the_nearest_heading():
     """A path that comes back over its own states exactly: distances tie, and
-    the projection is the first of the tied states."""
+    the projection is the first of the tied states nearest in heading, so a
+    pose on the way back labels the way back."""
     start = Pose2(1.0, 1.0, 0.7)
     out = rollout(start, [Translate(0.8)])
     back = out[::-1].copy()

@@ -41,8 +41,7 @@ def reference_edges_free(rm, valid: dict, i: int, js: list[int]) -> list[bool]:
     if new:
         p0 = np.array([[rm.poses[a].x, rm.poses[a].y] for a, _ in new])
         p1 = np.array([[rm.poses[b].x, rm.poses[b].y] for _, b in new])
-        step = planner.LIN_STEP
-        hits = sweep_collision_checks(rm.scene, p0, p1, rm.radius + step / 2, step)
+        hits = sweep_collision_checks(rm.scene, p0, p1, rm.radius + planner.LIN_STEP / 2)
         valid.update(zip(new, (not hit for hit in hits.tolist())))
     return [valid[key] for key in keys]
 

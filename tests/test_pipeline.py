@@ -173,7 +173,7 @@ class TestGenerateEpisode:
                 assert d_after < d_before
             prev = kf.pose
             for p in world:
-                assert not sweep_collision_check(scene, prev, p, task.robot_radius, 0.02)
+                assert not sweep_collision_check(scene, prev, p, task.robot_radius)
                 prev = p
 
     def test_tilt_targets_finite(self, one_episode):
@@ -234,7 +234,7 @@ class TestRelabel:
             world = decode_trajectory(steps, pose, use_residual=True)
             prev = pose
             for p in world:
-                assert not sweep_collision_check(scene, prev, p, task.robot_radius, 0.02)
+                assert not sweep_collision_check(scene, prev, p, task.robot_radius)
                 prev = p
             found += 1
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
 from amr_navkit.planner import (
@@ -13,6 +16,7 @@ from amr_navkit.planner import (
     Rotate,
     Translate,
     apply_segment,
+    label_poses,
     plan,
     resample_keyframes,
     rollout,
@@ -155,6 +159,43 @@ class TestPathCost:
 
             oracle, _ = integrate.quad(dev, 0, length, limit=200)
             assert got == pytest.approx(oracle, rel=2e-3, abs=2e-3)
+
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(1e-3, 4.0),
+        st.sampled_from(["anywhere", "on the line", "at the end", "beside the move"]),
+        st.floats(-6.0, 6.0),
+        st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(0.0, 0.0, 0.0, 1.0, "on the line", 0.5, 0.0)  # passes through the target
+    @example(0.0, 0.0, 0.0, 1.0, "at the end", 0.0, 0.0)
+    @example(1.0, -2.0, 0.3, 2.0, "beside the move", 0.25, 1e-9)
+    def test_closed_form_lookat_matches_a_fine_trapezoid(self, x, y, h, length, kind, along, side):
+        """The closed form against a 0.1 mm trapezoid of the deviation. Where
+        the move passes through or beside the target, the deviation jumps by
+        up to pi within a step, and the trapezoid is off by up to pi * 1e-4;
+        elsewhere they agree to 1e-7."""
+        if kind == "on the line":
+            side = 0.0
+        elif kind == "at the end":
+            along, side = length, side * 1e-9
+        elif kind == "beside the move":
+            along, side = length * (along + 6.0) / 12.0, side * 1e-3
+        c, s = math.cos(h), math.sin(h)
+        target = (x + along * c - side * s, y + along * s + side * c)
+        w = CostWeights(w_translate=1.0, w_rotate=0.0, w_backward=0.0, w_lookat=1.0)
+        got = segments_cost(Pose2(x, y, h), [Translate(length)], target, w) - length
+
+        k = int(math.ceil(length / 1e-4))
+        sx = x + np.linspace(0.0, length, k + 1) * c
+        sy = y + np.linspace(0.0, length, k + 1) * s
+        dev = np.abs((h - np.arctan2(target[1] - sy, target[0] - sx) + math.pi) % (2 * math.pi) - math.pi)
+        trapezoid = float((dev[0] / 2 + dev[1:-1].sum() + dev[-1] / 2) * (length / k))
+        assert got >= 0.0
+        assert abs(got - trapezoid) <= (1e-7 if abs(side) >= 0.01 else 4e-4)
 
     def test_backward_term_isolation(self):
         # doubling the backward surcharge leaves forward-only paths unchanged
@@ -396,3 +437,23 @@ class TestWaypoints:
         assert world[-1].x == pytest.approx(0.0, abs=1e-9)
         # total time 2.4 s: ~1.57 s rotating, remaining 0.83 s at 0.5 m/s
         assert world[-1].y == pytest.approx(0.5 * (2.4 - math.pi / 2), abs=1e-6)
+
+
+@pytest.mark.parametrize("turn", [math.pi / 2, -math.pi / 2, 2.5, -3.0])
+def test_mid_rotation_keyframes_turn_onward(turn):
+    """Every state of a rotation in place shares its position, so a keyframe
+    partway through the turn ties with all of them in distance; it is
+    labelled from the state at its own heading, and its first decoded step
+    keeps turning the way the rotation turns (not back to its start)."""
+    start = Pose2(0.3, -0.2, 0.4)
+    segs = [Rotate(turn), Translate(1.0)]
+    path = PlannedPath(start, segs, rollout(start, segs), 0.0)
+    keyframes = resample_keyframes(path)
+    inside = [
+        k for k in keyframes
+        if (k.x, k.y) == (start.x, start.y) and 1e-6 < abs(wrap_angle(k.heading - start.heading)) < abs(turn) - 1e-6
+    ]
+    assert len(inside) >= 8
+    for k, steps in zip(inside, label_poses(path, inside)):
+        first = decode_trajectory(steps, k, use_residual=True)[0]
+        assert math.copysign(1.0, turn) * wrap_angle(first.heading - k.heading) > 0
