@@ -368,7 +368,12 @@ def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
         qy = np.maximum(np.abs(dy * c - dx * s) - hy, 0.0)
         near = qx * qx + qy * qy < rho * rho
         blocked[j0:j1, i0:i1] |= near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
-    return _component_labels(~blocked)
+    # label every cell of a free run with its component's root run
+    rows, starts, lengths, roots = _row_run_components(~blocked)
+    labels = np.full(nx * ny, -1, dtype=np.int32)
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    labels[np.repeat(rows * nx + starts, lengths) + offsets] = np.repeat(roots, lengths)
+    return labels.reshape(ny, nx)
 
 
 def note_no_path(scene: Scene, radius: float) -> None:
@@ -787,21 +792,20 @@ def _countable_free_area(room_max: float, probe_radius: float) -> float:
     return min(room_max * room_max, side * side)
 
 
-def _component_labels(free: np.ndarray) -> np.ndarray:
-    """4-connected component labels (int32) of the True cells of a 2-D grid, -1 on the others.
+def _row_run_components(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The runs of True cells in each row of a 2-D grid and their 4-connected components.
 
+    Returns the runs' rows, first columns and lengths, as arrays in row
+    order, and for each run the index of its component's root run.
     Run-based labelling (He, Chao & Suzuki, IEEE TIP 2008): each row's runs
-    of True cells are found at once, and runs of adjacent rows that share a
-    column are merged by union-find. A component is labelled by one of its
-    runs' indices, so labels are not consecutive.
+    are found at once, and runs of adjacent rows that share a column are
+    merged by union-find.
     """
-    ny, nx = free.shape
     edges = np.diff(np.pad(free.astype(np.int8), ((0, 0), (1, 1))), axis=1)
     rows, starts = np.nonzero(edges == 1)  # in row order, as are the ends
     ends = np.nonzero(edges == -1)[1]
-    lengths = ends - starts
     s, e = starts.tolist(), ends.tolist()
-    first = np.searchsorted(rows, np.arange(ny + 1)).tolist()  # row r's runs: first[r]:first[r + 1]
+    first = np.searchsorted(rows, np.arange(len(free) + 1)).tolist()  # row r's runs: first[r]:first[r + 1]
     parent = list(range(len(s)))
 
     def root(i: int) -> int:
@@ -809,7 +813,7 @@ def _component_labels(free: np.ndarray) -> np.ndarray:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for r in range(ny - 1):
+    for r in range(len(free) - 1):
         i, i_end, j, j_end = first[r], first[r + 1], first[r + 1], first[r + 2]
         while i < i_end and j < j_end:
             if s[i] < e[j] and s[j] < e[i]:
@@ -820,25 +824,21 @@ def _component_labels(free: np.ndarray) -> np.ndarray:
                 i += 1
             else:
                 j += 1
-    labels = np.full(ny * nx, -1, dtype=np.int32)
-    # every cell of run k gets its root: flat index rows*nx + starts, then + 0, 1, ...
-    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    labels[np.repeat(rows * nx + starts, lengths) + offsets] = np.repeat([root(k) for k in range(len(parent))], lengths)
-    return labels.reshape(ny, nx)
+    return rows, starts, ends - starts, [root(k) for k in range(len(parent))]
 
 
 def _largest_component(free: np.ndarray) -> int:
-    """Cell count of the largest 4-connected component of True cells in a 2-D grid, 0 if none."""
-    labels = _component_labels(free)
-    counts = np.bincount(labels[labels >= 0])
-    return int(counts.max()) if counts.size else 0
+    """Cell count of the largest 4-connected component of True cells in a
+    2-D grid, 0 if none: the sum of its runs' lengths."""
+    _, _, lengths, roots = _row_run_components(free)
+    return int(np.bincount(roots, weights=lengths).max()) if roots else 0
 
 
 def _largest_free_area(scene: Scene, probe_radius: float) -> float:
     """Area of the largest 4-connected free region on a coarse occupancy grid.
 
     A cell is free when a disc of ``probe_radius`` at its centre is. The
-    components come from ``_largest_component``'s row runs, and are exactly
+    components come from ``_row_run_components``, and are exactly
     a flood fill's: the cells of a run are 4-linked along their row, and two
     runs of adjacent rows that share a column are 4-linked across it, which
     are all the links there are. The area is the same integer cell count
