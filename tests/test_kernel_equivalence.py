@@ -1,7 +1,7 @@
 """The batched collision and cost shortcuts decide as the loops they replace.
 
 Edge sweeps decide on the exact segment-to-box distance, which a sweep
-sampled every 0.1 mm must agree with wherever it is more than 1e-6 from
+sampled every 1 mm must agree with wherever it is more than 2e-6 from
 contact; the roadmap search weighs unevaluated edges by the rotate-translate
 bound, and visibility casts all sight lines in one call. The reference
 implementations below are the dense sweep and the per-sight-line code the
@@ -41,17 +41,20 @@ from amr_navkit.scene import (
 )
 
 
-DENSE_STEP = 1e-4  # the reference sweep's sample spacing, meters
-CONTACT = 1e-6  # sweeps this close to contact are left out of the comparison
+DENSE_STEP = 1e-3  # the reference sweep's sample spacing, meters
+CONTACT = 2e-6  # sweeps this close to contact are left out of the comparison
 
 
 def dense_clearance(scene, p0, p1) -> float:
-    """Least obstacle distance over positions sampled along p0->p1 every 0.1 mm.
+    """Least obstacle distance over positions sampled along p0->p1 every 1 mm.
 
     Along a segment the distance to a box or room side is convex. Its least
     value lies at an end, where a face is parallel (it is constant there), at
-    0 inside a box, or beside a corner, where it grows quadratically: within
-    0.05 mm of that point it is above the least value by under 2e-8.
+    0 inside a box, or beside a corner at some distance d, where it grows as
+    sqrt(d^2 + s^2) with the offset s along the segment. A sample lies within
+    0.5 mm of that point, so the sampled least value is above the true one by
+    under 0.5e-3^2 / (2 d). That only matters to a verdict when d is within
+    0.5 mm of a radius of at least 0.1 m, where it is under 1.3e-6 < CONTACT.
     """
     x0, y0, x1, y1 = (float(v) for v in (*p0, *p1))
     n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / DENSE_STEP)))
@@ -108,9 +111,9 @@ UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def segments(draw, scene: Scene, radius: float):
-    """(p0, p1) pairs up to 2 m apart: random (partly outside the room),
-    zero-length, and deliberately near-tangent to a box face or corner, just
-    outside the ``CONTACT`` band around the radius."""
+    """(p0, p1) pairs: random (partly outside the room), zero-length, and
+    deliberately near-tangent to a box face or corner, just outside the
+    ``CONTACT`` band around the radius."""
     b = scene.bounds
     kind = draw(st.sampled_from(["random", "zero", "face", "corner"]))
     boxes = scene.walls + [o.box for o in scene.objects]
@@ -121,13 +124,12 @@ def segments(draw, scene: Scene, radius: float):
         return np.array([draw(st.floats(b.xmin - 1, b.xmax + 1)), draw(st.floats(b.ymin - 1, b.ymax + 1))])
 
     if kind == "random":
-        p = pt()
-        return p, p + [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]
+        return pt(), pt()
     if kind == "zero":
         p = pt()
         return p, p.copy()
     box: OrientedBox = draw(st.sampled_from(boxes))
-    gap = radius + draw(st.sampled_from([-1e-3, -1e-5, -2e-6, 2e-6, 1e-5, 1e-3]))
+    gap = radius + draw(st.sampled_from([-1e-3, -1e-5, -3e-6, 3e-6, 1e-5, 1e-3]))
     sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
     if kind == "face":
         # parallel to the x face, `gap` outside it, spanning part of the face
@@ -151,7 +153,7 @@ def segments(draw, scene: Scene, radius: float):
 def sweep_cases(draw):
     scene = scene_for(draw(st.sampled_from(SCENES)))
     radius = draw(RADIUS)
-    segs = draw(st.lists(segments(scene, radius), min_size=1, max_size=6))
+    segs = draw(st.lists(segments(scene, radius), min_size=1, max_size=12))
     return scene, radius, segs
 
 
@@ -159,7 +161,7 @@ class TestSweepEquivalence:
     @given(sweep_cases())
     # a subnormal segment once made the clip's division overflow (a warning)
     @example((scene_for(0), 0.5, [(np.zeros(2), np.zeros(2)), (np.zeros(2), np.array([0.0, 5e-324]))]))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_exact_verdict_matches_a_dense_sweep(self, case):
         scene, radius, segs = case
         p0 = np.array([a for a, _ in segs])
@@ -178,8 +180,8 @@ class TestSweepEquivalence:
         for seed in (3, 7, 11):
             scene = sample_scene(seed)
             b = scene.bounds
-            p0 = np.stack([rng.uniform(b.xmin, b.xmax, 100), rng.uniform(b.ymin, b.ymax, 100)], axis=1)
-            p1 = p0 + rng.uniform(-1.0, 1.0, size=p0.shape)
+            p0 = np.stack([rng.uniform(b.xmin, b.xmax, 300), rng.uniform(b.ymin, b.ymax, 300)], axis=1)
+            p1 = p0 + rng.uniform(-2.0, 2.0, size=p0.shape)
             radius = 0.3 + 0.005
             got = sweep_collision_checks(scene, p0, p1, radius)
             for a, c, hit in zip(p0, p1, got.tolist()):
@@ -187,7 +189,7 @@ class TestSweepEquivalence:
                 if abs(clear - radius) > CONTACT:
                     assert hit is (clear < radius)
                     compared += 1
-        assert compared >= 290
+        assert compared >= 890
 
 
 class TestLookatBound:
