@@ -16,8 +16,18 @@ from typing import Annotated, Protocol, Sequence
 
 import numpy as np
 
+from . import planner
 from .codec import TokenizedStep, decode_trajectory, encode_trajectory
-from .errors import AT_LEAST_1, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, EmptyTrajectory, NoPathFound, check_ranges
+from .errors import (
+    AT_LEAST_1,
+    FINITE_POSITIVE,
+    NON_NEGATIVE,
+    POSITIVE,
+    EmptyTrajectory,
+    InvalidEndpoint,
+    NoPathFound,
+    check_ranges,
+)
 from .geometry import (
     CameraModel,
     Pose2,
@@ -27,7 +37,7 @@ from .geometry import (
     wrap_angle,
 )
 from .pipeline import Expert, TraceEntry
-from .planner import PlannerBudget
+from .planner import PlannedPath, PlannerBudget, Translate, apply_segment
 from .scene import (
     KINEMATICS_KINDS,
     Command,
@@ -249,17 +259,33 @@ def run_episode(
 
 # within this distance of the goal position the oracle only turns in place
 SNAP_DIST = 0.01
+# batches of the oracle's warm attempt, which seeds the previous route
+WARM_BATCHES = 1
+
+
+def _route_vertices(path: PlannedPath) -> list[Pose2]:
+    """The pose at the end of each Translate of ``path`` but the last (the goal)."""
+    ends, pose = [], path.start
+    for seg in path.segments:
+        pose = apply_segment(pose, seg)
+        if isinstance(seg, Translate):
+            ends.append(pose)
+    return ends[:-1]
 
 
 @dataclass
 class OraclePolicy:
     """Expert policy: replans from the current state on every query.
 
-    Planning uses a safety-margin-inflated footprint when possible so the
-    tracked rollout keeps clearance; falls back to the true radius when the
-    inflated problem has no solution. The horizon always goes through the
-    codec; ``use_residual=False`` drops the residuals, so the decoded
-    trajectory snaps to bin centers and exposes the raw quantization error.
+    A query after a successful plan first makes one warm attempt: a
+    ``WARM_BATCHES``-batch plan at the safety-margin-inflated radius whose
+    roadmap is seeded with ``via``, the previous route's vertices. When it
+    fails, the query runs the cold ladder: ``Expert.plan`` (the inflated
+    footprint, falling back to the true radius) at 1x, 3x and 8x the
+    budget, each with its own seed. Every successful plan replaces ``via``.
+    The horizon always goes through the codec; ``use_residual=False`` drops
+    the residuals, so the decoded trajectory snaps to bin centers and
+    exposes the raw quantization error.
     """
 
     scene: Scene
@@ -267,11 +293,27 @@ class OraclePolicy:
     use_residual: bool = True
     seed: int = 0
     queries: int = 0
+    via: list[Pose2] = field(default_factory=list)
 
-    def _plan(self, state: RobotState, task):
+    def _plan(self, state: RobotState, task) -> PlannedPath:
         target = self.scene.object_by_id(task.target_id)
         plan_seed = (self.seed * 1000003 + self.queries) % (2**63)
         budget = self.expert.budget
+        if self.via:
+            try:
+                return planner.plan(
+                    self.scene,
+                    state.pose,
+                    task.goal_pose,
+                    state.radius + self.expert.safety_margin,
+                    target.box.center,
+                    self.expert.weights,
+                    PlannerBudget(WARM_BATCHES, budget.batch_size),
+                    seed=plan_seed,
+                    via=self.via,
+                )
+            except (NoPathFound, InvalidEndpoint):
+                pass
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
             try:
@@ -318,6 +360,7 @@ class OraclePolicy:
         else:
             path = self._plan(state, task)
             self.queries += 1
+            self.via = _route_vertices(path)
             steps = self.expert.label(path, state.pose)
         if not self.use_residual:
             steps = [s.without_residual() for s in steps]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -414,11 +414,16 @@ def plan(
     w: CostWeights = CostWeights(),
     budget: PlannerBudget = PlannerBudget(),
     seed: int = 0,
+    via: Sequence[Pose2] = (),
 ) -> PlannedPath:
     """Anytime informed batch-sampling planner over SE(2).
 
     Deterministic for a fixed seed and batch budget; returns the best path
     found, or raises NoPathFound when the budget is exhausted without one.
+    ``via`` seeds the roadmap with extra vertices (say, a previous route's),
+    added after the staged goal poses and kept, as those are, only where
+    in bounds and free at ``radius``; they draw nothing from the seed's
+    stream, so ``via=()`` plans as before.
     Once a plan at ``radius`` on this scene has failed, each later one raises
     NoPathFound at once when ``certified_disconnected`` proves that start and
     goal lie in different free-space components. No chain that a search
@@ -441,12 +446,11 @@ def plan(
     # stage the goal approach: back off along the goal heading so tight
     # docking pockets are reachable without lucky uniform samples
     b = scene.bounds
-    for back in (0.25, 0.5, 1.0):
-        pose = Pose2(
-            goal.x - back * math.cos(goal.heading),
-            goal.y - back * math.sin(goal.heading),
-            goal.heading,
-        )
+    staged = [
+        Pose2(goal.x - back * math.cos(goal.heading), goal.y - back * math.sin(goal.heading), goal.heading)
+        for back in (0.25, 0.5, 1.0)
+    ]
+    for pose in [*staged, *via]:
         if b.xmin <= pose.x <= b.xmax and b.ymin <= pose.y <= b.ymax:
             if not collision_check(scene, pose, radius):
                 rm.add(pose)

@@ -731,6 +731,18 @@ class TestEval:
         assert len(traces) == 1
         assert traces[0]["outcome"] == "reached"
 
+    def test_oracle_converges_on_a_task_it_once_wandered_on(self, tmp_path):
+        """Master seed 8251000's task 0 timed out when every replan was cold:
+        the oracle drifted between near-equal routes, its heading flipping
+        between replans. Seeding each replan with the previous route settles it."""
+        scenes, out = tmp_path / "scenes", tmp_path / "report"
+        assert run(["--seed", "8251000", "--workers", "1", "gen-scenes", "--count", "8", "--out", str(scenes)]) == 0
+        argv = ["eval", "--scenes", str(scenes), "--n-tasks", "8", "--policy", "oracle", "--out", str(out)]
+        assert run(["--seed", "8251000", "--workers", "1", *argv]) == 0
+        traces = [json.loads(l) for l in (tmp_path / "report.traces.jsonl").read_text().splitlines()]
+        assert traces[0]["task_index"] == 0
+        assert traces[0]["outcome"] == "reached"
+
     @pytest.mark.parametrize("n_tasks", ["0", "-3"])
     def test_non_positive_n_tasks_exits_2(self, tmp_path, n_tasks):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from amr_navkit.controller import (
 from amr_navkit import planner
 from amr_navkit.errors import EmptyTrajectory, InvalidEndpoint, NoPathFound
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt
-from amr_navkit.planner import PlannerBudget
+from amr_navkit.planner import PlannedPath, PlannerBudget, Rotate, Translate, rollout
 from amr_navkit.scene import (
     Bounds,
     DiffDrive,
@@ -303,30 +303,82 @@ class TestRunEpisode:
 
 
 class TestOraclePlanLadder:
-    @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
-    def test_attempt_order(self, monkeypatch, error):
-        attempts = []
+    # inflated then true radius at each budget level x1, x3, x8, with the
+    # level's seed (5 * 1000003 + queries) + level * 7777777
+    INFLATED = 0.3 + 0.1
 
-        def failing_plan(scene, start, goal, radius, target_center, w, budget, seed):
-            attempts.append((radius, budget, seed))
-            raise error("refused")
+    def ladder(self, level0_seed):
+        return [
+            (r, PlannerBudget(factor * 2, 16), level0_seed + level * 7_777_777, [])
+            for level, factor in enumerate((1, 3, 8))
+            for r in (self.INFLATED, 0.3)
+        ]
 
-        monkeypatch.setattr(planner, "plan", failing_plan)
+    @staticmethod
+    def recorder(attempts, outcome):
+        """A stand-in for planner.plan that records each attempt, then
+        returns ``outcome`` or raises it when it is an exception type."""
+
+        def plan(scene, start, goal, radius, target_center, w, budget, seed, via=()):
+            attempts.append((radius, budget, seed, list(via)))
+            if isinstance(outcome, type):
+                raise outcome("refused")
+            return outcome
+
+        return plan
+
+    def policy_and_task(self):
         scene = room_with_target()
         task = make_task(scene, Pose2(0, 0, 0), Pose2(3.0, 0, 0))
         expert = Expert(budget=PlannerBudget(2, 16), safety_margin=0.1)
-        policy = OraclePolicy(scene=scene, expert=expert, seed=5, queries=3)
+        return OraclePolicy(scene=scene, expert=expert, seed=5, queries=3), task
+
+    @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
+    def test_attempt_order(self, monkeypatch, error):
+        """A first query keeps no route, so it runs the cold ladder alone."""
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, error))
+        policy, task = self.policy_and_task()
         with pytest.raises(NoPathFound):
             policy.query(RobotState(Pose2(0, 0, 0), 0.3), task, 0)
-        # inflated then true radius at each budget level x1, x3, x8, with the
-        # level's seed (5 * 1000003 + 3) + level * 7777777
-        inflated = 0.3 + 0.1
-        assert attempts == [
-            (inflated, PlannerBudget(2, 16), 5_000_018),
-            (0.3, PlannerBudget(2, 16), 5_000_018),
-            (inflated, PlannerBudget(6, 16), 12_777_795),
-            (0.3, PlannerBudget(6, 16), 12_777_795),
-            (inflated, PlannerBudget(16, 16), 20_555_572),
-            (0.3, PlannerBudget(16, 16), 20_555_572),
-        ]
+        assert attempts == self.ladder(5_000_018)
         assert policy.queries == 3
+
+    # a route with three moves: the first two ends are kept, the last (the goal) is not
+    ROUTE = [Rotate(0.5), Translate(1.0), Rotate(-0.5), Translate(0.8), Rotate(-0.5), Translate(1.0), Rotate(0.5)]
+    KEPT = [Pose2(math.cos(0.5), math.sin(0.5), 0.5), Pose2(math.cos(0.5) + 0.8, math.sin(0.5), 0.0)]
+
+    def routed_policy(self, monkeypatch):
+        """A policy whose first query succeeded with ROUTE, and its task."""
+        policy, task = self.policy_and_task()
+        start = Pose2(0, 0, 0)
+        route = PlannedPath(start, self.ROUTE, rollout(start, self.ROUTE), 3.0)
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, route))
+        policy.query(RobotState(start, 0.3), task, 0)
+        assert attempts == self.ladder(5_000_018)[:1]
+        assert policy.via == self.KEPT
+        return policy, task
+
+    @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
+    def test_warm_attempt_comes_first_after_a_plan(self, monkeypatch, error):
+        """One batch at the inflated radius with the level-0 seed and the kept
+        route's vertices, then the six cold attempts unchanged."""
+        policy, task = self.routed_policy(monkeypatch)
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, error))
+        with pytest.raises(NoPathFound):
+            policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
+        warm = (self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)
+        assert attempts == [warm, *self.ladder(5_000_019)]
+
+    def test_warm_success_replaces_the_kept_route(self, monkeypatch):
+        policy, task = self.routed_policy(monkeypatch)
+        start = Pose2(0.2, 0, 0)
+        segs = [Translate(1.0), Rotate(0.5), Translate(1.0)]
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, PlannedPath(start, segs, rollout(start, segs), 2.0)))
+        policy.query(RobotState(start, 0.3), task, 8)
+        assert attempts == [(self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)]
+        assert policy.via == [Pose2(1.2, 0.0, 0.0)]
+        assert policy.queries == 5

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from amr_navkit import planner
 from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
@@ -30,6 +31,24 @@ from amr_navkit.scene import Bounds, Scene, SceneObject, _room_walls, collision_
 
 def empty_room(w=10.0, h=10.0) -> Scene:
     return Scene(Bounds(w, h), _room_walls(Bounds(w, h), 0.1), [], seed=0)
+
+
+def u_wall_scene() -> Scene:
+    """A U of three walls, open to the left, between x = -2.5 and x = 2.5 at y = 1."""
+    arms = [
+        OrientedBox(0.0, 1.0, 0.1, 1.5, 0.0),
+        OrientedBox(-1.0, -0.4, 1.1, 0.1, 0.0),
+        OrientedBox(-1.0, 2.4, 1.1, 0.1, 0.0),
+    ]
+    return Scene(
+        Bounds(12, 12),
+        _room_walls(Bounds(12, 12), 0.1),
+        [SceneObject(i, b) for i, b in enumerate(arms)],
+        seed=0,
+    )
+
+
+U_START, U_GOAL = Pose2(-2.5, 1.0, 0.0), Pose2(2.5, 1.0, 0.0)
 
 
 def apply_all(start: Pose2, segments) -> Pose2:
@@ -255,19 +274,8 @@ class TestPlan:
             plan(scene, Pose2(0, 0, 0), Pose2(4.9, 0, 0), 0.3, (0, 0), seed=0)
 
     def test_detour_around_u_wall(self):
-        arms = [
-            OrientedBox(0.0, 1.0, 0.1, 1.5, 0.0),
-            OrientedBox(-1.0, -0.4, 1.1, 0.1, 0.0),
-            OrientedBox(-1.0, 2.4, 1.1, 0.1, 0.0),
-        ]
-        scene = Scene(
-            Bounds(12, 12),
-            _room_walls(Bounds(12, 12), 0.1),
-            [SceneObject(i, b) for i, b in enumerate(arms)],
-            seed=0,
-        )
-        start, goal = Pose2(-2.5, 1.0, 0.0), Pose2(2.5, 1.0, 0.0)
-        path = plan(scene, start, goal, 0.3, (5, 5), budget=PlannerBudget(8, 48), seed=3)
+        scene = u_wall_scene()
+        path = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=PlannerBudget(8, 48), seed=3)
         # strictly longer than the straight line, and collision-free throughout
         seg_len = sum(abs(s.ds) for s in path.segments if isinstance(s, Translate))
         assert seg_len > 5.0 + 0.5
@@ -297,6 +305,43 @@ class TestPlan:
                     costs.append(math.inf)
             assert costs[1] <= costs[0] + 1e-9
             assert costs[2] <= costs[1] + 1e-9
+
+    def test_via_poses_out_of_bounds_or_colliding_are_dropped(self, monkeypatch):
+        scene = u_wall_scene()
+        free = Pose2(4.0, -3.0, 0.5)
+        dropped = [
+            Pose2(7.0, 0.0, 0.0),  # out of bounds
+            Pose2(0.0, 1.0, 0.0),  # inside the U's middle arm
+            Pose2(0.3, 1.0, 0.0),  # 0.2 m from that arm: free at 0.1 m, not at 0.3 m
+        ]
+        added = []
+        add = planner._Roadmap.add
+        monkeypatch.setattr(planner._Roadmap, "add", lambda rm, pose: (added.append(pose), add(rm, pose)))
+        budget = PlannerBudget(2, 16)
+        path = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=budget, seed=4, via=[*dropped, free])
+        # start, goal, the staged goal poses, then the kept via pose, then the batches
+        staged = [Pose2(2.5 - back, 1.0, 0.0) for back in (0.25, 0.5, 1.0)]
+        assert added[:6] == [U_START, U_GOAL, *staged, free]
+        assert not set(dropped) & set(added)
+        # dropped poses draw nothing from the seed's stream: the plan is the one without them
+        base = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=budget, seed=4)
+        bare = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=budget, seed=4, via=dropped)
+        assert (repr(bare.cost), bare.segments) == (repr(base.cost), base.segments)
+        assert not collision_mask(scene, path.states[:, :2], 0.3).any()
+
+    def test_via_route_lets_one_batch_succeed(self):
+        """A 4-sample batch alone finds no way round the U; the route of an
+        earlier plan, seeded into the same batch, does."""
+        scene = u_wall_scene()
+        route = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=PlannerBudget(8, 48), seed=3)
+        via = [apply_all(U_START, route.segments[:i + 1]) for i, s in enumerate(route.segments)
+               if isinstance(s, Translate)][:-1]
+        one = PlannerBudget(1, 4)
+        with pytest.raises(NoPathFound):
+            plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=one, seed=0)
+        path = plan(scene, U_START, U_GOAL, 0.3, (5, 5), budget=one, seed=0, via=via)
+        assert path.cost <= route.cost
+        assert not collision_mask(scene, path.states[:, :2], 0.3).any()
 
     @pytest.mark.parametrize("batches, batch_size", [(0, 24), (-1, 24), (4, 0), (4, -1)])
     def test_budget_below_one_refused(self, batches, batch_size):
