@@ -280,12 +280,15 @@ class OraclePolicy:
     A query after a successful plan first makes one warm attempt: a
     ``WARM_BATCHES``-batch plan at the safety-margin-inflated radius whose
     roadmap is seeded with ``via``, the previous route's vertices. When it
-    fails, the query runs the cold ladder: ``Expert.plan`` (the inflated
-    footprint, falling back to the true radius) at 1x, 3x and 8x the
-    budget, each with its own seed. Every successful plan replaces ``via``.
-    The horizon always goes through the codec; ``use_residual=False`` drops
-    the residuals, so the decoded trajectory snaps to bin centers and
-    exposes the raw quantization error.
+    fails, and on a first query, the query runs the cold ladder:
+    ``Expert.plan`` (the inflated footprint, falling back to the true
+    radius) at 1x, 3x and 8x the budget, each with its own seed. Every
+    successful plan replaces ``via``, so a policy serves one episode. The
+    warm attempt never plans at the true radius, whose one-batch routes may
+    keep only the 5 mm edge pad of clearance. The horizon always goes
+    through the codec; ``use_residual=False`` drops the residuals, so the
+    decoded trajectory snaps to bin centers and exposes the raw
+    quantization error.
     """
 
     scene: Scene

@@ -34,7 +34,7 @@ def empty_room(w=10.0, h=10.0) -> Scene:
 
 
 def u_wall_scene() -> Scene:
-    """A U of three walls, open to the left, between x = -2.5 and x = 2.5 at y = 1."""
+    """A U of three walls, open to the left: U_START sits in its mouth, U_GOAL behind its base."""
     arms = [
         OrientedBox(0.0, 1.0, 0.1, 1.5, 0.0),
         OrientedBox(-1.0, -0.4, 1.1, 0.1, 0.0),
