@@ -46,6 +46,7 @@ from .scene import (
     RobotState,
     Scene,
     SpeedLimits,
+    certified_disconnected,
     clearance,
     command_omega,
     command_speed,
@@ -264,7 +265,11 @@ WARM_BATCHES = 1
 
 
 def _route_vertices(path: PlannedPath) -> list[Pose2]:
-    """The pose at the end of each Translate of ``path`` but the last (the goal)."""
+    """The pose at the end of each Translate of ``path`` but the last (the goal).
+
+    Empty for a route with one translation, which is still a route to warm
+    the next query from.
+    """
     ends, pose = [], path.start
     for seg in path.segments:
         pose = apply_segment(pose, seg)
@@ -277,18 +282,22 @@ def _route_vertices(path: PlannedPath) -> list[Pose2]:
 class OraclePolicy:
     """Expert policy: replans from the current state on every query.
 
-    A query after a successful plan first makes one warm attempt: a
+    Every query after a successful plan first makes one warm attempt: a
     ``WARM_BATCHES``-batch plan at the safety-margin-inflated radius whose
-    roadmap is seeded with ``via``, the previous route's vertices. When it
-    fails, and on a first query, the query runs the cold ladder:
-    ``Expert.plan`` (the inflated footprint, falling back to the true
-    radius) at 1x, 3x and 8x the budget, each with its own seed. Every
-    successful plan replaces ``via``, so a policy serves one episode. The
-    warm attempt never plans at the true radius, whose one-batch routes may
-    keep only the 5 mm edge pad of clearance. The horizon always goes
-    through the codec; ``use_residual=False`` drops the residuals, so the
-    decoded trajectory snaps to bin centers and exposes the raw
-    quantization error.
+    roadmap is seeded with ``via``, the previous route's vertices (``None``
+    until a plan succeeds; empty after a route with one translation). When
+    that attempt finds no path and ``certified_disconnected`` proves that no
+    inflated route exists, the same attempt is made once more at the true
+    radius. When the warm attempts fail, and on a first query, the query
+    runs the cold ladder: ``Expert.plan`` (the inflated footprint, falling
+    back to the true radius) at 1x, 3x and 8x the budget, each with its own
+    seed. Every successful plan replaces ``via``, so a policy serves one
+    episode. A warm attempt plans at the true radius only behind the
+    certificate: its one-batch routes may keep only the 5 mm edge pad of
+    clearance, and must not pre-empt an inflated route that the ladder could
+    find. The horizon always goes through the codec; ``use_residual=False``
+    drops the residuals, so the decoded trajectory snaps to bin centers and
+    exposes the raw quantization error.
     """
 
     scene: Scene
@@ -296,27 +305,34 @@ class OraclePolicy:
     use_residual: bool = True
     seed: int = 0
     queries: int = 0
-    via: list[Pose2] = field(default_factory=list)
+    via: list[Pose2] | None = None
 
     def _plan(self, state: RobotState, task) -> PlannedPath:
         target = self.scene.object_by_id(task.target_id)
         plan_seed = (self.seed * 1000003 + self.queries) % (2**63)
         budget = self.expert.budget
-        if self.via:
-            try:
-                return planner.plan(
-                    self.scene,
-                    state.pose,
-                    task.goal_pose,
-                    state.radius + self.expert.safety_margin,
-                    target.box.center,
-                    self.expert.weights,
-                    PlannerBudget(WARM_BATCHES, budget.batch_size),
-                    seed=plan_seed,
-                    via=self.via,
-                )
-            except (NoPathFound, InvalidEndpoint):
-                pass
+        if self.via is not None:
+            inflated = state.radius + self.expert.safety_margin
+            for radius in (inflated, state.radius):
+                try:
+                    return planner.plan(
+                        self.scene,
+                        state.pose,
+                        task.goal_pose,
+                        radius,
+                        target.box.center,
+                        self.expert.weights,
+                        PlannerBudget(WARM_BATCHES, budget.batch_size),
+                        seed=plan_seed,
+                        via=self.via,
+                    )
+                except InvalidEndpoint:
+                    break
+                except NoPathFound:
+                    pass
+                # the true radius only once no inflated route can exist
+                if radius != inflated or not certified_disconnected(self.scene, inflated, state.pose, task.goal_pose):
+                    break
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
             try:

@@ -842,7 +842,8 @@ def _largest_free_area(scene: Scene, probe_radius: float) -> float:
     a flood fill's: the cells of a run are 4-linked along their row, and two
     runs of adjacent rows that share a column are 4-linked across it, which
     are all the links there are. The area is the same integer cell count
-    times the same cell area.
+    times the same cell area, capped at the room's area: with every cell
+    free, the product can round one ulp above it.
     """
     b = scene.bounds
     nx = max(1, int(b.w / _FREE_AREA_CELL))
@@ -853,7 +854,7 @@ def _largest_free_area(scene: Scene, probe_radius: float) -> float:
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     free = ~collision_mask(scene, pts, probe_radius)
     cell_area = (b.w / nx) * (b.h / ny)
-    return _largest_component(free.reshape(ny, nx)) * cell_area
+    return min(_largest_component(free.reshape(ny, nx)) * cell_area, b.w * b.h)
 
 
 def sample_scene(seed: int, params: SceneGenParams = SceneGenParams()) -> Scene:

@@ -1,10 +1,13 @@
+import inspect
 import json
 import math
 import re
+from itertools import takewhile
 from operator import attrgetter
 
 import pytest
 
+from amr_navkit import controller, planner
 from amr_navkit.cli import main
 from amr_navkit.config import (
     CameraParams,
@@ -742,6 +745,55 @@ class TestEval:
         traces = [json.loads(l) for l in (tmp_path / "report.traces.jsonl").read_text().splitlines()]
         assert traces[0]["task_index"] == 0
         assert traces[0]["outcome"] == "reached"
+
+    def test_every_oracle_replan_after_a_route_starts_warm(self, tmp_path, monkeypatch):
+        """On master seed 0, every oracle query after an episode's first
+        successful plan starts with a one-batch warm attempt, a route with one
+        translation included; a cold plan (a budget of 4 batches or more)
+        follows only failed warm attempts or belongs to an episode's first query."""
+        bind = inspect.signature(planner.plan).bind
+        real_plan, real_query = planner.plan, controller.OraclePolicy.query
+        episodes, active = {}, []  # id(policy) -> (policy, queries), each a list of [batches, via, succeeded]
+
+        def plan(*args, **kwargs):
+            if not active:  # a task-sampling probe
+                return real_plan(*args, **kwargs)
+            arguments = bind(*args, **kwargs).arguments
+            call = [arguments["budget"].batches, arguments.get("via"), False]
+            active[-1].append(call)
+            path = real_plan(*args, **kwargs)
+            call[2] = True
+            return path
+
+        def query(policy, state, task, step):
+            calls = []
+            episodes.setdefault(id(policy), (policy, []))[1].append(calls)
+            active.append(calls)
+            try:
+                return real_query(policy, state, task, step)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(planner, "plan", plan)
+        monkeypatch.setattr(controller.OraclePolicy, "query", query)
+        scenes = tmp_path / "scenes"
+        assert run(["--seed", "0", "--workers", "1", "gen-scenes", "--count", "8", "--out", str(scenes)]) == 0
+        argv = ["eval", "--scenes", str(scenes), "--n-tasks", "8", "--policy", "oracle", "--out", str(tmp_path / "r")]
+        assert run(["--seed", "0", "--workers", "1", *argv]) == 0
+
+        assert len(episodes) == 8
+        warm_after_one_translation = 0
+        for _, queries in episodes.values():
+            planned = [calls for calls in queries if calls]  # the others turned in place at the goal
+            assert planned[0][0][0] >= 4
+            for calls in planned[1:]:
+                n_warm = len(list(takewhile(lambda call: call[0] == 1, calls)))
+                assert n_warm >= 1
+                assert all(call[0] >= 4 and call[1] is None for call in calls[n_warm:])
+                if n_warm < len(calls):  # the cold ladder ran, so every warm attempt failed
+                    assert not any(call[2] for call in calls[:n_warm])
+                warm_after_one_translation += calls[0][1] == []
+        assert warm_after_one_translation > 0
 
     @pytest.mark.parametrize("n_tasks", ["0", "-3"])
     def test_non_positive_n_tasks_exits_2(self, tmp_path, n_tasks):

@@ -12,7 +12,7 @@ from amr_navkit.controller import (
     run_episode,
     tilt_step,
 )
-from amr_navkit import planner
+from amr_navkit import controller, planner
 from amr_navkit.errors import EmptyTrajectory, InvalidEndpoint, NoPathFound
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt
 from amr_navkit.planner import PlannedPath, PlannerBudget, Rotate, Translate, rollout
@@ -382,3 +382,52 @@ class TestOraclePlanLadder:
         assert attempts == [(self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)]
         assert policy.via == [Pose2(1.2, 0.0, 0.0)]
         assert policy.queries == 5
+
+    def test_one_translation_route_still_warms(self, monkeypatch):
+        """A route with one translation keeps no vertices, but it is a route:
+        the next query still starts with the warm attempt, seeded with none."""
+        policy, task = self.policy_and_task()
+        start = Pose2(0, 0, 0)
+        segs = [Rotate(0.5), Translate(2.0), Rotate(-0.5)]
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, PlannedPath(start, segs, rollout(start, segs), 2.0)))
+        policy.query(RobotState(start, 0.3), task, 0)
+        assert policy.via == []
+        policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
+        assert attempts == [self.ladder(5_000_018)[0], (self.INFLATED, PlannerBudget(1, 16), 5_000_019, [])]
+
+    @staticmethod
+    def certificate(calls, verdict):
+        """A stand-in for certified_disconnected that records its arguments."""
+
+        def certified_disconnected(scene, radius, a, b):
+            calls.append((radius, a, b))
+            return verdict
+
+        return certified_disconnected
+
+    def test_certified_warm_failure_warms_again_at_the_true_radius(self, monkeypatch):
+        """When the certificate proves the inflated footprint blocked, the warm
+        attempt is made once more at the true radius, then the ladder runs."""
+        policy, task = self.routed_policy(monkeypatch)
+        attempts, checks = [], []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound))
+        monkeypatch.setattr(controller, "certified_disconnected", self.certificate(checks, True))
+        start = Pose2(0.2, 0, 0)
+        with pytest.raises(NoPathFound):
+            policy.query(RobotState(start, 0.3), task, 8)
+        warm = [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
+        assert attempts == [*warm, *self.ladder(5_000_019)]
+        assert checks == [(self.INFLATED, start, task.goal_pose)]
+
+    def test_invalid_endpoint_skips_the_true_radius_warm_attempt(self, monkeypatch):
+        """An inflated endpoint in collision proves nothing about the inflated
+        free space, so the query goes straight to the ladder."""
+        policy, task = self.routed_policy(monkeypatch)
+        attempts, checks = [], []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, InvalidEndpoint))
+        monkeypatch.setattr(controller, "certified_disconnected", self.certificate(checks, True))
+        with pytest.raises(NoPathFound):
+            policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
+        assert attempts == [(self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT), *self.ladder(5_000_019)]
+        assert checks == []
