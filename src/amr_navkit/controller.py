@@ -16,7 +16,6 @@ from typing import Annotated, Protocol, Sequence
 
 import numpy as np
 
-from . import planner
 from .codec import TokenizedStep, decode_trajectory, encode_trajectory
 from .errors import (
     AT_LEAST_1,
@@ -24,7 +23,6 @@ from .errors import (
     NON_NEGATIVE,
     POSITIVE,
     EmptyTrajectory,
-    InvalidEndpoint,
     NoPathFound,
     check_ranges,
 )
@@ -37,7 +35,7 @@ from .geometry import (
     wrap_angle,
 )
 from .pipeline import Expert, TraceEntry
-from .planner import PlannedPath, PlannerBudget, Translate, apply_segment
+from .planner import Attempt, PlannedPath, PlannerBudget, Translate, apply_segment
 from .scene import (
     KINEMATICS_KINDS,
     Command,
@@ -46,7 +44,6 @@ from .scene import (
     RobotState,
     Scene,
     SpeedLimits,
-    certified_disconnected,
     clearance,
     command_omega,
     command_speed,
@@ -282,22 +279,17 @@ def _route_vertices(path: PlannedPath) -> list[Pose2]:
 class OraclePolicy:
     """Expert policy: replans from the current state on every query.
 
-    Every query after a successful plan first makes one warm attempt: a
-    ``WARM_BATCHES``-batch plan at the safety-margin-inflated radius whose
-    roadmap is seeded with ``via``, the previous route's vertices (``None``
-    until a plan succeeds; empty after a route with one translation). When
-    that attempt finds no path and ``certified_disconnected`` proves that no
-    inflated route exists, the same attempt is made once more at the true
-    radius. When the warm attempts fail, and on a first query, the query
-    runs the cold ladder: ``Expert.plan`` (the inflated footprint, falling
-    back to the true radius) at 1x, 3x and 8x the budget, each with its own
-    seed. Every successful plan replaces ``via``, so a policy serves one
-    episode. A warm attempt plans at the true radius only behind the
-    certificate: its one-batch routes may keep only the 5 mm edge pad of
-    clearance, and must not pre-empt an inflated route that the ladder could
-    find. The horizon always goes through the codec; ``use_residual=False``
-    drops the residuals, so the decoded trajectory snaps to bin centers and
-    exposes the raw quantization error.
+    A query walks ``Expert.plan``'s ladder over these rungs: once a plan has
+    succeeded, a warm ``certified`` rung of ``WARM_BATCHES`` batches seeded
+    with ``via``, the previous route's vertices (``None`` until a plan
+    succeeds; empty after a route with one translation); then three cold
+    rungs at 1x, 3x and 8x the budget, each with its own seed. The warm rung
+    is certified because its one-batch routes may keep only the 5 mm edge
+    pad of clearance, and must not pre-empt an inflated route that a cold
+    rung could find. Every successful plan replaces ``via``, so a policy
+    serves one episode. The horizon always goes through the codec;
+    ``use_residual=False`` drops the residuals, so the decoded trajectory
+    snaps to bin centers and exposes the raw quantization error.
     """
 
     scene: Scene
@@ -309,45 +301,16 @@ class OraclePolicy:
 
     def _plan(self, state: RobotState, task) -> PlannedPath:
         target = self.scene.object_by_id(task.target_id)
-        plan_seed = (self.seed * 1000003 + self.queries) % (2**63)
+        seed = (self.seed * 1000003 + self.queries) % (2**63)
         budget = self.expert.budget
+        rungs = []
         if self.via is not None:
-            inflated = state.radius + self.expert.safety_margin
-            for radius in (inflated, state.radius):
-                try:
-                    return planner.plan(
-                        self.scene,
-                        state.pose,
-                        task.goal_pose,
-                        radius,
-                        target.box.center,
-                        self.expert.weights,
-                        PlannerBudget(WARM_BATCHES, budget.batch_size),
-                        seed=plan_seed,
-                        via=self.via,
-                    )
-                except InvalidEndpoint:
-                    break
-                except NoPathFound:
-                    pass
-                # the true radius only once no inflated route can exist
-                if radius != inflated or not certified_disconnected(self.scene, inflated, state.pose, task.goal_pose):
-                    break
+            rungs.append(Attempt(PlannerBudget(WARM_BATCHES, budget.batch_size), seed, self.via, certified=True))
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
-            try:
-                return self.expert.plan(
-                    self.scene,
-                    state.pose,
-                    task.goal_pose,
-                    state.radius,
-                    target.box.center,
-                    seed=(plan_seed + level * 7_777_777) % (2**63),
-                    budget=PlannerBudget(factor * budget.batches, budget.batch_size),
-                )
-            except NoPathFound:
-                continue
-        raise NoPathFound("oracle could not plan to the goal")
+            cold_seed = (seed + level * 7_777_777) % (2**63)
+            rungs.append(Attempt(PlannerBudget(factor * budget.batches, budget.batch_size), cold_seed))
+        return self.expert.plan(self.scene, state.pose, task.goal_pose, state.radius, target.box.center, *rungs)
 
     def _terminal_rotation(self, state: RobotState, task) -> list[Pose2]:
         """Hold the goal position and walk the heading to the goal heading.

@@ -62,6 +62,7 @@ from .geometry import (
 from .planner import (
     KEYFRAME_ROT_GAP,
     KEYFRAME_TRANS_GAP,
+    Attempt,
     CostWeights,
     PlannedPath,
     PlannerBudget,
@@ -145,7 +146,9 @@ class DatasetManifest:
 class Expert:
     """How the expert plans and labels: one value for gen-data and the eval oracle.
 
-    ``plan`` is ``plan_with_margin`` with these weights, budget and margin;
+    ``plan`` runs ``plan_with_margin`` with these weights and margin over
+    the rungs it is given: a demonstration's one rung at ``budget``, a task
+    probe's one small rung, or the oracle's (see ``OraclePolicy``).
     ``labels`` turns a planned path into the tokenized waypoint horizon seen
     from each of ``poses``, traversed at ``v_ref``/``omega_ref`` and sampled
     every ``dt``, and ``label`` does so for one pose.
@@ -160,14 +163,9 @@ class Expert:
     omega_ref: float = 1.0
 
     def plan(
-        self, scene: Scene, start: Pose2, goal: Pose2, radius: float, target_center,
-        seed: int, budget: PlannerBudget | None = None,
+        self, scene: Scene, start: Pose2, goal: Pose2, radius: float, target_center, *attempts: Attempt
     ) -> PlannedPath:
-        return plan_with_margin(
-            scene, start, goal, radius, target_center, self.weights,
-            self.budget if budget is None else budget,
-            seed=seed, safety_margin=self.safety_margin,
-        )
+        return plan_with_margin(scene, start, goal, radius, target_center, self.weights, attempts, self.safety_margin)
 
     def labels(self, path: PlannedPath, poses: list[Pose2]) -> list[list[TokenizedStep]]:
         return label_poses(path, poses, self.horizon_n, self.dt, self.v_ref, self.omega_ref)
@@ -280,11 +278,9 @@ def sample_task(
         goal = derive_goal_pose(target.box, labels, spec, radius)
         if collision_check(scene, goal, radius):
             continue
+        probe = Attempt(probe_budget, rng_seed * 1000003 + attempt)
         try:
-            expert.plan(
-                scene, start, goal, radius, target.box.center,
-                seed=rng_seed * 1000003 + attempt, budget=probe_budget,
-            )
+            expert.plan(scene, start, goal, radius, target.box.center, probe)
         except NoPathFound:
             continue
         return Task(
@@ -320,7 +316,7 @@ def generate_episode(
     """
     target = scene.object_by_id(task.target_id)
     path = expert.plan(
-        scene, task.start, task.goal_pose, task.robot_radius, target.box.center, seed
+        scene, task.start, task.goal_pose, task.robot_radius, target.box.center, Attempt(expert.budget, seed)
     )
     lowest = (target.box.cx, target.box.cy, target.base_height)
     poses = resample_keyframes(path)

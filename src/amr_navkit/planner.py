@@ -492,6 +492,21 @@ def plan(
     return PlannedPath(start=start, segments=segments, states=rollout(start, segments), cost=best_cost)
 
 
+@dataclass(frozen=True)
+class Attempt:
+    """One rung of ``plan_with_margin``: a ``plan`` budget, seed and ``via``.
+
+    A ``certified`` rung plans at the true radius only once its inflated
+    plan found no path and ``certified_disconnected`` proves that no
+    inflated route exists.
+    """
+
+    budget: PlannerBudget
+    seed: int
+    via: Sequence[Pose2] = ()
+    certified: bool = False
+
+
 def plan_with_margin(
     scene: Scene,
     start: Pose2,
@@ -499,18 +514,39 @@ def plan_with_margin(
     radius: float,
     target_center,
     weights: CostWeights,
-    budget: PlannerBudget,
-    seed: int,
+    attempts: Sequence[Attempt],
     safety_margin: float = 0.1,
 ) -> PlannedPath:
-    """Plan with an inflated footprint, falling back to the true radius."""
-    for r in (radius + safety_margin, radius):
-        try:
-            return plan(scene, start, goal, r, target_center, weights, budget, seed=seed)
-        except (NoPathFound, InvalidEndpoint) as err:
-            # keep the message only: the exception's traceback would hold the
-            # failed attempt's roadmap alive through the next attempt
-            message = str(err)
+    """The first path that ``attempts`` find, in order, each rung planning
+    at ``radius + safety_margin``, then at ``radius`` (once at a margin of 0).
+
+    A radius at which an endpoint is in collision (InvalidEndpoint) is
+    skipped for the rest of the ladder: ``collision_check`` is pure, so
+    every later plan there is refused too. When no rung finds a path,
+    raises NoPathFound with the last failure's message.
+    """
+    inflated = radius + safety_margin
+    refused: set[float] = set()
+    message = NO_PATH
+    for attempt in attempts:
+        for r in dict.fromkeys((inflated, radius)):
+            if r not in refused:
+                # a failure keeps its message only: the exception's traceback
+                # would hold the failed attempt's roadmap alive through the next
+                try:
+                    return plan(
+                        scene, start, goal, r, target_center, weights, attempt.budget, attempt.seed, attempt.via
+                    )
+                except InvalidEndpoint as err:
+                    refused.add(r)
+                    message = str(err)
+                except NoPathFound as err:
+                    message = str(err)
+                    # a certified rung goes on to the true radius only once no inflated route can exist
+                    if not attempt.certified or (r != radius and certified_disconnected(scene, r, start, goal)):
+                        continue
+            if attempt.certified:
+                break
     raise NoPathFound(message)
 
 

@@ -789,7 +789,7 @@ class TestEval:
             for calls in planned[1:]:
                 n_warm = len(list(takewhile(lambda call: call[0] == 1, calls)))
                 assert n_warm >= 1
-                assert all(call[0] >= 4 and call[1] is None for call in calls[n_warm:])
+                assert all(call[0] >= 4 and call[1] == () for call in calls[n_warm:])
                 if n_warm < len(calls):  # the cold ladder ran, so every warm attempt failed
                     assert not any(call[2] for call in calls[:n_warm])
                 warm_after_one_translation += calls[0][1] == []

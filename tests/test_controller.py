@@ -12,7 +12,7 @@ from amr_navkit.controller import (
     run_episode,
     tilt_step,
 )
-from amr_navkit import controller, planner
+from amr_navkit import planner
 from amr_navkit.errors import EmptyTrajectory, InvalidEndpoint, NoPathFound
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt
 from amr_navkit.planner import PlannedPath, PlannerBudget, Rotate, Translate, rollout
@@ -314,16 +314,18 @@ class TestOraclePlanLadder:
             for r in (self.INFLATED, 0.3)
         ]
 
-    @staticmethod
-    def recorder(attempts, outcome):
+    @classmethod
+    def recorder(cls, attempts, outcome, inflated=None):
         """A stand-in for planner.plan that records each attempt, then
-        returns ``outcome`` or raises it when it is an exception type."""
+        returns ``outcome`` or raises it when it is an exception type;
+        ``inflated``, when given, is the outcome at the inflated radius."""
 
         def plan(scene, start, goal, radius, target_center, w, budget, seed, via=()):
             attempts.append((radius, budget, seed, list(via)))
-            if isinstance(outcome, type):
-                raise outcome("refused")
-            return outcome
+            result = inflated if inflated is not None and radius == cls.INFLATED else outcome
+            if isinstance(result, type):
+                raise result("refused")
+            return result
 
         return plan
 
@@ -335,13 +337,16 @@ class TestOraclePlanLadder:
 
     @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
     def test_attempt_order(self, monkeypatch, error):
-        """A first query keeps no route, so it runs the cold ladder alone."""
+        """A first query keeps no route, so it runs the cold ladder alone. An
+        endpoint in collision is refused once at each radius: the later
+        levels then have no radius left to plan at."""
         attempts = []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, error))
         policy, task = self.policy_and_task()
-        with pytest.raises(NoPathFound):
+        with pytest.raises(NoPathFound, match="refused"):
             policy.query(RobotState(Pose2(0, 0, 0), 0.3), task, 0)
-        assert attempts == self.ladder(5_000_018)
+        ladder = self.ladder(5_000_018)
+        assert attempts == (ladder if error is NoPathFound else ladder[:2])
         assert policy.queries == 3
 
     # a route with three moves: the first two ends are kept, the last (the goal) is not
@@ -363,14 +368,17 @@ class TestOraclePlanLadder:
     @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
     def test_warm_attempt_comes_first_after_a_plan(self, monkeypatch, error):
         """One batch at the inflated radius with the level-0 seed and the kept
-        route's vertices, then the six cold attempts unchanged."""
+        route's vertices, then the six cold attempts unchanged; an endpoint in
+        collision drops the inflated radius there, and the true one at the
+        first cold attempt."""
         policy, task = self.routed_policy(monkeypatch)
         attempts = []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, error))
-        with pytest.raises(NoPathFound):
+        with pytest.raises(NoPathFound, match="refused"):
             policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
         warm = (self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)
-        assert attempts == [warm, *self.ladder(5_000_019)]
+        ladder = self.ladder(5_000_019)
+        assert attempts == [warm, *(ladder if error is NoPathFound else ladder[1:2])]
 
     def test_warm_success_replaces_the_kept_route(self, monkeypatch):
         policy, task = self.routed_policy(monkeypatch)
@@ -412,7 +420,7 @@ class TestOraclePlanLadder:
         policy, task = self.routed_policy(monkeypatch)
         attempts, checks = [], []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound))
-        monkeypatch.setattr(controller, "certified_disconnected", self.certificate(checks, True))
+        monkeypatch.setattr(planner, "certified_disconnected", self.certificate(checks, True))
         start = Pose2(0.2, 0, 0)
         with pytest.raises(NoPathFound):
             policy.query(RobotState(start, 0.3), task, 8)
@@ -422,12 +430,14 @@ class TestOraclePlanLadder:
 
     def test_invalid_endpoint_skips_the_true_radius_warm_attempt(self, monkeypatch):
         """An inflated endpoint in collision proves nothing about the inflated
-        free space, so the query goes straight to the ladder."""
+        free space, so the query goes straight to the ladder, which plans at
+        the true radius alone."""
         policy, task = self.routed_policy(monkeypatch)
         attempts, checks = [], []
-        monkeypatch.setattr(planner, "plan", self.recorder(attempts, InvalidEndpoint))
-        monkeypatch.setattr(controller, "certified_disconnected", self.certificate(checks, True))
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound, inflated=InvalidEndpoint))
+        monkeypatch.setattr(planner, "certified_disconnected", self.certificate(checks, True))
         with pytest.raises(NoPathFound):
             policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
-        assert attempts == [(self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT), *self.ladder(5_000_019)]
+        warm = (self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)
+        assert attempts == [warm, *self.ladder(5_000_019)[1::2]]
         assert checks == []

@@ -61,6 +61,7 @@ from amr_navkit.planner import (
     ANG_STEP,
     K_NEIGHBORS,
     LIN_STEP,
+    Attempt,
     CostWeights,
     PlannedPath,
     PlannerBudget,
@@ -840,7 +841,7 @@ def planned():
         paths.append(
             plan_with_margin(
                 scene, task.start, task.goal_pose, task.robot_radius, target.box.center,
-                CostWeights(), PlannerBudget(), seed=seed,
+                CostWeights(), [Attempt(PlannerBudget(), seed)],
             )
         )
     return paths

@@ -31,6 +31,7 @@ from amr_navkit.errors import OffPath, OutOfRange
 from amr_navkit.geometry import TWO_PI, Pose2, se2_relative, wrap_angle
 from amr_navkit.pipeline import Expert, generate_episode, plan_with_margin, record_to_dict, sample_task
 from amr_navkit.planner import (
+    Attempt,
     CostWeights,
     PlannedPath,
     PlannerBudget,
@@ -114,7 +115,7 @@ def planned_paths():
         paths.append(
             plan_with_margin(
                 scene, task.start, task.goal_pose, task.robot_radius, target.box.center,
-                CostWeights(), PlannerBudget(), seed=seed,
+                CostWeights(), [Attempt(PlannerBudget(), seed)],
             )
         )
     return paths

@@ -26,6 +26,7 @@ from amr_navkit.pipeline import (
     scene_to_dict,
     write_dataset,
 )
+from amr_navkit.planner import Attempt
 from amr_navkit.scene import (
     Bounds,
     OrientedBox,
@@ -193,7 +194,7 @@ def relabel(scene, task, state, seed):
     """The oracle's query: the expert replans from ``state`` and labels its pose."""
     expert = Expert()
     target = scene.object_by_id(task.target_id)
-    path = expert.plan(scene, state.pose, task.goal_pose, state.radius, target.box.center, seed)
+    path = expert.plan(scene, state.pose, task.goal_pose, state.radius, target.box.center, Attempt(expert.budget, seed))
     return expert.label(path, state.pose)
 
 

@@ -10,7 +10,9 @@ from amr_navkit import planner
 from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
+from amr_navkit.pipeline import Expert
 from amr_navkit.planner import (
+    Attempt,
     CostWeights,
     PlannedPath,
     PlannerBudget,
@@ -19,6 +21,7 @@ from amr_navkit.planner import (
     apply_segment,
     label_poses,
     plan,
+    plan_with_margin,
     resample_keyframes,
     rollout,
     rs0_distance,
@@ -356,6 +359,103 @@ class TestPlan:
         p2 = plan(scene, Pose2(-3, 0, 0), Pose2(3, 1, 0.4), 0.3, (1, 1), budget=PlannerBudget(3, 16), seed=9)
         assert p1.cost == p2.cost
         np.testing.assert_array_equal(p1.states, p2.states)
+
+
+class TestPlanWithMargin:
+    """The attempt ladder, against stand-ins for ``plan`` and
+    ``certified_disconnected`` that record their calls."""
+
+    RADIUS = 0.3
+    INFLATED = 0.3 + 0.1
+    RUNGS = [Attempt(PlannerBudget(1, 16), seed) for seed in (10, 11, 12)]
+    WARM = Attempt(PlannerBudget(1, 16), 9, certified=True)
+
+    @staticmethod
+    def record(monkeypatch, outcomes, verdict=True):
+        """(attempts, checks): ``plan`` records (radius, seed) and raises
+        ``outcomes[radius]`` with a message that names the attempt; the
+        certificate records its radius and answers ``verdict``."""
+        attempts, checks = [], []
+
+        def plan(scene, start, goal, radius, target_center, w, budget, seed, via=()):
+            attempts.append((radius, seed))
+            raise outcomes[radius](f"refused at {radius} with seed {seed}")
+
+        def certified_disconnected(scene, radius, a, b):
+            checks.append(radius)
+            return verdict
+
+        monkeypatch.setattr(planner, "plan", plan)
+        monkeypatch.setattr(planner, "certified_disconnected", certified_disconnected)
+        return attempts, checks
+
+    def ladder(self, *rungs):
+        return plan_with_margin(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), CostWeights(), rungs)
+
+    def test_invalid_endpoint_drops_its_radius_for_later_rungs(self, monkeypatch):
+        attempts, _ = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
+        with pytest.raises(NoPathFound):
+            self.ladder(*self.RUNGS)
+        assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
+
+    def test_no_path_keeps_both_radii(self, monkeypatch):
+        attempts, checks = self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound})
+        with pytest.raises(NoPathFound):
+            self.ladder(*self.RUNGS)
+        assert attempts == [(r, seed) for seed in (10, 11, 12) for r in (self.INFLATED, self.RADIUS)]
+        assert checks == []  # only a certified rung consults the certificate
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_certified_rung_plans_at_the_true_radius_behind_the_certificate(self, monkeypatch, verdict):
+        outcomes = {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound}
+        attempts, checks = self.record(monkeypatch, outcomes, verdict)
+        with pytest.raises(NoPathFound):
+            self.ladder(self.WARM, self.RUNGS[0])
+        warm = [(self.INFLATED, 9), (self.RADIUS, 9)] if verdict else [(self.INFLATED, 9)]
+        assert attempts == [*warm, (self.INFLATED, 10), (self.RADIUS, 10)]
+        assert checks == [self.INFLATED]  # not again after a failure at the true radius
+
+    def test_certified_rung_never_plans_at_the_true_radius_after_invalid_endpoint(self, monkeypatch):
+        attempts, checks = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
+        with pytest.raises(NoPathFound):
+            self.ladder(self.WARM, self.RUNGS[0])
+        assert attempts == [(self.INFLATED, 9), (self.RADIUS, 10)]
+        assert checks == []
+
+    def test_certified_rung_after_its_inflated_radius_is_refused(self, monkeypatch):
+        """A certified rung whose inflated radius an earlier rung dropped has
+        no inflated failure to certify, so it plans at neither radius."""
+        attempts, checks = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
+        with pytest.raises(NoPathFound):
+            self.ladder(self.RUNGS[0], self.WARM, self.RUNGS[1])
+        assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10), (self.RADIUS, 11)]
+        assert checks == []
+
+    @pytest.mark.parametrize("last", [NoPathFound, InvalidEndpoint])
+    def test_last_error_message_is_raised(self, monkeypatch, last):
+        attempts, _ = self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: last})
+        with pytest.raises(NoPathFound) as err:
+            self.ladder(self.RUNGS[0])
+        assert type(err.value) is NoPathFound
+        assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10)]
+        assert str(err.value) == f"refused at {self.RADIUS} with seed 10"
+
+    def test_zero_margin_plans_once_per_rung(self, monkeypatch):
+        """At margin 0 both radii are one: a failed rung plans once, and a
+        certified rung has no larger footprint to certify."""
+        attempts, checks = self.record(monkeypatch, {self.RADIUS: NoPathFound})
+        expert = Expert(safety_margin=0.0)
+        with pytest.raises(NoPathFound):
+            expert.plan(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), self.WARM, *self.RUNGS)
+        assert attempts == [(self.RADIUS, 9), (self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
+        assert checks == []
+
+    def test_first_path_found_is_returned(self):
+        scene = empty_room()
+        start, goal = Pose2(-3, 0, 0), Pose2(3, 1, 0.4)
+        got = plan_with_margin(scene, start, goal, 0.3, (1, 1), CostWeights(), self.RUNGS)
+        want = plan(scene, start, goal, 0.4, (1, 1), budget=PlannerBudget(1, 16), seed=10)
+        assert (repr(got.cost), got.segments) == (repr(want.cost), want.segments)
 
 
 class TestKeyframes:
