@@ -1,8 +1,8 @@
 """Batch entry points: scene generation, dataset generation, eval, reporting.
 
-Settings are read once (``config``), and the expert, probe budget and
-camera built from them, before any command runs: a refused value exits 2
-before any work or output.
+Settings are read once (``config``), and the expert and camera built from
+them, before any command runs: a refused value exits 2 before any work or
+output.
 
 Exit codes: 0 success, 2 config/usage error, 3 generation or eval hard
 failure, an unreadable or malformed scene or report file, or an output
@@ -51,7 +51,6 @@ from .pipeline import (
     save_scene,
     write_dataset,
 )
-from .planner import PlannerBudget
 from .scene import sample_scene
 
 log = logging.getLogger("amr_navkit")
@@ -65,7 +64,6 @@ class Run(NamedTuple):
 
     cfg: RunConfig
     expert: Expert
-    probe: PlannerBudget
     camera: CameraModel
 
 
@@ -85,10 +83,18 @@ def _positive_int(text: str) -> int:
 
 
 def _load_scene_dir(scenes_dir: str):
+    """The scenes in a directory, in file-name order; two files that hold one
+    seed are refused, as a task names its scene by seed."""
     paths = sorted(Path(scenes_dir).glob("scene_*.json"))
     if not paths:
         raise IoFailure(f"no scene_*.json files in {scenes_dir}")
-    return [load_scene(str(p)) for p in paths]
+    scenes = [load_scene(str(p)) for p in paths]
+    seen = {}
+    for path, scene in zip(paths, scenes):
+        first = seen.setdefault(scene.seed, path)
+        if first != path:
+            raise IoFailure(f"{first} and {path} both hold scene seed {scene.seed}")
+    return scenes
 
 
 def cmd_gen_scenes(run: Run, args) -> int:
@@ -111,7 +117,7 @@ def cmd_gen_scenes(run: Run, args) -> int:
 def _gen_one(job):
     run, scene, task_seed = job
     try:
-        task = sample_task(scene, task_seed, run.cfg.task, run.expert, run.probe, run.camera)
+        task = sample_task(scene, task_seed, run.cfg.task, run.expert, run.camera)
         record = generate_episode(
             scene, task, run.expert, run.camera, task_seed, run.cfg.sensor.num_rays, run.cfg.sensor.max_range
         )
@@ -160,7 +166,7 @@ def cmd_eval(run: Run, args) -> int:
         task_seed = _task_seed(cfg.master_seed, seed_index)
         seed_index += 1
         try:
-            tasks.append(sample_task(scene, task_seed, cfg.task, run.expert, run.probe, run.camera))
+            tasks.append(sample_task(scene, task_seed, cfg.task, run.expert, run.camera))
             log.info("task %d sampled with seed %d", len(tasks) - 1, task_seed)
         except SamplingExhausted as err:
             log.warning("task seed %d skipped: %s", task_seed, err)
@@ -255,7 +261,7 @@ def main(argv=None) -> int:
     environ = {**os.environ, **{key: str(value) for key, value in flags.items() if value is not None}}
     try:
         cfg = config_from_dict(apply_env_overrides(load_config(args.config), environ))
-        run = Run(cfg, cfg.expert(), cfg.planner.probe_budget(), cfg.camera.model())
+        run = Run(cfg, cfg.expert(), cfg.camera.model())
     except (ValueError, TypeError, OverflowError, OSError) as err:
         log.error("config error: %s", err)
         return 2

@@ -35,16 +35,10 @@ class PlannerParams:
     w_lookat: float = 0.5
     batches: int = 4
     batch_size: int = 24
-    # declared here, where the message can name them; PlannerBudget would say "batches"
-    probe_batches: Annotated[int, AT_LEAST_1] = 1
-    probe_batch_size: Annotated[int, AT_LEAST_1] = 16
     safety_margin: Annotated[float, NON_NEGATIVE] = 0.1
 
     def __post_init__(self):
         check_ranges(self, "planner")
-
-    def probe_budget(self) -> PlannerBudget:
-        return PlannerBudget(self.probe_batches, self.probe_batch_size)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,8 @@ class TaskParams:
 
 # free-pose draws before one task attempt gives up
 _FREE_POSE_TRIES = 50
+# the one rung of the feasibility probe that admits a task
+PROBE_BUDGET = PlannerBudget(1, 16)
 
 
 def _sample_free_pose(rng, scene: Scene, radius: float) -> Pose2 | None:
@@ -223,7 +225,6 @@ def sample_task(
     rng_seed: int,
     params: TaskParams = TaskParams(),
     expert: Expert = Expert(),
-    probe_budget: PlannerBudget = PlannerBudget(batches=1, batch_size=16),
     camera: CameraModel = CameraModel(),
 ) -> Task:
     """Rejection-sample a feasible task in a scene; deterministic per seed.
@@ -231,7 +232,8 @@ def sample_task(
     Draws embodiment radius, free start pose, reference view (the start view
     with probability p_ffr, else a random free view aimed at some object),
     a target visible from the reference view, and a goal spec; accepts only
-    goals that are collision-free and pass a cheap planner feasibility probe.
+    goals that are collision-free and that ``expert`` reaches on one
+    ``PROBE_BUDGET`` rung.
     """
     eligible = scene.target_objects()
     if not eligible:
@@ -278,7 +280,7 @@ def sample_task(
         goal = derive_goal_pose(target.box, labels, spec, radius)
         if collision_check(scene, goal, radius):
             continue
-        probe = Attempt(probe_budget, rng_seed * 1000003 + attempt)
+        probe = Attempt(PROBE_BUDGET, rng_seed * 1000003 + attempt)
         try:
             expert.plan(scene, start, goal, radius, target.box.center, probe)
         except NoPathFound:

@@ -33,7 +33,6 @@ from .scene import (
     certified_disconnected,
     collision_check,
     collision_mask,
-    note_no_path,
     sweep_collision_checks,
 )
 
@@ -423,21 +422,13 @@ def plan(
     ``via`` seeds the roadmap with extra vertices (say, a previous route's),
     added after the staged goal poses and kept, as those are, only where
     in bounds and free at ``radius``; they draw nothing from the seed's
-    stream, so ``via=()`` plans as before.
-    Once a plan at ``radius`` on this scene has failed, each later one raises
-    NoPathFound at once when ``certified_disconnected`` proves that start and
-    goal lie in different free-space components. No chain that a search
-    could return crosses a blocked cell: its vertices are free at
-    ``radius``, and ``_Roadmap.evaluate`` accepts an edge only when the
-    exact distance of its segment to every obstacle is at least ``radius``.
-    So a certified plan is one that fails at any budget and seed.
+    stream, so ``via=()`` plans as before. A pure search: it reads and
+    writes no state of ``scene``.
     """
     if collision_check(scene, start, radius):
         raise InvalidEndpoint("start pose is in collision")
     if collision_check(scene, goal, radius):
         raise InvalidEndpoint("goal pose is in collision")
-    if certified_disconnected(scene, radius, start, goal):
-        raise NoPathFound(NO_PATH)
 
     rng = np.random.default_rng(seed)
     rm = _Roadmap(scene, radius, np.asarray(target_center, dtype=float), w)
@@ -484,7 +475,6 @@ def plan(
             break
 
     if not best_chain:
-        note_no_path(scene, radius)  # later plans at this radius consult the certificate
         raise NoPathFound(NO_PATH)
     segments: list[PathSegment] = []
     for i, j in zip(best_chain[:-1], best_chain[1:]):

@@ -96,7 +96,7 @@ class Scene:
 
     @cached_property
     def _certificates(self) -> dict:
-        """``certified_disconnected``'s component labels by radius, None until first needed."""
+        """``certified_disconnected``'s component labels by radius, each built on its first call there."""
         return {}
 
     def object_by_id(self, object_id: int) -> SceneObject:
@@ -376,24 +376,21 @@ def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
     return labels.reshape(ny, nx)
 
 
-def note_no_path(scene: Scene, radius: float) -> None:
-    """Have ``certified_disconnected`` consult a certificate at ``radius`` from now on."""
-    scene._certificates.setdefault(radius, None)
-
-
 def certified_disconnected(scene: Scene, radius: float, a: Pose2, b: Pose2) -> bool:
     """Whether the ``_free_space_certificate`` at ``radius`` proves that no
     collision-free path joins the positions of a and b, which must both be
     free at ``radius``.
 
-    False at a radius that ``note_no_path`` has not named for this scene;
-    the first call at a named radius builds the certificate and caches it.
-    Also False when a position maps to a blocked cell, which only rounding
-    can do.
+    When it does, ``planner.plan`` at ``radius`` fails at any budget and
+    seed, and ``planner.plan_with_margin``, the one caller, lets a certified
+    rung drop its safety margin: no chain that a search could return crosses
+    a blocked cell, as its vertices are free at ``radius`` and
+    ``_Roadmap.evaluate`` accepts an edge only when the exact distance of its
+    segment to every obstacle is at least ``radius``. The first call at a
+    radius builds the certificate and caches it on the scene. False when a
+    position maps to a blocked cell, which only rounding can do.
     """
-    if radius not in scene._certificates:
-        return False
-    labels = scene._certificates[radius]
+    labels = scene._certificates.get(radius)
     if labels is None:
         labels = scene._certificates[radius] = _free_space_certificate(scene, radius)
     bounds, (ny, nx) = scene.bounds, labels.shape

@@ -2,9 +2,9 @@
 
 ``certified_disconnected`` says that two poses lie in different components
 of a 5 cm grid's free cells, where a cell is blocked when all of its corners
-lie within the radius of one box or room side. ``plan`` trusts it to raise
-NoPathFound without sampling, so a certificate must never hold for two poses
-that a plan could join.
+lie within the radius of one box or room side. ``plan_with_margin``, its one
+reader, trusts it to let a certified rung drop the safety margin, so a
+certificate must never hold for two poses that a plan could join.
 """
 
 import math
@@ -28,7 +28,6 @@ from amr_navkit.scene import (
     _room_walls,
     certified_disconnected,
     collision_check,
-    note_no_path,
     sample_scene,
 )
 
@@ -52,25 +51,25 @@ def split_room(gap: float) -> Scene:
 def test_door_narrower_than_the_disc_is_certified_closed(gap, closed):
     scene = split_room(gap)
     assert not collision_check(scene, START, RADIUS) and not collision_check(scene, GOAL, RADIUS)
-    assert not certified_disconnected(scene, RADIUS, START, GOAL)  # no plan has failed yet
-    note_no_path(scene, RADIUS)
     assert certified_disconnected(scene, RADIUS, START, GOAL) is closed
     # the same side of the wall is always one component
     assert not certified_disconnected(scene, RADIUS, START, Pose2(-1.5, 0.5, 1.0))
 
 
-def test_plan_raises_without_sampling_once_the_radius_failed(monkeypatch):
+def test_plan_neither_builds_nor_reads_the_certificate(monkeypatch):
     scene = split_room(2 * RADIUS - 0.02)
     with pytest.raises(NoPathFound, match=NO_PATH):
         plan(scene, START, GOAL, RADIUS, (0.0, 0.0), budget=PlannerBudget(1, 8))
-    assert list(scene._certificates) == [RADIUS]
+    assert scene._certificates == {}
 
-    def no_sampling(*args):
-        raise AssertionError("a certified plan sampled")
-
-    monkeypatch.setattr(planner, "_sample_positions", no_sampling)
+    # a plan between poses that a cached certificate separates still samples
+    assert certified_disconnected(scene, RADIUS, START, GOAL)
+    sampled = []
+    sample = planner._sample_positions
+    monkeypatch.setattr(planner, "_sample_positions", lambda *args: sampled.append(1) or sample(*args))
     with pytest.raises(NoPathFound, match=NO_PATH):
-        plan(scene, START, GOAL, RADIUS, (0.0, 0.0), budget=PlannerBudget(16, 32))
+        plan(scene, START, GOAL, RADIUS, (0.0, 0.0), budget=PlannerBudget(2, 8))
+    assert len(sampled) == 2 and list(scene._certificates) == [RADIUS]
 
 
 def free_poses(rng, scene: Scene, radius: float, n: int) -> list[Pose2]:
@@ -90,7 +89,6 @@ def test_certified_pairs_fail_to_plan_at_a_large_budget():
     for seed in range(12):
         for radius in (0.4, 0.5, 0.6):
             scene = sample_scene(seed)
-            note_no_path(scene, radius)
             poses = free_poses(rng, scene, radius, 6)
             pairs = [(a, c) for i, a in enumerate(poses) for c in poses[i + 1:]]
             for a, c in pairs:
@@ -106,7 +104,6 @@ def test_scene_with_a_certificate_pickles_and_evaluates_alike_on_workers():
     expert = Expert()
     tasks = [sample_task(scene, s) for s in range(2)]
     radius = tasks[0].robot_radius + expert.safety_margin
-    note_no_path(scene, radius)
     a, c = free_poses(np.random.default_rng(0), scene, radius, 2)
     certified_disconnected(scene, radius, a, c)  # builds and caches it
     labels = scene._certificates[radius]

@@ -206,8 +206,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("batches", 0), ("batch_size", -1), ("probe_batches", 0), ("probe_batch_size", -3),
-         ("safety_margin", -0.2)],
+        [("batches", 0), ("batch_size", -1), ("safety_margin", -0.2)],
     )
     def test_planner_params_refused(self, field, value):
         # batches and batch_size are PlannerBudget's rule, run when the expert is built
@@ -284,7 +283,24 @@ class TestConfig:
 
     def test_default_config_hash_unchanged(self):
         # the refusals add no field, so the default manifest hash stays the same
-        assert config_hash(RunConfig()) == "adffbf614dc420b6"
+        assert config_hash(RunConfig()) == "0901a7f2aa82fbc4"
+
+    @pytest.mark.parametrize(
+        "body, env, field",
+        [pytest.param('{"planner": {"probe_batches": 2}}', {}, "probe_batches", id="file"),
+         pytest.param("{}", {"AMR_PLANNER_PROBE_BATCH_SIZE": "8"}, "AMR_PLANNER_PROBE_BATCH_SIZE", id="env")],
+    )
+    def test_task_probe_keys_are_unknown(self, tmp_path, monkeypatch, caplog, body, env, field):
+        # the probe's 1 x 16 budget is pipeline.PROBE_BUDGET, set by no key
+        path = tmp_path / "cfg.json"
+        path.write_text(body)
+        for key, raw in env.items():
+            monkeypatch.setenv(key, raw)
+        caplog.clear()
+        assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("config error: ") and field in errors[0]
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "key, raw, field",
@@ -706,6 +722,31 @@ def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
 
 
 class TestEval:
+    @pytest.mark.parametrize("command", ["eval", "gen-data"])
+    @pytest.mark.parametrize("five_objects_first", [True, False])
+    def test_two_scene_files_with_one_seed_exit_3(self, tmp_path, caplog, command, five_objects_first):
+        """With the 5-object scene first, eval ran task 0 on the 8-object
+        scene, its start inside a box, and exited 0; in the other order it
+        died with a KeyError (exit 1), as a task names its scene by seed."""
+        scenes = tmp_path / "scenes"
+        assert run(["gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
+        first, second = sorted(scenes.glob("scene_*.json"))
+        d = json.loads(second.read_text())
+        assert d["seed"] == 1 and len(d["objects"]) == 5
+        assert len(json.loads(first.read_text())["objects"]) == 8
+        d["seed"] = 0
+        second.write_text(json.dumps(d))
+        if five_objects_first:
+            first.rename(scenes / "scene_00002.json")
+            first, second = second, scenes / "scene_00002.json"
+        caplog.clear()
+        out = tmp_path / "out"
+        assert run([command, "--scenes", str(scenes), "--n-tasks" if command == "eval" else "--episodes-per-scene",
+                    "2", "--out", str(out)]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{first} and {second} both hold scene seed 0"]
+        assert sorted(tmp_path.iterdir()) == [scenes]
+
     def test_single_task_eval_and_report(self, tmp_path, fast_config):
         scenes = tmp_path / "scenes"
         run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)])

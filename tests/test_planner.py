@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from amr_navkit import planner
+from amr_navkit import scene as scene_module
 from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
@@ -374,7 +375,8 @@ class TestPlanWithMargin:
     def record(monkeypatch, outcomes, verdict=True):
         """(attempts, checks): ``plan`` records (radius, seed) and raises
         ``outcomes[radius]`` with a message that names the attempt; the
-        certificate records its radius and answers ``verdict``."""
+        certificate records its radius and answers ``verdict``, or is the
+        real one when ``verdict`` is None."""
         attempts, checks = [], []
 
         def plan(scene, start, goal, radius, target_center, w, budget, seed, via=()):
@@ -386,7 +388,8 @@ class TestPlanWithMargin:
             return verdict
 
         monkeypatch.setattr(planner, "plan", plan)
-        monkeypatch.setattr(planner, "certified_disconnected", certified_disconnected)
+        if verdict is not None:
+            monkeypatch.setattr(planner, "certified_disconnected", certified_disconnected)
         return attempts, checks
 
     def ladder(self, *rungs):
@@ -449,6 +452,19 @@ class TestPlanWithMargin:
             expert.plan(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), self.WARM, *self.RUNGS)
         assert attempts == [(self.RADIUS, 9), (self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
         assert checks == []
+
+    def test_only_a_certified_rung_builds_the_certificate_once_per_scene_and_radius(self, monkeypatch):
+        self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound}, verdict=None)
+        builds = []
+        build = scene_module._free_space_certificate
+        monkeypatch.setattr(scene_module, "_free_space_certificate", lambda *args: builds.append(args) or build(*args))
+        rooms = empty_room(), empty_room()
+        for room, rungs in ((rooms[0], self.RUNGS), (rooms[0], [self.WARM, *self.RUNGS]),
+                            (rooms[0], [self.WARM, self.WARM]), (rooms[1], [self.WARM])):
+            with pytest.raises(NoPathFound):
+                plan_with_margin(room, Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), CostWeights(), rungs)
+        assert builds == [(rooms[0], self.INFLATED), (rooms[1], self.INFLATED)]
+        assert [list(room._certificates) for room in rooms] == [[self.INFLATED]] * 2
 
     def test_first_path_found_is_returned(self):
         scene = empty_room()

@@ -30,8 +30,10 @@ against it; ``diff`` prints every round that differs and exits 1 if any does::
     python3 change/tools/digest_sweep.py --seeds 8001000 | diff before.txt -
 
 ``tools/digests.txt`` holds the output without ``--seeds``; Tier-1's
-``tests/test_golden_digests.py`` reruns its round-0 lines. A change that is
-meant to change outputs rewrites it::
+``tests/test_golden_digests.py`` reruns its round-0 lines and its ``eval 1``
+line, the suite round whose oracle plans at the true radius behind the
+free-space certificate. A change that is meant to change outputs rewrites
+it::
 
     python3 tools/digest_sweep.py > tools/digests.txt
 """
