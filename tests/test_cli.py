@@ -282,7 +282,7 @@ class TestConfig:
         assert CameraParams(**{field: 179.9 if field == "vertical_fov_deg" else 1}).model()
 
     def test_default_config_hash_unchanged(self):
-        # the refusals add no field, so the default manifest hash stays the same
+        # the default manifest hash moves only when a config field is added or removed
         assert config_hash(RunConfig()) == "0901a7f2aa82fbc4"
 
     @pytest.mark.parametrize(
@@ -663,6 +663,33 @@ def test_bad_scene_file_exits_3(tmp_path, fast_config, command, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "gen-data"])
+@pytest.mark.parametrize("five_objects_first", [True, False])
+def test_two_scene_files_with_one_seed_exit_3(tmp_path, caplog, command, five_objects_first):
+    """A task names its scene by seed. With the 5-object scene first, eval
+    once ran task 0 on the 8-object scene, its start inside a box, and
+    exited 0; in the other order it died with a KeyError (exit 1). gen-data
+    wrote both scenes' records under one seed."""
+    scenes = tmp_path / "scenes"
+    assert run(["gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
+    first, second = sorted(scenes.glob("scene_*.json"))
+    d = json.loads(second.read_text())
+    assert d["seed"] == 1 and len(d["objects"]) == 5
+    assert len(json.loads(first.read_text())["objects"]) == 8
+    d["seed"] = 0
+    second.write_text(json.dumps(d))
+    if five_objects_first:
+        first.rename(scenes / "scene_00002.json")
+        first, second = second, scenes / "scene_00002.json"
+    caplog.clear()
+    out = tmp_path / "out"
+    count = "--n-tasks" if command == "eval" else "--episodes-per-scene"
+    assert run([command, "--scenes", str(scenes), count, "2", "--out", str(out)]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{first} and {second} both hold scene seed 0"]
+    assert sorted(tmp_path.iterdir()) == [scenes]
+
+
 @pytest.mark.parametrize(
     "argv, directory",
     [
@@ -722,31 +749,6 @@ def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):
 
 
 class TestEval:
-    @pytest.mark.parametrize("command", ["eval", "gen-data"])
-    @pytest.mark.parametrize("five_objects_first", [True, False])
-    def test_two_scene_files_with_one_seed_exit_3(self, tmp_path, caplog, command, five_objects_first):
-        """With the 5-object scene first, eval ran task 0 on the 8-object
-        scene, its start inside a box, and exited 0; in the other order it
-        died with a KeyError (exit 1), as a task names its scene by seed."""
-        scenes = tmp_path / "scenes"
-        assert run(["gen-scenes", "--count", "2", "--out", str(scenes)]) == 0
-        first, second = sorted(scenes.glob("scene_*.json"))
-        d = json.loads(second.read_text())
-        assert d["seed"] == 1 and len(d["objects"]) == 5
-        assert len(json.loads(first.read_text())["objects"]) == 8
-        d["seed"] = 0
-        second.write_text(json.dumps(d))
-        if five_objects_first:
-            first.rename(scenes / "scene_00002.json")
-            first, second = second, scenes / "scene_00002.json"
-        caplog.clear()
-        out = tmp_path / "out"
-        assert run([command, "--scenes", str(scenes), "--n-tasks" if command == "eval" else "--episodes-per-scene",
-                    "2", "--out", str(out)]) == 3
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == [f"{first} and {second} both hold scene seed 0"]
-        assert sorted(tmp_path.iterdir()) == [scenes]
-
     def test_single_task_eval_and_report(self, tmp_path, fast_config):
         scenes = tmp_path / "scenes"
         run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)])
