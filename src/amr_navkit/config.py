@@ -169,5 +169,9 @@ def apply_env_overrides(d, environ) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(written(cfg), sort_keys=True, separators=(",", ":"))
+    """The hash of every resolved field that can change an output: ``workers``
+    only sets how many processes write the same bytes, so it is left out."""
+    fields = written(cfg)
+    del fields["workers"]
+    canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

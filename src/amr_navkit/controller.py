@@ -108,11 +108,28 @@ class TrajectoryPolicy(Protocol):
         ...
 
 
+# waypoints closer than this share a position: the plan turns in place there
+TURN_TOL = 1e-6
+# a differential drive turns in place while its target bears more than this
+# off its heading (or off its back, to reverse): an arc to a target 0.3 m
+# away then strays at most 7.5 mm off its chord
+ROTATE_ANGLE = 0.1
+
+
 def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: ExecutorConfig) -> Command:
     """Track a world-frame waypoint list with the pure-pursuit steering law.
 
-    The target is the first waypoint at least one lookahead away (else the
-    last). Near the trajectory end the speed tapers linearly with remaining
+    The target search starts at the waypoint nearest the robot, so it never
+    aims back along the part of the plan already driven, and takes the first
+    waypoint at least one lookahead away (else the last). It stops short at
+    a waypoint where the plan turns in place (the next waypoint has the same
+    position, within ``TURN_TOL``), so the chord to the target never cuts
+    that corner, unless the robot is within half a step (``speed * dt / 2``)
+    of it: then the search moves on, and the robot does not stall at the
+    corner. A differential drive turns in place toward the target (or turns
+    its back to it, to reverse) while the target bears more than
+    ``ROTATE_ANGLE`` off that direction, so its arcs keep close to the
+    chords. Near the trajectory end the speed tapers linearly with remaining
     distance and the final heading is aligned in place, so the commanded
     velocity reaches exactly zero once both stop tolerances are met.
     """
@@ -121,15 +138,17 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
 
     # sqrt(dx*dx + dy*dy) is what norm(axis=1) computes per row
     px, py = state.pose.x, state.pose.y
+    dists = [math.sqrt((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py)) for p in trajectory_world]
     terminal = trajectory_world[-1]
     target = terminal
-    for p in trajectory_world:
-        dx, dy = p.x - px, p.y - py
-        if math.sqrt(dx * dx + dy * dy) >= cfg.lookahead:
+    corner_window = min(cfg.speed, cfg.v_max) * cfg.dt / 2
+    for i in range(dists.index(min(dists)), len(trajectory_world) - 1):
+        p, q = trajectory_world[i], trajectory_world[i + 1]
+        turns = math.sqrt((q.x - p.x) * (q.x - p.x) + (q.y - p.y) * (q.y - p.y)) <= TURN_TOL
+        if dists[i] >= cfg.lookahead or (turns and dists[i] > corner_window):
             target = p
             break
-    dx, dy = terminal.x - px, terminal.y - py
-    goal_dist = math.sqrt(dx * dx + dy * dy)
+    goal_dist = dists[-1]
     heading_err = wrap_angle(terminal.heading - state.pose.heading)
 
     # linear speed taper inside 2 lookaheads of the trajectory end
@@ -162,6 +181,9 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     dist_sq = local_x * local_x + local_y * local_y
     if dist_sq < 1e-18:
         return DiffDrive(0.0, _clip(cfg.omega_gain * heading_err, cfg.omega_max))
+    bearing = math.atan2(local_y, local_x) if local_x >= 0 else math.atan2(-local_y, -local_x)
+    if abs(bearing) > ROTATE_ANGLE:
+        return DiffDrive(0.0, _clip(cfg.omega_gain * bearing, cfg.omega_max))
     v = v_mag if local_x >= 0 else -v_mag
     return DiffDrive(v, _clip(2.0 * v * local_y / dist_sq, cfg.omega_max))
 

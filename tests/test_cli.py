@@ -78,6 +78,10 @@ class TestConfig:
         c = config_from_dict(apply_env_overrides({}, {"AMR_EXECUTOR_SPEED": "0.4"}))
         assert config_hash(c) != config_hash(a)
 
+    def test_hash_ignores_workers(self):
+        # --workers 1 and --workers 2 write the same bytes, so their manifests agree
+        assert config_hash(RunConfig(workers=1)) == config_hash(RunConfig(workers=2))
+
     def test_default_expert_is_the_config_default(self):
         assert RunConfig().expert() == Expert()
 
@@ -282,8 +286,8 @@ class TestConfig:
         assert CameraParams(**{field: 179.9 if field == "vertical_fov_deg" else 1}).model()
 
     def test_default_config_hash_unchanged(self):
-        # the default manifest hash moves only when a config field is added or removed
-        assert config_hash(RunConfig()) == "0901a7f2aa82fbc4"
+        # the default manifest hash moves only when a hashed config field is added or removed
+        assert config_hash(RunConfig()) == "0002167408072d05"
 
     @pytest.mark.parametrize(
         "body, env, field",

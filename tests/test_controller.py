@@ -28,8 +28,14 @@ from amr_navkit.scene import (
     command_omega,
     command_speed,
     sample_scene,
+    step_kinematics,
+    sweep_collision_checks,
 )
 from amr_navkit.pipeline import Expert, Task, sample_task
+from amr_navkit import cli
+from amr_navkit.config import RunConfig
+from amr_navkit.errors import SamplingExhausted
+from amr_navkit.evaluation import PolicySpec, run_task
 from amr_navkit.geometry import GoalSpec, SideLabels
 
 
@@ -69,13 +75,31 @@ class TestPurePursuit:
         assert cmd.omega == pytest.approx(0.0, abs=1e-12)
 
     def test_lateral_target_curvature(self):
-        # lookahead target straight to the left at distance L: omega = 2*speed/L
+        # a target at (x, y) within ROTATE_ANGLE of the heading: omega = 2*speed*y/(x^2 + y^2)
         state = RobotState(Pose2(0, 0, 0), 0.3)
-        traj = [Pose2(0, 0.5, 0), Pose2(0, 5.0, 0)]
+        traj = [Pose2(1.0, 0.05, 0), Pose2(5.0, 0.25, 0)]
         cmd = pure_pursuit(state, traj, CFG_DIFF)
         assert cmd.v == pytest.approx(CFG_DIFF.speed)
-        expect = 2.0 * CFG_DIFF.speed * 0.5 / 0.25
-        assert cmd.omega == pytest.approx(min(expect, CFG_DIFF.omega_max))
+        assert cmd.omega == pytest.approx(2.0 * CFG_DIFF.speed * 0.05 / (1.0 + 0.05**2))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_differential_turns_in_place_to_a_target_off_its_heading(self, side):
+        # straight to the left (or the right): the arc would stray 0.25 m off
+        # its chord, so the drive first turns toward the target
+        state = RobotState(Pose2(0, 0, 0), 0.3)
+        cmd = pure_pursuit(state, [Pose2(0, side * 0.5, 0), Pose2(0, side * 5.0, 0)], CFG_DIFF)
+        assert cmd.v == 0.0
+        assert cmd.omega == pytest.approx(side * min(CFG_DIFF.omega_gain * math.pi / 2, CFG_DIFF.omega_max))
+
+    def test_differential_turns_its_back_to_a_target_behind(self):
+        # a target behind and to the left: reversing there needs a clockwise turn first
+        state = RobotState(Pose2(0, 0, 0), 0.3)
+        cmd = pure_pursuit(state, [Pose2(-1.0, 0.5, 0)], CFG_DIFF)
+        assert cmd.v == 0.0
+        assert cmd.omega == pytest.approx(CFG_DIFF.omega_gain * math.atan2(-0.5, 1.0))
+        # once the back faces it within ROTATE_ANGLE, the drive reverses
+        cmd = pure_pursuit(state, [Pose2(-1.0, 0.05, 0)], CFG_DIFF)
+        assert cmd.v < 0.0
 
     def test_zero_command_at_final_point(self):
         state = RobotState(Pose2(2.0, 1.0, 0.5), 0.3)
@@ -129,6 +153,135 @@ class TestPurePursuit:
             cmd = pure_pursuit(replace(state, kinematics=kin), traj, cfg)
             assert command_speed(cmd) <= cfg.v_max + 1e-9
             assert command_omega(cmd) <= cfg.omega_max + 1e-9
+
+
+def arc(n=12, radius=1.0, step=0.1):
+    """``n`` waypoints 0.1 m apart on a circle about the origin, from (radius, 0) counterclockwise."""
+    return [Pose2(radius * math.cos(k * step), radius * math.sin(k * step), k * step + math.pi / 2) for k in range(n)]
+
+
+def corner(turns=3):
+    """0.5 m east along y = 0, a turn in place at (0.5, 0) over ``turns``
+    waypoints, then 0.5 m north; waypoints 0.1 m apart."""
+    east = [Pose2(0.1 * k, 0.0, 0.0) for k in range(1, 6)]
+    turn = [Pose2(0.5, 0.0, (k + 1) * math.pi / 2 / turns) for k in range(turns)]
+    north = [Pose2(0.5, 0.1 * k, math.pi / 2) for k in range(1, 6)]
+    return east + turn + north
+
+
+def omni_target(state, traj, cfg=CFG_OMNI):
+    """The index of the waypoint that an omnidirectional command heads for:
+    the one whose bearing from the robot matches the command's."""
+    cmd = pure_pursuit(state, traj, cfg)
+    heading = math.atan2(cmd.vy, cmd.vx)
+    misses = [abs(math.remainder(math.atan2(p.y - state.pose.y, p.x - state.pose.x) - heading, math.tau)) for p in traj]
+    return misses.index(min(misses))
+
+
+class TestTargetRule:
+    @pytest.mark.parametrize("travelled", np.linspace(0.05, 0.95, 19))
+    def test_never_targets_a_waypoint_before_the_nearest(self, travelled):
+        # the robot partway along the horizon, 2 cm off it: waypoints behind
+        # it lie a lookahead away too, and the old scan from waypoint 0 took them
+        traj = arc()
+        angle = travelled
+        state = RobotState(Pose2(1.02 * math.cos(angle), 1.02 * math.sin(angle), angle + math.pi / 2), 0.3,
+                           kinematics="omnidirectional")
+        dists = [math.hypot(p.x - state.pose.x, p.y - state.pose.y) for p in traj]
+        nearest = dists.index(min(dists))
+        target = omni_target(state, traj)
+        assert target >= nearest
+        assert dists[target] >= CFG_OMNI.lookahead or target == len(traj) - 1
+        assert all(d < CFG_OMNI.lookahead for d in dists[nearest:target])
+
+    def test_backs_up_to_no_waypoint_already_passed(self):
+        # 4 steps into a straight horizon waypoint 0 is 0.3 m behind: drive on, not back
+        traj = [Pose2(0.1 * k, 0.0, 0.0) for k in range(1, 13)]
+        pose = Pose2(0.4, 0.0, 0.0)
+        for cfg in (CFG_OMNI, CFG_DIFF):
+            cmd = pure_pursuit(RobotState(pose, 0.3, kinematics=cfg.kinematics), traj, cfg)
+            assert (cmd.vx if cfg is CFG_OMNI else cmd.v) == pytest.approx(cfg.speed)
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.2, 0.0), (0.38, 0.0), (0.44, 0.0), (0.3, -0.02), (0.42, 0.03)])
+    def test_stops_at_a_turn_in_place(self, x, y):
+        # more than half a step (0.05 m) from the corner: aim at the corner,
+        # though a waypoint of the north leg lies within the lookahead
+        traj = corner()
+        state = RobotState(Pose2(x, y, 0.0), 0.3, kinematics="omnidirectional")
+        cmd = pure_pursuit(state, traj, CFG_OMNI)
+        assert math.atan2(cmd.vy, cmd.vx) == pytest.approx(math.atan2(-y, 0.5 - x))
+        diff = pure_pursuit(RobotState(Pose2(x, y, math.atan2(-y, 0.5 - x)), 0.3), traj, CFG_DIFF)
+        assert diff.v > 0 and diff.omega == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x, y", [(0.46, 0.0), (0.5, 0.0), (0.53, 0.0), (0.48, 0.02)])
+    def test_moves_on_within_half_a_step_of_the_turn(self, x, y):
+        traj = corner()
+        state = RobotState(Pose2(x, y, 0.0), 0.3, kinematics="omnidirectional")
+        assert omni_target(state, traj) > 7
+        assert pure_pursuit(state, traj, CFG_OMNI).vy > 0
+
+    @pytest.mark.parametrize("cfg", [CFG_OMNI, CFG_DIFF], ids=["omni", "diff"])
+    @pytest.mark.parametrize("turns", [1, 3, 8])
+    def test_drives_through_a_corner_without_stalling(self, cfg, turns):
+        # track one fixed horizon: the robot reaches the turn, goes on up the
+        # north leg and stops at its end, each inside a bounded step count
+        traj = corner(turns)
+        state = RobotState(Pose2(0.0, 0.0, 0.0), 0.3, kinematics=cfg.kinematics)
+        for _ in range(60):
+            cmd = pure_pursuit(state, traj, cfg)
+            if command_speed(cmd) == 0.0 and command_omega(cmd) == 0.0:
+                break
+            state = step_kinematics(state, cmd, cfg.dt, cfg.limits)
+            # the path is an L: the robot keeps to its two legs
+            assert min(abs(state.pose.y), abs(state.pose.x - 0.5)) < 0.06
+        else:
+            pytest.fail("the robot did not stop at the end of the horizon")
+        assert math.hypot(state.pose.x - 0.5, state.pose.y - 0.5) <= cfg.stop_pos_tol
+
+
+def cli_episode(tmp_path, master_seed: int, index: int):
+    """Task ``index`` of ``eval --policy oracle`` at the CLI default config on
+    master seed ``master_seed``, run as ``eval`` runs it: its scene and result."""
+    scenes_dir = tmp_path / "scenes"
+    argv = ["--seed", str(master_seed), "--workers", "1", "gen-scenes", "--count", "8", "--out", str(scenes_dir)]
+    assert cli.main(argv) == 0
+    scenes = cli._load_scene_dir(str(scenes_dir))
+    cfg = replace(RunConfig(), master_seed=master_seed)
+    expert, camera = cfg.expert(), cfg.camera.model()
+    tasks, seed_index = [], 0
+    while len(tasks) <= index:
+        scene = scenes[len(tasks) % len(scenes)]
+        seed_index += 1
+        try:
+            tasks.append(sample_task(scene, cli._task_seed(master_seed, seed_index - 1), cfg.task, expert, camera))
+        except SamplingExhausted:
+            pass
+    spec = PolicySpec(expert, master_seed, use_residual=True)
+    _, result = run_task(index, scene, tasks[index], spec, cfg.executor, camera)
+    return scene, tasks[index], result
+
+
+class TestTrackingRegressions:
+    """Episodes that the oracle lost to tracking when the target search began at waypoint 0."""
+
+    @pytest.mark.parametrize(
+        "master_seed, index",
+        [
+            # backed up to a passed waypoint, then chorded across a turn: collided at step 62
+            pytest.param(8378000, 5, id="8378000-t5"),
+            # with the search forward from the nearest waypoint alone, a chord
+            # past a turn in place collided at step 143
+            pytest.param(8937000, 4, id="8937000-t4"),
+        ],
+    )
+    def test_reaches_its_goal_and_every_step_sweeps_clear(self, tmp_path, master_seed, index):
+        scene, task, result = cli_episode(tmp_path, master_seed, index)
+        assert result.outcome == "reached"
+        # 8937000 task 4 also reached under the scan from waypoint 0, but in
+        # 242 steps, backing up in every replan cycle; the search forward takes 167
+        assert result.steps < 200
+        xy = np.array([(e.pose.x, e.pose.y) for e in result.trace])
+        assert not sweep_collision_checks(scene, xy[:-1], xy[1:], task.robot_radius).any()
 
 
 class TestTiltStep:

@@ -44,7 +44,7 @@ from amr_navkit.codec import (
     TokenizedStep,
     encode_trajectory,
 )
-from amr_navkit.controller import ExecutorConfig, OraclePolicy, pure_pursuit, tilt_step
+from amr_navkit.controller import ROTATE_ANGLE, TURN_TOL, ExecutorConfig, OraclePolicy, pure_pursuit, tilt_step
 from amr_navkit.errors import OutOfRange
 from amr_navkit.geometry import (
     TWO_PI,
@@ -206,7 +206,12 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
     pos = np.array([state.pose.x, state.pose.y])
     pts = np.array([[p.x, p.y] for p in trajectory_world])
     dists = np.linalg.norm(pts - pos, axis=1)
-    ahead = np.flatnonzero(dists >= cfg.lookahead)
+    # waypoint i is a turn in place when waypoint i + 1 shares its position
+    turns = np.append(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= TURN_TOL, False)
+    corner_window = min(cfg.speed, cfg.v_max) * cfg.dt / 2
+    stops = (dists >= cfg.lookahead) | (turns & (dists > corner_window))
+    stops[: int(np.argmin(dists))] = False
+    ahead = np.flatnonzero(stops)
     target = pts[int(ahead[0])] if ahead.size else pts[-1]
     terminal = trajectory_world[-1]
     goal_dist = float(dists[-1])
@@ -237,7 +242,11 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
     if dist_sq < 1e-18:
         omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
         return DiffDrive(0.0, omega)
-    v = v_mag if local_x >= 0 else -v_mag
+    forward = local_x >= 0
+    bearing = math.atan2(local_y, local_x) if forward else math.atan2(-local_y, -local_x)
+    if abs(bearing) > ROTATE_ANGLE:
+        return DiffDrive(0.0, float(np.clip(cfg.omega_gain * bearing, -cfg.omega_max, cfg.omega_max)))
+    v = v_mag if forward else -v_mag
     omega = float(np.clip(2.0 * v * local_y / dist_sq, -cfg.omega_max, cfg.omega_max))
     return DiffDrive(v, omega)
 
@@ -660,6 +669,16 @@ configs = st.builds(
 @example(
     Pose2(0.0, 0.0, 0.0), [(1e-10, 0.0, 0.0), (2.0, 0.0, 1.0)], ExecutorConfig(lookahead=1e-12, kinematics="omnidirectional")
 )
+# waypoint 0 behind the robot, then a turn in place 0.2 m ahead of it (aimed
+# at), and the same turn 0.03 m ahead (searched past); a target 0.5 rad off
+# a differential drive's heading (turned to in place)
+@example(
+    Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.2, 0.0, 1.0), (0.2, 0.4, 1.5)], ExecutorConfig()
+)
+@example(
+    Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.03, 0.0, 0.0), (0.03, 0.0, 1.0), (0.03, 0.4, 1.5)], ExecutorConfig()
+)
+@example(Pose2(0.0, 0.0, 0.0), [(0.4, 0.2, 0.0)], ExecutorConfig(kinematics="differential"))
 def test_pure_pursuit_matches_array_version(pose, offs, cfg):
     state = RobotState(pose, 0.3, kinematics=cfg.kinematics)
     traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]

@@ -13,6 +13,10 @@ config with ``--workers 1``, sized like the benchmark's suite rounds:
 Each round also gets a ``scenes`` digest over the ``gen-scenes`` output
 (the scene files in name order).
 
+With ``--outcomes``, each eval round also prints one ``episode <master seed>
+<task> <outcome> <steps> <min_clearance_mm>`` line for every episode of its
+report that did not reach its goal, read from ``report.traces.jsonl``.
+
 Usage::
 
     python3 <tree>/tools/digest_sweep.py [--seeds 8001000 8003000 8008000]
@@ -29,6 +33,11 @@ against it; ``diff`` prints every round that differs and exits 1 if any does::
     python3 parent/tools/digest_sweep.py --seeds 8001000 > before.txt
     python3 change/tools/digest_sweep.py --seeds 8001000 | diff before.txt -
 
+A change that is meant to move the eval lines compares what failed instead::
+
+    python3 parent/tools/digest_sweep.py --outcomes --seeds 8378000 | grep ^episode > before.txt
+    python3 change/tools/digest_sweep.py --outcomes --seeds 8378000 | grep ^episode | diff before.txt -
+
 ``tools/digests.txt`` holds the output without ``--seeds``; Tier-1's
 ``tests/test_golden_digests.py`` reruns its round-0 lines and its ``eval 1``
 line, the suite round whose oracle plans at the true radius behind the
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import logging
 import os
 import platform
@@ -91,6 +101,17 @@ def eval_digest(scenes: Path, work: Path, master_seed: int) -> str:
     return _digest(*(report.with_suffix(s) for s in (".json", ".csv", ".traces.jsonl")))
 
 
+def failed_episodes(work: Path, master_seed: int) -> list[str]:
+    """One ``episode`` line per episode of the eval report in ``work`` that did not reach its goal."""
+    lines = []
+    with open(work / "report.traces.jsonl") as fh:
+        for row in map(json.loads, fh):
+            if row["outcome"] != "reached":
+                clearance_mm = 1000 * row["min_clearance"]
+                lines.append(f"episode {master_seed} {row['task_index']} {row['outcome']} {row['steps']} {clearance_mm:.2f}")
+    return lines
+
+
 def gen_digest(scenes: Path, work: Path, master_seed: int) -> str:
     data = work / "data.jsonl"
     _cli(
@@ -105,17 +126,24 @@ def build() -> str:
     return f"# python {platform.python_version()} numpy {np.__version__}"
 
 
-def round_lines(workload: str, master_seed: int) -> list[str]:
-    """The ``scenes`` and ``<workload>`` lines of one round, run in a temporary directory."""
+def round_lines(workload: str, master_seed: int, outcomes: bool = False) -> list[str]:
+    """The ``scenes`` and ``<workload>`` lines of one round, run in a temporary
+    directory, and with ``outcomes`` an eval round's ``episode`` lines."""
     run = {"eval": eval_digest, "gen-data": gen_digest}[workload]
     with tempfile.TemporaryDirectory() as tmp:
         scenes, digest = gen_scenes(Path(tmp), master_seed)
-        return [f"scenes {master_seed} {digest}", f"{workload} {master_seed} {run(scenes, Path(tmp), master_seed)}"]
+        lines = [f"scenes {master_seed} {digest}", f"{workload} {master_seed} {run(scenes, Path(tmp), master_seed)}"]
+        if outcomes and workload == "eval":
+            lines += failed_episodes(Path(tmp), master_seed)
+        return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[], help="extra master seeds, run on both workloads")
+    parser.add_argument(
+        "--outcomes", action="store_true", help="also print an episode line per eval episode that did not reach its goal"
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
     import amr_navkit
@@ -131,7 +159,7 @@ def main(argv=None) -> int:
     rounds += [("gen-data", s) for s in [*GEN_ROUNDS, *args.seeds]]
     print(build(), flush=True)
     for workload, seed in rounds:
-        print(*round_lines(workload, seed), sep="\n", flush=True)
+        print(*round_lines(workload, seed, args.outcomes), sep="\n", flush=True)
     return 0
 
 
