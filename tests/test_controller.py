@@ -155,9 +155,9 @@ class TestPurePursuit:
             assert command_omega(cmd) <= cfg.omega_max + 1e-9
 
 
-def arc(n=12, radius=1.0, step=0.1):
-    """``n`` waypoints 0.1 m apart on a circle about the origin, from (radius, 0) counterclockwise."""
-    return [Pose2(radius * math.cos(k * step), radius * math.sin(k * step), k * step + math.pi / 2) for k in range(n)]
+def arc():
+    """12 waypoints 0.1 rad (about 0.1 m) apart on the unit circle, from (1, 0) counterclockwise."""
+    return [Pose2(math.cos(0.1 * k), math.sin(0.1 * k), 0.1 * k + math.pi / 2) for k in range(12)]
 
 
 def corner(turns=3):
@@ -169,10 +169,10 @@ def corner(turns=3):
     return east + turn + north
 
 
-def omni_target(state, traj, cfg=CFG_OMNI):
+def omni_target(state, traj):
     """The index of the waypoint that an omnidirectional command heads for:
     the one whose bearing from the robot matches the command's."""
-    cmd = pure_pursuit(state, traj, cfg)
+    cmd = pure_pursuit(state, traj, CFG_OMNI)
     heading = math.atan2(cmd.vy, cmd.vx)
     misses = [abs(math.remainder(math.atan2(p.y - state.pose.y, p.x - state.pose.x) - heading, math.tau)) for p in traj]
     return misses.index(min(misses))
@@ -184,9 +184,8 @@ class TestTargetRule:
         # the robot partway along the horizon, 2 cm off it: waypoints behind
         # it lie a lookahead away too, and the old scan from waypoint 0 took them
         traj = arc()
-        angle = travelled
-        state = RobotState(Pose2(1.02 * math.cos(angle), 1.02 * math.sin(angle), angle + math.pi / 2), 0.3,
-                           kinematics="omnidirectional")
+        pose = Pose2(1.02 * math.cos(travelled), 1.02 * math.sin(travelled), travelled + math.pi / 2)
+        state = RobotState(pose, 0.3, kinematics="omnidirectional")
         dists = [math.hypot(p.x - state.pose.x, p.y - state.pose.y) for p in traj]
         nearest = dists.index(min(dists))
         target = omni_target(state, traj)
@@ -204,8 +203,9 @@ class TestTargetRule:
 
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.2, 0.0), (0.38, 0.0), (0.44, 0.0), (0.3, -0.02), (0.42, 0.03)])
     def test_stops_at_a_turn_in_place(self, x, y):
-        # more than half a step (0.05 m) from the corner: aim at the corner,
-        # though a waypoint of the north leg lies within the lookahead
+        # more than half a step (0.05 m) from the corner: head along the east
+        # leg to the corner, though near it the first waypoint a lookahead
+        # away lies on the north leg
         traj = corner()
         state = RobotState(Pose2(x, y, 0.0), 0.3, kinematics="omnidirectional")
         cmd = pure_pursuit(state, traj, CFG_OMNI)

@@ -1,4 +1,5 @@
-"""``tools/digest_sweep.py`` digests the tree it lives in, or refuses to run."""
+"""``tools/digest_sweep.py`` digests the tree it lives in, or refuses to run,
+and with ``--outcomes`` lists the eval episodes that missed their goals."""
 
 import importlib.util
 import json
