@@ -670,7 +670,7 @@ configs = st.builds(
     Pose2(0.0, 0.0, 0.0), [(1e-10, 0.0, 0.0), (2.0, 0.0, 1.0)], ExecutorConfig(lookahead=1e-12, kinematics="omnidirectional")
 )
 # waypoint 0 behind the robot, then a turn in place 0.2 m ahead of it (aimed
-# at), and the same turn 0.03 m ahead (searched past); a target 0.5 rad off
+# at), and the same turn 0.03 m ahead (searched past); a target 0.46 rad off
 # a differential drive's heading (turned to in place)
 @example(
     Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.2, 0.0, 1.0), (0.2, 0.4, 1.5)], ExecutorConfig()
