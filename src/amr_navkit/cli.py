@@ -99,11 +99,6 @@ def _load_scene_dir(scenes_dir: str):
 
 def cmd_gen_scenes(run: Run, args) -> int:
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        log.error("cannot create output directory %s: %s", out_dir, err)
-        return 2
     paths = [str(out_dir / f"scene_{i:05d}.json") for i in range(args.count)]
     with all_or_none(paths) as temps:
         for i, tmp in enumerate(temps):
@@ -185,10 +180,6 @@ def cmd_eval(run: Run, args) -> int:
         cfg.eval.success_ang_tol_deg,
     )
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise IoFailure(f"cannot create output directory {out.parent}: {err}") from err
     paths = [str(out.with_suffix(ext)) for ext in (".json", ".csv", ".traces.jsonl")]
     with all_or_none(paths) as (json_tmp, csv_tmp, traces_tmp):
         report_export(report, "json", json_tmp)

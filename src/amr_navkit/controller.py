@@ -302,16 +302,15 @@ class OraclePolicy:
     """Expert policy: replans from the current state on every query.
 
     A query walks ``Expert.plan``'s ladder over these rungs: once a plan has
-    succeeded, a warm ``certified`` rung of ``WARM_BATCHES`` batches seeded
-    with ``via``, the previous route's vertices (``None`` until a plan
-    succeeds; empty after a route with one translation); then three cold
-    rungs at 1x, 3x and 8x the budget, each with its own seed. The warm rung
-    is certified because its one-batch routes may keep only the 5 mm edge
-    pad of clearance, and must not pre-empt an inflated route that a cold
-    rung could find. Every successful plan replaces ``via``, so a policy
-    serves one episode. The horizon always goes through the codec;
-    ``use_residual=False`` drops the residuals, so the decoded trajectory
-    snaps to bin centers and exposes the raw quantization error.
+    succeeded, a warm rung of ``WARM_BATCHES`` batches seeded with ``via``,
+    the previous route's vertices (``None`` until a plan succeeds; empty
+    after a route with one translation); then three cold rungs at 1x, 3x
+    and 8x the budget, each with its own seed. Every rung plans at the
+    inflated radius, then at the true radius. Every successful plan
+    replaces ``via``, so a policy serves one episode. The horizon always
+    goes through the codec; ``use_residual=False`` drops the residuals, so
+    the decoded trajectory snaps to bin centers and exposes the raw
+    quantization error.
     """
 
     scene: Scene
@@ -327,7 +326,7 @@ class OraclePolicy:
         budget = self.expert.budget
         rungs = []
         if self.via is not None:
-            rungs.append(Attempt(PlannerBudget(WARM_BATCHES, budget.batch_size), seed, self.via, certified=True))
+            rungs.append(Attempt(PlannerBudget(WARM_BATCHES, budget.batch_size), seed, self.via))
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
             cold_seed = (seed + level * 7_777_777) % (2**63)

@@ -583,15 +583,22 @@ def write_dataset(
 
 @contextmanager
 def all_or_none(paths: list[str]):
-    """Yield a hidden temporary path beside each of ``paths`` to write in its
-    place, and rename them all into place once the block has written them all.
+    """Create each of ``paths``' missing parent directories, yield a hidden
+    temporary path beside each path to write in its place, and rename them
+    all into place once the block has written them all.
 
     If the block raises, or a path is a directory, the temporary files are
     removed and the files at ``paths`` stay as they were. An OSError, the
-    block's included, is an IoFailure naming the output it was writing, not
-    that output's temporary file: the one place a write error is worded.
+    directories' and the block's included, is an IoFailure naming the output
+    it was writing, not that output's temporary file: the one place a write
+    error is worded.
     """
     temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.partial") for p in paths]
+    for path in paths:
+        try:
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        except OSError as err:
+            raise IoFailure(f"cannot write {path}: {err}") from err
     try:
         yield temps
         for path in paths:

@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import TWO_PI, Pose2, wrap_angle
 from .scene import (
     Scene,
-    certified_disconnected,
     collision_check,
     collision_mask,
     sweep_collision_checks,
@@ -484,17 +483,11 @@ def plan(
 
 @dataclass(frozen=True)
 class Attempt:
-    """One rung of ``plan_with_margin``: a ``plan`` budget, seed and ``via``.
-
-    A ``certified`` rung plans at the true radius only once its inflated
-    plan found no path and ``certified_disconnected`` proves that no
-    inflated route exists.
-    """
+    """One rung of ``plan_with_margin``: a ``plan`` budget, seed and ``via``."""
 
     budget: PlannerBudget
     seed: int
     via: Sequence[Pose2] = ()
-    certified: bool = False
 
 
 def plan_with_margin(
@@ -515,28 +508,21 @@ def plan_with_margin(
     every later plan there is refused too. When no rung finds a path,
     raises NoPathFound with the last failure's message.
     """
-    inflated = radius + safety_margin
     refused: set[float] = set()
     message = NO_PATH
     for attempt in attempts:
-        for r in dict.fromkeys((inflated, radius)):
-            if r not in refused:
-                # a failure keeps its message only: the exception's traceback
-                # would hold the failed attempt's roadmap alive through the next
-                try:
-                    return plan(
-                        scene, start, goal, r, target_center, weights, attempt.budget, attempt.seed, attempt.via
-                    )
-                except InvalidEndpoint as err:
-                    refused.add(r)
-                    message = str(err)
-                except NoPathFound as err:
-                    message = str(err)
-                    # a certified rung goes on to the true radius only once no inflated route can exist
-                    if not attempt.certified or (r != radius and certified_disconnected(scene, r, start, goal)):
-                        continue
-            if attempt.certified:
-                break
+        for r in dict.fromkeys((radius + safety_margin, radius)):
+            if r in refused:
+                continue
+            # a failure keeps its message only: the exception's traceback
+            # would hold the failed attempt's roadmap alive through the next
+            try:
+                return plan(scene, start, goal, r, target_center, weights, attempt.budget, attempt.seed, attempt.via)
+            except InvalidEndpoint as err:
+                refused.add(r)
+                message = str(err)
+            except NoPathFound as err:
+                message = str(err)
     raise NoPathFound(message)
 
 

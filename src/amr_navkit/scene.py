@@ -94,11 +94,6 @@ class Scene:
         """``visible_from``'s lattices and occluders, by object id; see ``_target_view``."""
         return {}
 
-    @cached_property
-    def _certificates(self) -> dict:
-        """``certified_disconnected``'s component labels by radius, each built on its first call there."""
-        return {}
-
     def object_by_id(self, object_id: int) -> SceneObject:
         for o in self.objects:
             if o.id == object_id:
@@ -323,85 +318,6 @@ def sweep_collision_check(scene: Scene, start: Pose2, end: Pose2, radius: float)
     return bool(
         sweep_collision_checks(scene, np.array([[start.x, start.y]]), np.array([[end.x, end.y]]), radius)[0]
     )
-
-
-# ---------------------------------------------------------------------------
-# free-space certificate
-
-CERT_CELL = 0.05  # cell side of the free-space certificate's grid, meters
-_CERT_SLACK = 1e-6  # a cell is blocked within radius - _CERT_SLACK, far above rounding
-
-
-def _free_space_certificate(scene: Scene, radius: float) -> np.ndarray:
-    """Component labels (ny, nx) of the free cells of a ``CERT_CELL`` grid
-    from the room's corner (xmin, ymin), -1 on blocked cells.
-
-    A cell is blocked when all 4 of its corners lie within rho = radius -
-    ``_CERT_SLACK`` of one box, or of one room side. Each such
-    rho-neighbourhood is convex, so the whole closed cell lies in it, and a
-    disc of ``radius`` centred anywhere in it collides. A path of free disc
-    centres therefore never touches a blocked cell, and it crosses from one
-    cell to the next only through a shared side or corner of free cells: it
-    stays in one 4-connected component of free cells (a corner shared with a
-    blocked cell is blocked itself). Disconnection proofs for motion
-    planning: Basch, Guibas, Hsu & Nguyen, ICRA 2001.
-    """
-    b, rho = scene.bounds, radius - _CERT_SLACK
-    nx, ny = math.ceil(b.w / CERT_CELL), math.ceil(b.h / CERT_CELL)
-    xs = b.xmin + np.arange(nx + 1) * CERT_CELL
-    ys = b.ymin + np.arange(ny + 1) * CERT_CELL
-    # a room side blocks a column (row) when the cell's far corners are within rho of it
-    blocked = np.zeros((ny, nx), dtype=bool)
-    blocked[:, (xs[1:] - b.xmin < rho) | (b.xmax - xs[:-1] < rho)] = True
-    blocked[(ys[1:] - b.ymin < rho) | (b.ymax - ys[:-1] < rho), :] = True
-    centers, halves, cy, sy = scene._box_params
-    for (cx, cyy), (hx, hy), c, s in zip(centers.tolist(), halves.tolist(), cy.tolist(), sy.tolist()):
-        # the corners within the box's bounding square, grown by rho
-        ex, ey = abs(hx * c) + abs(hy * s) + rho, abs(hx * s) + abs(hy * c) + rho
-        i0, i1 = max(0, math.floor((cx - ex - b.xmin) / CERT_CELL)), min(nx, math.ceil((cx + ex - b.xmin) / CERT_CELL))
-        j0, j1 = max(0, math.floor((cyy - ey - b.ymin) / CERT_CELL)), min(ny, math.ceil((cyy + ey - b.ymin) / CERT_CELL))
-        if i0 >= i1 or j0 >= j1:
-            continue
-        dx = xs[i0:i1 + 1] - cx
-        dy = ys[j0:j1 + 1, None] - cyy
-        qx = np.maximum(np.abs(dx * c + dy * s) - hx, 0.0)
-        qy = np.maximum(np.abs(dy * c - dx * s) - hy, 0.0)
-        near = qx * qx + qy * qy < rho * rho
-        blocked[j0:j1, i0:i1] |= near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
-    # label every cell of a free run with its component's root run
-    rows, starts, lengths, roots = _row_run_components(~blocked)
-    labels = np.full(nx * ny, -1, dtype=np.int32)
-    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    labels[np.repeat(rows * nx + starts, lengths) + offsets] = np.repeat(roots, lengths)
-    return labels.reshape(ny, nx)
-
-
-def certified_disconnected(scene: Scene, radius: float, a: Pose2, b: Pose2) -> bool:
-    """Whether the ``_free_space_certificate`` at ``radius`` proves that no
-    collision-free path joins the positions of a and b, which must both be
-    free at ``radius``.
-
-    When it does, ``planner.plan`` at ``radius`` fails at any budget and
-    seed, and ``planner.plan_with_margin``, the one caller, lets a certified
-    rung drop its safety margin: no chain that a search could return crosses
-    a blocked cell, as its vertices are free at ``radius`` and
-    ``_Roadmap.evaluate`` accepts an edge only when the exact distance of its
-    segment to every obstacle is at least ``radius``. The first call at a
-    radius builds the certificate and caches it on the scene. False when a
-    position maps to a blocked cell, which only rounding can do.
-    """
-    labels = scene._certificates.get(radius)
-    if labels is None:
-        labels = scene._certificates[radius] = _free_space_certificate(scene, radius)
-    bounds, (ny, nx) = scene.bounds, labels.shape
-    la, lb = (
-        labels[
-            min(max(int((p.y - bounds.ymin) // CERT_CELL), 0), ny - 1),
-            min(max(int((p.x - bounds.xmin) // CERT_CELL), 0), nx - 1),
-        ]
-        for p in (a, b)
-    )
-    return bool(la >= 0 and lb >= 0 and la != lb)
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +705,11 @@ def _countable_free_area(room_max: float, probe_radius: float) -> float:
     return min(room_max * room_max, side * side)
 
 
-def _row_run_components(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _row_run_components(free: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The runs of True cells in each row of a 2-D grid and their 4-connected components.
 
-    Returns the runs' rows, first columns and lengths, as arrays in row
-    order, and for each run the index of its component's root run.
+    Returns the runs' lengths, as an array in row order, and for each run
+    the index of its component's root run.
     Run-based labelling (He, Chao & Suzuki, IEEE TIP 2008): each row's runs
     are found at once, and runs of adjacent rows that share a column are
     merged by union-find.
@@ -821,13 +737,13 @@ def _row_run_components(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
                 i += 1
             else:
                 j += 1
-    return rows, starts, ends - starts, [root(k) for k in range(len(parent))]
+    return ends - starts, [root(k) for k in range(len(parent))]
 
 
 def _largest_component(free: np.ndarray) -> int:
     """Cell count of the largest 4-connected component of True cells in a
     2-D grid, 0 if none: the sum of its runs' lengths."""
-    _, _, lengths, roots = _row_run_components(free)
+    lengths, roots = _row_run_components(free)
     return int(np.bincount(roots, weights=lengths).max()) if roots else 0
 
 

@@ -470,7 +470,7 @@ class TestGenScenes:
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a dir")
         rc = run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(blocker / "x")])
-        assert rc == 2
+        assert rc == 3
         assert "blocker" in caplog.text
 
     def test_bad_config_exits_2(self, tmp_path):
@@ -698,7 +698,7 @@ def test_two_scene_files_with_one_seed_exit_3(tmp_path, caplog, command, five_ob
     "argv, directory",
     [
         # each of these once exited 1 with a traceback
-        pytest.param("gen-data --episodes-per-scene 1 --out {tmp}/missing/data.jsonl", None, id="gen-data-no-dir"),
+        pytest.param("gen-data --episodes-per-scene 1 --out {tmp}/file/data.jsonl", None, id="gen-data-out-under-a-file"),
         pytest.param(
             "gen-data --episodes-per-scene 1 --out {tmp}/data.jsonl", "data.jsonl.manifest.json", id="manifest-is-a-dir"
         ),
@@ -732,6 +732,24 @@ def test_unwritable_output_exits_3_with_one_log_line(tmp_path, fast_config, capl
         assert ".partial" not in errors[0].getMessage()
     # no output that could be written is left behind, nor any temporary file
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()} == before
+
+
+@pytest.mark.parametrize("command", ["gen-data", "report"])
+def test_missing_output_directories_are_created(tmp_path, fast_config, command):
+    """Every command creates its outputs' missing directories, as gen-scenes
+    and eval always did; gen-data and report once exited 3 on them."""
+    scenes = tmp_path / "scenes"
+    assert run(["--config", fast_config, "gen-scenes", "--count", "1", "--out", str(scenes)]) == 0
+    if command == "gen-data":
+        out = tmp_path / "a" / "b" / "data.jsonl"
+        argv = ["gen-data", "--scenes", str(scenes), "--episodes-per-scene", "1", "--out", str(out)]
+    else:
+        report = tmp_path / "report"
+        assert run(["--config", fast_config, "eval", "--scenes", str(scenes), "--n-tasks", "1", "--out", str(report)]) == 0
+        out = tmp_path / "a" / "b" / "report.csv"
+        argv = ["report", "--report", str(report.with_suffix(".json")), "--out", str(out)]
+    assert run(["--config", fast_config, *argv]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_worker_count_leaves_outputs_unchanged(tmp_path, fast_config):

@@ -520,18 +520,17 @@ class TestOraclePlanLadder:
 
     @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
     def test_warm_attempt_comes_first_after_a_plan(self, monkeypatch, error):
-        """One batch at the inflated radius with the level-0 seed and the kept
-        route's vertices, then the six cold attempts unchanged; an endpoint in
-        collision drops the inflated radius there, and the true one at the
-        first cold attempt."""
+        """One batch with the level-0 seed and the kept route's vertices, at
+        the inflated radius, then at the true radius, then the six cold
+        attempts unchanged; an endpoint in collision drops each radius at its
+        warm attempt, which leaves the cold rungs nothing to plan at."""
         policy, task = self.routed_policy(monkeypatch)
         attempts = []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, error))
         with pytest.raises(NoPathFound, match="refused"):
             policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
-        warm = (self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)
-        ladder = self.ladder(5_000_019)
-        assert attempts == [warm, *(ladder if error is NoPathFound else ladder[1:2])]
+        warm = [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
+        assert attempts == [*warm, *(self.ladder(5_000_019) if error is NoPathFound else [])]
 
     def test_warm_success_replaces_the_kept_route(self, monkeypatch):
         policy, task = self.routed_policy(monkeypatch)
@@ -557,40 +556,28 @@ class TestOraclePlanLadder:
         policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
         assert attempts == [self.ladder(5_000_018)[0], (self.INFLATED, PlannerBudget(1, 16), 5_000_019, [])]
 
-    @staticmethod
-    def certificate(calls, verdict):
-        """A stand-in for certified_disconnected that records its arguments."""
-
-        def certified_disconnected(scene, radius, a, b):
-            calls.append((radius, a, b))
-            return verdict
-
-        return certified_disconnected
-
-    def test_certified_warm_failure_warms_again_at_the_true_radius(self, monkeypatch):
-        """When the certificate proves the inflated footprint blocked, the warm
-        attempt is made once more at the true radius, then the ladder runs."""
+    def test_warm_failure_warms_again_at_the_true_radius(self, monkeypatch):
+        """When the warm attempt finds no inflated route, it is made once more
+        at the true radius, and a route found there ends the query and is
+        kept, as a cold rung's would be."""
         policy, task = self.routed_policy(monkeypatch)
-        attempts, checks = [], []
-        monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound))
-        monkeypatch.setattr(planner, "certified_disconnected", self.certificate(checks, True))
         start = Pose2(0.2, 0, 0)
-        with pytest.raises(NoPathFound):
-            policy.query(RobotState(start, 0.3), task, 8)
-        warm = [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
-        assert attempts == [*warm, *self.ladder(5_000_019)]
-        assert checks == [(self.INFLATED, start, task.goal_pose)]
+        segs = [Translate(1.0), Rotate(0.5), Translate(1.0)]
+        route = PlannedPath(start, segs, rollout(start, segs), 2.0)
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, route, inflated=NoPathFound))
+        policy.query(RobotState(start, 0.3), task, 8)
+        assert attempts == [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
+        assert policy.via == [Pose2(1.2, 0.0, 0.0)]
 
-    def test_invalid_endpoint_skips_the_true_radius_warm_attempt(self, monkeypatch):
-        """An inflated endpoint in collision proves nothing about the inflated
-        free space, so the query goes straight to the ladder, which plans at
-        the true radius alone."""
+    def test_invalid_endpoint_warms_again_at_the_true_radius(self, monkeypatch):
+        """An inflated endpoint in collision drops only the inflated radius:
+        the warm attempt is made once more at the true radius, then the
+        ladder plans at the true radius alone."""
         policy, task = self.routed_policy(monkeypatch)
-        attempts, checks = [], []
+        attempts = []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound, inflated=InvalidEndpoint))
-        monkeypatch.setattr(planner, "certified_disconnected", self.certificate(checks, True))
         with pytest.raises(NoPathFound):
             policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
-        warm = (self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)
-        assert attempts == [warm, *self.ladder(5_000_019)[1::2]]
-        assert checks == []
+        warm = [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
+        assert attempts == [*warm, *self.ladder(5_000_019)[1::2]]

@@ -116,13 +116,19 @@ class TestEvaluate:
             evaluate([], {}, PolicySpec(), ExecutorConfig())
 
     def test_worker_pool_matches_sequential(self):
+        """A scene whose caches ``sample_task`` filled evaluates alike on one
+        worker, on two (it is pickled), and as a freshly sampled scene."""
         scene = sample_scene(52)
         tasks = [sample_task(scene, s) for s in range(3)]
+        assert scene._views
         cfg = ExecutorConfig()
-        seq, seq_episodes = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=1)
-        par, par_episodes = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg, workers=2)
-        assert report_to_dict(seq) == report_to_dict(par)
-        assert seq_episodes == par_episodes
+        runs = [
+            evaluate(tasks, {scene.seed: s}, PolicySpec(), cfg, workers=workers)
+            for s, workers in ((scene, 1), (scene, 2), (sample_scene(52), 1))
+        ]
+        reports = [report_to_dict(rep) for rep, _ in runs]
+        assert reports[0] == reports[1] == reports[2]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
 
 
 class TestExport:

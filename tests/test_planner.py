@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from amr_navkit import planner
-from amr_navkit import scene as scene_module
 from amr_navkit.codec import decode_trajectory
 from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
@@ -363,34 +362,26 @@ class TestPlan:
 
 
 class TestPlanWithMargin:
-    """The attempt ladder, against stand-ins for ``plan`` and
-    ``certified_disconnected`` that record their calls."""
+    """The attempt ladder, against a stand-in for ``plan`` that records its calls."""
 
     RADIUS = 0.3
     INFLATED = 0.3 + 0.1
     RUNGS = [Attempt(PlannerBudget(1, 16), seed) for seed in (10, 11, 12)]
-    WARM = Attempt(PlannerBudget(1, 16), 9, certified=True)
+    VIA = [Pose2(0.5, 0.5, 0.0)]
 
     @staticmethod
-    def record(monkeypatch, outcomes, verdict=True):
-        """(attempts, checks): ``plan`` records (radius, seed) and raises
-        ``outcomes[radius]`` with a message that names the attempt; the
-        certificate records its radius and answers ``verdict``, or is the
-        real one when ``verdict`` is None."""
-        attempts, checks = [], []
+    def record(monkeypatch, outcomes):
+        """(attempts, vias): ``plan`` records (radius, seed) and its ``via``,
+        and raises ``outcomes[radius]`` with a message that names the attempt."""
+        attempts, vias = [], []
 
         def plan(scene, start, goal, radius, target_center, w, budget, seed, via=()):
             attempts.append((radius, seed))
+            vias.append(list(via))
             raise outcomes[radius](f"refused at {radius} with seed {seed}")
 
-        def certified_disconnected(scene, radius, a, b):
-            checks.append(radius)
-            return verdict
-
         monkeypatch.setattr(planner, "plan", plan)
-        if verdict is not None:
-            monkeypatch.setattr(planner, "certified_disconnected", certified_disconnected)
-        return attempts, checks
+        return attempts, vias
 
     def ladder(self, *rungs):
         return plan_with_margin(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), CostWeights(), rungs)
@@ -402,37 +393,22 @@ class TestPlanWithMargin:
         assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
 
     def test_no_path_keeps_both_radii(self, monkeypatch):
-        attempts, checks = self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound})
+        attempts, _ = self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound})
         with pytest.raises(NoPathFound):
             self.ladder(*self.RUNGS)
         assert attempts == [(r, seed) for seed in (10, 11, 12) for r in (self.INFLATED, self.RADIUS)]
-        assert checks == []  # only a certified rung consults the certificate
 
-    @pytest.mark.parametrize("verdict", [True, False])
-    def test_certified_rung_plans_at_the_true_radius_behind_the_certificate(self, monkeypatch, verdict):
-        outcomes = {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound}
-        attempts, checks = self.record(monkeypatch, outcomes, verdict)
+    @pytest.mark.parametrize("inflated", [NoPathFound, InvalidEndpoint])
+    def test_rung_with_a_via_plans_at_both_radii_with_its_seed_and_via(self, monkeypatch, inflated):
+        """A warm rung follows the cold rungs' rule: after either failure at
+        the inflated radius it plans at the true radius, with the same seed
+        and the same ``via``."""
+        attempts, vias = self.record(monkeypatch, {self.INFLATED: inflated, self.RADIUS: NoPathFound})
         with pytest.raises(NoPathFound):
-            self.ladder(self.WARM, self.RUNGS[0])
-        warm = [(self.INFLATED, 9), (self.RADIUS, 9)] if verdict else [(self.INFLATED, 9)]
-        assert attempts == [*warm, (self.INFLATED, 10), (self.RADIUS, 10)]
-        assert checks == [self.INFLATED]  # not again after a failure at the true radius
-
-    def test_certified_rung_never_plans_at_the_true_radius_after_invalid_endpoint(self, monkeypatch):
-        attempts, checks = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
-        with pytest.raises(NoPathFound):
-            self.ladder(self.WARM, self.RUNGS[0])
-        assert attempts == [(self.INFLATED, 9), (self.RADIUS, 10)]
-        assert checks == []
-
-    def test_certified_rung_after_its_inflated_radius_is_refused(self, monkeypatch):
-        """A certified rung whose inflated radius an earlier rung dropped has
-        no inflated failure to certify, so it plans at neither radius."""
-        attempts, checks = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
-        with pytest.raises(NoPathFound):
-            self.ladder(self.RUNGS[0], self.WARM, self.RUNGS[1])
-        assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10), (self.RADIUS, 11)]
-        assert checks == []
+            self.ladder(Attempt(PlannerBudget(1, 16), 9, self.VIA), self.RUNGS[0])
+        cold = [(self.INFLATED, 10)] if inflated is NoPathFound else []
+        assert attempts == [(self.INFLATED, 9), (self.RADIUS, 9), *cold, (self.RADIUS, 10)]
+        assert vias == [self.VIA, self.VIA] + [[]] * (len(attempts) - 2)
 
     @pytest.mark.parametrize("last", [NoPathFound, InvalidEndpoint])
     def test_last_error_message_is_raised(self, monkeypatch, last):
@@ -444,27 +420,12 @@ class TestPlanWithMargin:
         assert str(err.value) == f"refused at {self.RADIUS} with seed 10"
 
     def test_zero_margin_plans_once_per_rung(self, monkeypatch):
-        """At margin 0 both radii are one: a failed rung plans once, and a
-        certified rung has no larger footprint to certify."""
-        attempts, checks = self.record(monkeypatch, {self.RADIUS: NoPathFound})
+        """At margin 0 both radii are one: a failed rung plans once."""
+        attempts, _ = self.record(monkeypatch, {self.RADIUS: NoPathFound})
         expert = Expert(safety_margin=0.0)
         with pytest.raises(NoPathFound):
-            expert.plan(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), self.WARM, *self.RUNGS)
-        assert attempts == [(self.RADIUS, 9), (self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
-        assert checks == []
-
-    def test_only_a_certified_rung_builds_the_certificate_once_per_scene_and_radius(self, monkeypatch):
-        self.record(monkeypatch, {self.INFLATED: NoPathFound, self.RADIUS: NoPathFound}, verdict=None)
-        builds = []
-        build = scene_module._free_space_certificate
-        monkeypatch.setattr(scene_module, "_free_space_certificate", lambda *args: builds.append(args) or build(*args))
-        rooms = empty_room(), empty_room()
-        for room, rungs in ((rooms[0], self.RUNGS), (rooms[0], [self.WARM, *self.RUNGS]),
-                            (rooms[0], [self.WARM, self.WARM]), (rooms[1], [self.WARM])):
-            with pytest.raises(NoPathFound):
-                plan_with_margin(room, Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), CostWeights(), rungs)
-        assert builds == [(rooms[0], self.INFLATED), (rooms[1], self.INFLATED)]
-        assert [list(room._certificates) for room in rooms] == [[self.INFLATED]] * 2
+            expert.plan(empty_room(), Pose2(0, 0, 0), Pose2(1, 0, 0), self.RADIUS, (2, 0), *self.RUNGS)
+        assert attempts == [(self.RADIUS, 10), (self.RADIUS, 11), (self.RADIUS, 12)]
 
     def test_first_path_found_is_returned(self):
         scene = empty_room()

@@ -40,9 +40,8 @@ A change that is meant to move the eval lines compares what failed instead::
 
 ``tools/digests.txt`` holds the output without ``--seeds``; Tier-1's
 ``tests/test_golden_digests.py`` reruns its round-0 lines and its ``eval 1``
-line, the suite round whose oracle plans at the true radius behind the
-free-space certificate. A change that is meant to change outputs rewrites
-it::
+line, the suite round whose oracle most often falls back to the true radius
+on a warm attempt. A change that is meant to change outputs rewrites it::
 
     python3 tools/digest_sweep.py > tools/digests.txt
 """
