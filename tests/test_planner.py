@@ -12,6 +12,7 @@ from amr_navkit.errors import InvalidEndpoint, NoPathFound, OffPath
 from amr_navkit.geometry import OrientedBox, Pose2, se2_compose, wrap_angle
 from amr_navkit.pipeline import Expert
 from amr_navkit.planner import (
+    NO_PATH,
     Attempt,
     CostWeights,
     PlannedPath,
@@ -52,6 +53,25 @@ def u_wall_scene() -> Scene:
 
 
 U_START, U_GOAL = Pose2(-2.5, 1.0, 0.0), Pose2(2.5, 1.0, 0.0)
+
+
+def split_room(gap: float) -> Scene:
+    """A 4 m x 2 m room split at x = 0 by a 0.2 m thick wall of two boxes,
+    with a door of width ``gap`` from y = -0.2 up."""
+    bounds = Bounds(4.0, 2.0)
+    top = -0.2 + gap
+    low = OrientedBox(0.0, -0.7, 0.1, 0.5, 0.0)
+    high = OrientedBox(0.0, (top + 1.2) / 2, 0.1, (1.2 - top) / 2, 0.0)
+    return Scene(bounds, _room_walls(bounds, 0.1), [SceneObject(0, low), SceneObject(1, high)], seed=0)
+
+
+def through_door(gap: float) -> list[Pose2]:
+    """Via poses 0.5 m either side of the door, on its centre line."""
+    return [Pose2(x, -0.2 + gap / 2, 0.0) for x in (-0.5, 0.5)]
+
+
+DOOR_RADIUS = 0.31
+DOOR_START, DOOR_GOAL = Pose2(-1.0, 0.0, 0.0), Pose2(1.0, 0.0, 0.0)
 
 
 def apply_all(start: Pose2, segments) -> Pose2:
@@ -346,6 +366,36 @@ class TestPlan:
         assert path.cost <= route.cost
         assert not collision_mask(scene, path.states[:, :2], 0.3).any()
 
+    @pytest.mark.parametrize("gap, closed", [(2 * DOOR_RADIUS - 0.02, True), (2 * DOOR_RADIUS + 0.02, False)])
+    def test_door_narrower_than_the_disc_is_closed(self, gap, closed):
+        """A door narrower than the disc leaves no free centre on the wall's
+        midline, which every way between the halves crosses; a plan through
+        the door then fails even with via poses on its centre line, and
+        otherwise succeeds."""
+        scene = split_room(gap)
+        assert not collision_mask(scene, np.array([[-1.0, 0.0], [1.0, 0.0]]), DOOR_RADIUS).any()
+        midline = np.stack([np.zeros(2001), np.linspace(-1.0, 1.0, 2001)], axis=1)
+        assert bool(collision_mask(scene, midline, DOOR_RADIUS).all()) is closed
+        args = (scene, DOOR_START, DOOR_GOAL, DOOR_RADIUS, (0.0, 0.0))
+        kwargs = dict(budget=PlannerBudget(2, 16), seed=0, via=through_door(gap))
+        if closed:
+            with pytest.raises(NoPathFound, match=NO_PATH):
+                plan(*args, **kwargs)
+        else:
+            path = plan(*args, **kwargs)
+            assert not collision_mask(scene, path.states[:, :2], DOOR_RADIUS).any()
+
+    def test_plan_samples_every_batch_before_no_path(self, monkeypatch):
+        """``plan`` is a pure search: between poses that no path joins, it
+        samples its whole budget before it raises."""
+        sampled = []
+        sample = planner._sample_positions
+        monkeypatch.setattr(planner, "_sample_positions", lambda *args: sampled.append(1) or sample(*args))
+        scene = split_room(2 * DOOR_RADIUS - 0.02)
+        with pytest.raises(NoPathFound, match=NO_PATH):
+            plan(scene, DOOR_START, DOOR_GOAL, DOOR_RADIUS, (0.0, 0.0), budget=PlannerBudget(3, 8), seed=0)
+        assert len(sampled) == 3
+
     @pytest.mark.parametrize("batches, batch_size", [(0, 24), (-1, 24), (4, 0), (4, -1)])
     def test_budget_below_one_refused(self, batches, batch_size):
         # batch_size -1 once raised inside numpy, batch_size 0 planned on the
@@ -409,6 +459,46 @@ class TestPlanWithMargin:
         cold = [(self.INFLATED, 10)] if inflated is NoPathFound else []
         assert attempts == [(self.INFLATED, 9), (self.RADIUS, 9), *cold, (self.RADIUS, 10)]
         assert vias == [self.VIA, self.VIA] + [[]] * (len(attempts) - 2)
+
+    def test_rung_with_a_via_after_its_inflated_radius_is_refused(self, monkeypatch):
+        """A warm rung behind a cold rung whose inflated endpoint was refused
+        plans at the true radius alone, with its own seed and ``via``."""
+        attempts, vias = self.record(monkeypatch, {self.INFLATED: InvalidEndpoint, self.RADIUS: NoPathFound})
+        with pytest.raises(NoPathFound):
+            self.ladder(self.RUNGS[0], Attempt(PlannerBudget(1, 16), 9, self.VIA), self.RUNGS[1])
+        assert attempts == [(self.INFLATED, 10), (self.RADIUS, 10), (self.RADIUS, 9), (self.RADIUS, 11)]
+        assert vias == [[], [], self.VIA, []]
+
+    @pytest.mark.parametrize(
+        "start, inflated",
+        [
+            pytest.param(DOOR_START, NoPathFound, id="door-closed-to-the-inflated-disc"),
+            pytest.param(Pose2(-0.45, -0.5, 0.0), InvalidEndpoint, id="start-within-the-margin"),
+        ],
+    )
+    def test_rung_with_a_via_passes_a_door_at_the_true_radius(self, monkeypatch, start, inflated):
+        """On a real scene, with no stand-in for ``plan``: a 0.64 m door lets
+        the 0.3 m disc through but not the inflated 0.4 m one, so a warm rung
+        whose inflated plan fails either way finds its route at the true radius."""
+        scene, gap = split_room(0.64), 0.64
+        outcomes = []
+        real = planner.plan
+
+        def plan_recorded(scene, start, goal, radius, *rest):
+            try:
+                path = real(scene, start, goal, radius, *rest)
+            except (NoPathFound, InvalidEndpoint) as err:
+                outcomes.append((radius, type(err)))
+                raise
+            outcomes.append((radius, PlannedPath))
+            return path
+
+        monkeypatch.setattr(planner, "plan", plan_recorded)
+        rung = Attempt(PlannerBudget(1, 16), 0, through_door(gap))
+        path = plan_with_margin(scene, start, DOOR_GOAL, self.RADIUS, (0.0, 0.0), CostWeights(), [rung])
+        assert outcomes == [(self.INFLATED, inflated), (self.RADIUS, PlannedPath)]
+        assert not collision_mask(scene, path.states[:, :2], self.RADIUS).any()
+        assert collision_mask(scene, path.states[:, :2], self.INFLATED).any()
 
     @pytest.mark.parametrize("last", [NoPathFound, InvalidEndpoint])
     def test_last_error_message_is_raised(self, monkeypatch, last):
