@@ -108,12 +108,39 @@ class TrajectoryPolicy(Protocol):
         ...
 
 
-# waypoints closer than this share a position: the plan turns in place there
+# waypoints closer than this share a position: the plan turns in place there;
+# a step whose end lies within this of the line of the step before goes on along it
 TURN_TOL = 1e-6
 # a differential drive turns in place while its target bears more than this
 # off its heading (or off its back, to reverse): an arc to a target 0.3 m
-# away then strays at most 7.5 mm off its chord
-ROTATE_ANGLE = 0.1
+# away then strays at most 0.3 * ROTATE_ANGLE / 4 = 3.75 mm off its chord,
+# inside the LIN_STEP / 2 pad that every planned edge keeps
+ROTATE_ANGLE = 0.05
+
+
+def _goes_on(ux: float, uy: float, vx: float, vy: float) -> bool:
+    """Whether step ``(vx, vy)`` goes on in the direction of step ``(ux, uy)``."""
+    return ux * vx + uy * vy > 0 and abs(ux * vy - uy * vx) <= TURN_TOL * math.sqrt(ux * ux + uy * uy)
+
+
+def _is_corner(trajectory_world: Sequence[Pose2], i: int) -> bool:
+    """Whether the horizon changes direction at waypoint ``i`` (not the last).
+
+    It does where the plan turns in place (waypoint ``i + 1`` shares its
+    position), and where waypoint ``i`` ends a straight run (the two steps
+    into it go on in one direction) and the step out of it leaves that
+    direction: a plan turn shorter than one sample puts no two waypoints on
+    the corner. Arcs have no straight runs.
+    """
+    p, q = trajectory_world[i], trajectory_world[i + 1]
+    ox, oy = q.x - p.x, q.y - p.y
+    if math.sqrt(ox * ox + oy * oy) <= TURN_TOL:
+        return True
+    if i < 2:
+        return False
+    a, b = trajectory_world[i - 2], trajectory_world[i - 1]
+    ix, iy = p.x - b.x, p.y - b.y
+    return _goes_on(b.x - a.x, b.y - a.y, ix, iy) and not _goes_on(ix, iy, ox, oy)
 
 
 def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: ExecutorConfig) -> Command:
@@ -122,16 +149,16 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     The target search starts at the waypoint nearest the robot, so it never
     aims back along the part of the plan already driven, and takes the first
     waypoint at least one lookahead away (else the last). It stops short at
-    a waypoint where the plan turns in place (the next waypoint has the same
-    position, within ``TURN_TOL``), so the chord to the target never cuts
-    that corner, unless the robot is within half a step (``speed * dt / 2``)
-    of it: then the search moves on, and the robot does not stall at the
-    corner. A differential drive turns in place toward the target (or turns
-    its back to it, to reverse) while the target bears more than
-    ``ROTATE_ANGLE`` off that direction, so its arcs keep close to the
-    chords. Near the trajectory end the speed tapers linearly with remaining
-    distance and the final heading is aligned in place, so the commanded
-    velocity reaches exactly zero once both stop tolerances are met.
+    a corner, where the horizon changes direction (``_is_corner``), so the
+    chord to the target never cuts it, and moves past a corner only once
+    the robot is on it (within ``TURN_TOL``). No step passes its target:
+    the speed is at most the target's distance over ``dt``, so the robot
+    lands on a corner or the horizon's end and stops there. A differential
+    drive turns in place toward the target (or turns its back to it, to
+    reverse) while the target bears more than ``ROTATE_ANGLE`` off that
+    direction, so its arcs keep close to the chords. At the horizon's end
+    the final heading is aligned in place, so the commanded velocity
+    reaches exactly zero once both stop tolerances are met.
     """
     if len(trajectory_world) == 0:
         raise EmptyTrajectory("pure pursuit needs at least one waypoint")
@@ -140,19 +167,16 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     px, py = state.pose.x, state.pose.y
     dists = [math.sqrt((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py)) for p in trajectory_world]
     terminal = trajectory_world[-1]
-    target = terminal
-    corner_window = min(cfg.speed, cfg.v_max) * cfg.dt / 2
-    for i in range(dists.index(min(dists)), len(trajectory_world) - 1):
-        p, q = trajectory_world[i], trajectory_world[i + 1]
-        turns = math.sqrt((q.x - p.x) * (q.x - p.x) + (q.y - p.y) * (q.y - p.y)) <= TURN_TOL
-        if dists[i] >= cfg.lookahead or (turns and dists[i] > corner_window):
-            target = p
+    j = len(trajectory_world) - 1
+    for i in range(dists.index(min(dists)), j):
+        if dists[i] >= cfg.lookahead or (dists[i] > TURN_TOL and _is_corner(trajectory_world, i)):
+            j = i
             break
+    target = trajectory_world[j]
     goal_dist = dists[-1]
     heading_err = wrap_angle(terminal.heading - state.pose.heading)
-
-    # linear speed taper inside 2 lookaheads of the trajectory end
-    v_mag = min(cfg.speed, cfg.v_max) * min(1.0, goal_dist / (2 * cfg.lookahead))
+    # no step passes the target
+    v_mag = min(cfg.speed, cfg.v_max, dists[j] / cfg.dt)
 
     if state.kinematics == "omnidirectional":
         # position and heading servo independently, each with a deadband at

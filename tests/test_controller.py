@@ -6,6 +6,7 @@ import pytest
 
 from amr_navkit.codec import encode_trajectory
 from amr_navkit.controller import (
+    TURN_TOL,
     ExecutorConfig,
     OraclePolicy,
     pure_pursuit,
@@ -126,11 +127,27 @@ class TestPurePursuit:
         assert cmd.vx > 0 and abs(cmd.vy) < 1e-12
         assert cmd.omega > 0  # heading servo active while moving
 
-    def test_speed_taper_near_goal(self):
-        state = RobotState(Pose2(0, 0, 0), 0.3, kinematics="omnidirectional")
-        traj = [Pose2(0.3, 0.0, 0.0)]
-        cmd = pure_pursuit(state, traj, CFG_OMNI)
-        assert command_speed(cmd) == pytest.approx(CFG_OMNI.speed * 0.3 / (2 * CFG_OMNI.lookahead))
+    @pytest.mark.parametrize("cfg", [CFG_OMNI, CFG_DIFF], ids=["omni", "diff"])
+    @pytest.mark.parametrize("dist, speed", [(0.3, 0.5), (0.1, 0.5), (0.06, 0.3), (0.02, 0.1)])
+    def test_speed_is_bounded_by_the_target(self, cfg, dist, speed):
+        # full speed while the target is a step (speed * dt = 0.1 m) or more
+        # away, else the speed that ends the step on it
+        state = RobotState(Pose2(0, 0, 0), 0.3, kinematics=cfg.kinematics)
+        cmd = pure_pursuit(state, [Pose2(dist, 0.0, 0.0)], cfg)
+        assert command_speed(cmd) == pytest.approx(speed)
+
+    @pytest.mark.parametrize("cfg", [CFG_OMNI, CFG_DIFF], ids=["omni", "diff"])
+    @pytest.mark.parametrize("x, y", [(0.06, 0.0), (0.02, 0.0), (-0.05, 0.0), (0.05, 0.03), (0.07, 0.002)])
+    def test_reaches_a_target_closer_than_one_step_in_one_step(self, cfg, x, y):
+        # the drive faces the target, or its back does: one step ends on it
+        # (a differential arc, 0.03 rad off, within 1e-4 m) and the next
+        # command has no speed
+        heading = math.atan2(y, x) + (math.pi if x < 0 else 0.0) + (0.03 if cfg is CFG_DIFF and y else 0.0)
+        state = RobotState(Pose2(0, 0, heading), 0.3, kinematics=cfg.kinematics)
+        traj = [Pose2(x, y, heading)]
+        state = step_kinematics(state, pure_pursuit(state, traj, cfg), cfg.dt, cfg.limits)
+        assert math.hypot(state.pose.x - x, state.pose.y - y) <= (1e-12 if cfg is CFG_OMNI or not y else 1e-4)
+        assert command_speed(pure_pursuit(state, traj, cfg)) == 0.0
 
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
@@ -169,6 +186,14 @@ def corner(turns=3):
     return east + turn + north
 
 
+def bent(bend):
+    """0.5 m east along y = 0 (waypoints 0.1 m apart), a turn by ``bend`` at
+    (0.55, 0) between two samples, then 0.65 m on along the new heading."""
+    east = [Pose2(0.1 * k, 0.0, 0.0) for k in range(1, 6)]
+    on = [0.05 + 0.1 * k for k in range(7)]
+    return east + [Pose2(0.55 + d * math.cos(bend), d * math.sin(bend), bend) for d in on]
+
+
 def omni_target(state, traj):
     """The index of the waypoint that an omnidirectional command heads for:
     the one whose bearing from the robot matches the command's."""
@@ -201,10 +226,12 @@ class TestTargetRule:
             cmd = pure_pursuit(RobotState(pose, 0.3, kinematics=cfg.kinematics), traj, cfg)
             assert (cmd.vx if cfg is CFG_OMNI else cmd.v) == pytest.approx(cfg.speed)
 
-    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.2, 0.0), (0.38, 0.0), (0.44, 0.0), (0.3, -0.02), (0.42, 0.03)])
+    @pytest.mark.parametrize(
+        "x, y", [(0.0, 0.0), (0.2, 0.0), (0.38, 0.0), (0.44, 0.0), (0.3, -0.02), (0.42, 0.03), (0.499, 0.0), (0.53, 0.01)]
+    )
     def test_stops_at_a_turn_in_place(self, x, y):
-        # more than half a step (0.05 m) from the corner: head along the east
-        # leg to the corner, though near it the first waypoint a lookahead
+        # anywhere off the corner: head along the east leg to it (or back to
+        # it, from past it), though near it the first waypoint a lookahead
         # away lies on the north leg
         traj = corner()
         state = RobotState(Pose2(x, y, 0.0), 0.3, kinematics="omnidirectional")
@@ -213,12 +240,50 @@ class TestTargetRule:
         diff = pure_pursuit(RobotState(Pose2(x, y, math.atan2(-y, 0.5 - x)), 0.3), traj, CFG_DIFF)
         assert diff.v > 0 and diff.omega == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("x, y", [(0.46, 0.0), (0.5, 0.0), (0.53, 0.0), (0.48, 0.02)])
-    def test_moves_on_within_half_a_step_of_the_turn(self, x, y):
+    @pytest.mark.parametrize("x, y", [(0.46, 0.0), (0.5, 0.0), (0.53, 0.0), (0.48, 0.02), (0.5, 5e-7)])
+    def test_lands_on_the_turn_then_moves_on(self, x, y):
+        # within a step of the corner, the next step ends on it; once on it
+        # (within TURN_TOL), the search moves on to the north leg
         traj = corner()
         state = RobotState(Pose2(x, y, 0.0), 0.3, kinematics="omnidirectional")
-        assert omni_target(state, traj) > 7
-        assert pure_pursuit(state, traj, CFG_OMNI).vy > 0
+        if math.hypot(x - 0.5, y) > TURN_TOL:
+            state = step_kinematics(state, pure_pursuit(state, traj, CFG_OMNI), CFG_OMNI.dt, CFG_OMNI.limits)
+            assert math.hypot(state.pose.x - 0.5, state.pose.y) <= 1e-12
+        cmd = pure_pursuit(state, traj, CFG_OMNI)
+        assert cmd.vy == pytest.approx(CFG_OMNI.speed) and cmd.vx == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bend", [0.126, -0.126, 0.01, math.pi / 2, math.pi])
+    @pytest.mark.parametrize("x", [0.25, 0.35, 0.45])
+    def test_stops_at_the_end_of_a_straight_run_before_a_bend(self, bend, x):
+        # east along y = 0, then a plan turn at (0.55, 0) that takes less
+        # than one sample: no waypoint lies on it, and the first one a
+        # lookahead away is past it. The target is the run's last waypoint,
+        # (0.5, 0), straight ahead.
+        traj = bent(bend)
+        assert all(math.hypot(p.x - 0.55, p.y) > 0.04 for p in traj)
+        for cfg in (CFG_OMNI, CFG_DIFF):
+            state = RobotState(Pose2(x, 0.0, 0.0), 0.3, kinematics=cfg.kinematics)
+            cmd = pure_pursuit(state, traj, cfg)
+            if cfg is CFG_OMNI:
+                assert cmd.vy == 0.0
+                assert cmd.vx == pytest.approx(min(cfg.speed, (0.5 - x) / cfg.dt))
+            else:
+                assert cmd.v > 0.0 and cmd.omega == 0.0
+
+    @pytest.mark.parametrize("travelled", np.linspace(0.0, 0.35, 8))
+    def test_keeps_the_lookahead_target_on_a_gentle_arc(self, travelled):
+        # a 10 m radius arc turns 0.01 rad per 0.1 m step: no straight run,
+        # so no corner, and the target is the first waypoint a lookahead on
+        traj = [Pose2(10 * math.sin(0.01 * k), 10 - 10 * math.cos(0.01 * k), 0.01 * k) for k in range(1, 13)]
+        pose = Pose2(10 * math.sin(travelled / 10), 10 - 10 * math.cos(travelled / 10), travelled / 10)
+        state = RobotState(pose, 0.3, kinematics="omnidirectional")
+        dists = [math.hypot(p.x - pose.x, p.y - pose.y) for p in traj]
+        nearest = dists.index(min(dists))
+        want = next(i for i in range(nearest, len(traj)) if dists[i] >= CFG_OMNI.lookahead)
+        cmd = pure_pursuit(state, traj, CFG_OMNI)
+        assert math.atan2(cmd.vy, cmd.vx) == pytest.approx(
+            math.atan2(traj[want].y - pose.y, traj[want].x - pose.x), abs=1e-12
+        )
 
     @pytest.mark.parametrize("cfg", [CFG_OMNI, CFG_DIFF], ids=["omni", "diff"])
     @pytest.mark.parametrize("turns", [1, 3, 8])
@@ -262,7 +327,8 @@ def cli_episode(tmp_path, master_seed: int, index: int):
 
 
 class TestTrackingRegressions:
-    """Episodes that the oracle lost to tracking when the target search began at waypoint 0."""
+    """Episodes that the oracle lost to tracking: when the target search began
+    at waypoint 0, and when a step could pass its target."""
 
     @pytest.mark.parametrize(
         "master_seed, index",
@@ -282,6 +348,28 @@ class TestTrackingRegressions:
         assert result.steps < 200
         xy = np.array([(e.pose.x, e.pose.y) for e in result.trace])
         assert not sweep_collision_checks(scene, xy[:-1], xy[1:], task.robot_radius).any()
+
+    @pytest.mark.parametrize(
+        "master_seed, index",
+        [
+            # 41.9 mm short of a turn in place, inside the old half-step
+            # window: the target moved past it and the next 0.1 m chord cut
+            # the corner of a plan with 9.6 mm of clearance; collided at step
+            # 27 (-5.65 mm)
+            pytest.param(9903000, 7, id="9903000-t7"),
+            # approaching a turn in place of a plan with 5.89 mm of
+            # clearance, the robot came within 11.9 mm of a box and the next
+            # query found no path (step 56)
+            pytest.param(9987000, 2, id="9987000-t2"),
+        ],
+    )
+    def test_lands_on_each_corner_and_reaches_its_goal(self, master_seed, index):
+        # replayed as eval builds task ``index`` of the round (no task seed skipped)
+        scene = sample_scene(cli._scene_seed(master_seed, index))
+        task = sample_task(scene, cli._task_seed(master_seed, index))
+        _, result = run_task(index, scene, task, PolicySpec(Expert(), master_seed), ExecutorConfig(), CameraModel())
+        assert result.outcome == "reached"
+        assert result.min_clearance >= 0
 
 
 class TestTiltStep:

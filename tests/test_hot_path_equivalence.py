@@ -206,17 +206,29 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
     pos = np.array([state.pose.x, state.pose.y])
     pts = np.array([[p.x, p.y] for p in trajectory_world])
     dists = np.linalg.norm(pts - pos, axis=1)
-    # waypoint i is a turn in place when waypoint i + 1 shares its position
-    turns = np.append(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= TURN_TOL, False)
-    corner_window = min(cfg.speed, cfg.v_max) * cfg.dt / 2
-    stops = (dists >= cfg.lookahead) | (turns & (dists > corner_window))
+    n = len(pts)
+    # step k runs from waypoint k to waypoint k + 1
+    steps = np.diff(pts, axis=0)
+    lengths = np.linalg.norm(steps, axis=1)
+    # step k + 1 goes on in step k's direction
+    dot = steps[:-1, 0] * steps[1:, 0] + steps[:-1, 1] * steps[1:, 1]
+    cross = steps[:-1, 0] * steps[1:, 1] - steps[:-1, 1] * steps[1:, 0]
+    goes_on = (dot > 0) & (np.abs(cross) <= TURN_TOL * lengths[:-1])
+    # waypoint i is a corner when waypoint i + 1 shares its position (a turn
+    # in place), or when steps i - 2 and i - 1 run straight into it and step
+    # i does not go on
+    corners = np.zeros(n, dtype=bool)
+    corners[: n - 1] = lengths <= TURN_TOL
+    corners[2 : n - 1] |= goes_on[: n - 3] & ~goes_on[1 : n - 2]
+    stops = (dists >= cfg.lookahead) | (corners & (dists > TURN_TOL))
     stops[: int(np.argmin(dists))] = False
-    ahead = np.flatnonzero(stops)
-    target = pts[int(ahead[0])] if ahead.size else pts[-1]
+    stops[-1] = True
+    j = int(np.flatnonzero(stops)[0])
+    target = pts[j]
     terminal = trajectory_world[-1]
     goal_dist = float(dists[-1])
     heading_err = wrap_angle(terminal.heading - state.pose.heading)
-    v_mag = min(cfg.speed, cfg.v_max) * min(1.0, goal_dist / (2 * cfg.lookahead))
+    v_mag = min(cfg.speed, cfg.v_max, float(dists[j]) / cfg.dt)
     if state.kinematics == "omnidirectional":
         if goal_dist <= cfg.stop_pos_tol:
             vel = np.zeros(2)
@@ -670,17 +682,72 @@ configs = st.builds(
     Pose2(0.0, 0.0, 0.0), [(1e-10, 0.0, 0.0), (2.0, 0.0, 1.0)], ExecutorConfig(lookahead=1e-12, kinematics="omnidirectional")
 )
 # waypoint 0 behind the robot, then a turn in place 0.2 m ahead of it (aimed
-# at), and the same turn 0.03 m ahead (searched past); a target 0.46 rad off
-# a differential drive's heading (turned to in place)
+# at), the same turn 0.03 m ahead (aimed at too, with the step shortened to
+# end on it), and under the robot (searched past); a target 0.46 rad off a
+# differential drive's heading (turned to in place)
 @example(
     Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.2, 0.0, 1.0), (0.2, 0.4, 1.5)], ExecutorConfig()
 )
 @example(
     Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.03, 0.0, 0.0), (0.03, 0.0, 1.0), (0.03, 0.4, 1.5)], ExecutorConfig()
 )
+@example(Pose2(0.0, 0.0, 0.0), [(-0.1, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.4, 1.5)], ExecutorConfig())
 @example(Pose2(0.0, 0.0, 0.0), [(0.4, 0.2, 0.0)], ExecutorConfig(kinematics="differential"))
+# a straight run east that ends at (0.2, 0), then a bend of 0.126 rad (aimed
+# at the run's end), and a run that goes straight on (aimed a lookahead on)
+@example(
+    Pose2(0.0, 0.0, 0.0),
+    [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.3, 0.0126, 0.126), (0.4, 0.0252, 0.126)],
+    ExecutorConfig(),
+)
+@example(
+    Pose2(0.0, 0.0, 0.0),
+    [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.3, 0.0, 0.0), (0.4, 0.0, 0.0)],
+    ExecutorConfig(kinematics="differential"),
+)
 def test_pure_pursuit_matches_array_version(pose, offs, cfg):
     state = RobotState(pose, 0.3, kinematics=cfg.kinematics)
+    traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]
+    assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
+
+
+def polyline(turns):
+    """Waypoint offsets walked from the origin: each ``(turn, length)`` turns
+    the heading, then steps ``length`` along it."""
+    h, x, y, out = 0.0, 0.0, 0.0, []
+    for turn, length in turns:
+        h += turn
+        x, y = x + length * math.cos(h), y + length * math.sin(h)
+        out.append((x, y, h))
+    return out
+
+
+# horizons like the oracle's: straight runs, turns in place, bends shorter
+# than a sample, reversals and gentle arcs, at sample lengths near 0.1 m
+polylines = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.sampled_from([0.126, -0.126, 0.01, 1e-9, math.pi / 2, math.pi]), heading),
+        st.one_of(st.sampled_from([0.0, 0.1, 0.05, 1e-7]), st.floats(0.0, 0.2)),
+    ),
+    min_size=1,
+    max_size=14,
+).map(polyline)
+
+
+@given(
+    poses,
+    polylines,
+    st.builds(
+        ExecutorConfig,
+        speed=st.floats(0.05, 2.0),
+        kinematics=st.sampled_from(["omnidirectional", "differential"]),
+    ),
+    st.floats(-0.3, 1.5),
+)
+@settings(max_examples=400, deadline=None)
+def test_pure_pursuit_matches_array_version_on_polylines(pose, offs, cfg, travelled):
+    # the robot at ``travelled`` along the x axis, near the first leg
+    state = RobotState(Pose2(pose.x + travelled, pose.y, pose.heading), 0.3, kinematics=cfg.kinematics)
     traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]
     assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
 
