@@ -353,13 +353,12 @@ class TestTrackingRegressions:
         "master_seed, index",
         [
             # 41.9 mm short of a turn in place, inside the old half-step
-            # window: the target moved past it and the next 0.1 m chord cut
-            # the corner of a plan with 9.6 mm of clearance; collided at step
-            # 27 (-5.65 mm)
+            # window: the target moved past it and the next step's chord cut
+            # the corner; collided at step 27 (-5.65 mm)
             pytest.param(9903000, 7, id="9903000-t7"),
-            # approaching a turn in place of a plan with 5.89 mm of
-            # clearance, the robot came within 11.9 mm of a box and the next
-            # query found no path (step 56)
+            # 4.3 mm short of a turn in place, the target moved past it: the
+            # chord came within 11.9 mm of a box, and the next query found
+            # no path (step 56)
             pytest.param(9987000, 2, id="9987000-t2"),
         ],
     )

@@ -670,8 +670,36 @@ configs = st.builds(
 )
 
 
-@given(poses, st.lists(st.tuples(offsets, offsets, heading), min_size=1, max_size=14), configs)
-@settings(max_examples=500, deadline=None)
+def polyline(x, turns):
+    """Waypoint offsets walked from ``(x, 0)`` at heading 0: each ``(turn,
+    length)`` turns the heading, then steps ``length`` along it."""
+    h, y, out = 0.0, 0.0, []
+    for turn, length in turns:
+        h += turn
+        x, y = x + length * math.cos(h), y + length * math.sin(h)
+        out.append((x, y, h))
+    return out
+
+
+# horizons like the oracle's, which start up to 1.5 m behind the robot:
+# straight runs, turns in place, bends shorter than a sample, reversals and
+# gentle arcs, at sample lengths near 0.1 m
+polylines = st.builds(
+    polyline,
+    st.floats(-1.5, 0.3),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.sampled_from([0.126, -0.126, 0.01, 1e-9, math.pi / 2, math.pi]), heading),
+            st.one_of(st.sampled_from([0.0, 0.1, 0.05, 1e-7]), st.floats(0.0, 0.2)),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+
+
+@given(poses, st.one_of(st.lists(st.tuples(offsets, offsets, heading), min_size=1, max_size=14), polylines), configs)
+@settings(max_examples=900, deadline=None)
 @example(Pose2(1.0, 2.0, 0.5), [(0.0, 0.0, 0.5)], ExecutorConfig(kinematics="differential"))
 @example(Pose2(1.0, 2.0, 0.5), [(0.0, 0.0, 2.0)], ExecutorConfig(kinematics="differential"))
 @example(Pose2(1.0, 2.0, 0.5), [(0.05, 0.0, 0.5), (0.1, 0.1, 0.5)], ExecutorConfig(kinematics="omnidirectional"))
@@ -707,47 +735,6 @@ configs = st.builds(
 )
 def test_pure_pursuit_matches_array_version(pose, offs, cfg):
     state = RobotState(pose, 0.3, kinematics=cfg.kinematics)
-    traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]
-    assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
-
-
-def polyline(turns):
-    """Waypoint offsets walked from the origin: each ``(turn, length)`` turns
-    the heading, then steps ``length`` along it."""
-    h, x, y, out = 0.0, 0.0, 0.0, []
-    for turn, length in turns:
-        h += turn
-        x, y = x + length * math.cos(h), y + length * math.sin(h)
-        out.append((x, y, h))
-    return out
-
-
-# horizons like the oracle's: straight runs, turns in place, bends shorter
-# than a sample, reversals and gentle arcs, at sample lengths near 0.1 m
-polylines = st.lists(
-    st.tuples(
-        st.one_of(st.just(0.0), st.sampled_from([0.126, -0.126, 0.01, 1e-9, math.pi / 2, math.pi]), heading),
-        st.one_of(st.sampled_from([0.0, 0.1, 0.05, 1e-7]), st.floats(0.0, 0.2)),
-    ),
-    min_size=1,
-    max_size=14,
-).map(polyline)
-
-
-@given(
-    poses,
-    polylines,
-    st.builds(
-        ExecutorConfig,
-        speed=st.floats(0.05, 2.0),
-        kinematics=st.sampled_from(["omnidirectional", "differential"]),
-    ),
-    st.floats(-0.3, 1.5),
-)
-@settings(max_examples=400, deadline=None)
-def test_pure_pursuit_matches_array_version_on_polylines(pose, offs, cfg, travelled):
-    # the robot at ``travelled`` along the x axis, near the first leg
-    state = RobotState(Pose2(pose.x + travelled, pose.y, pose.heading), 0.3, kinematics=cfg.kinematics)
     traj = [Pose2(pose.x + dx, pose.y + dy, h) for dx, dy, h in offs]
     assert command_bits(pure_pursuit(state, traj, cfg)) == command_bits(reference_pure_pursuit(state, traj, cfg))
 
