@@ -112,9 +112,9 @@ def cmd_gen_scenes(run: Run, args) -> int:
 def _gen_one(job):
     run, scene, task_seed = job
     try:
-        task = sample_task(scene, task_seed, run.cfg.task, run.expert, run.camera)
+        task, route = sample_task(scene, task_seed, run.cfg.task, run.expert, run.camera)
         record = generate_episode(
-            scene, task, run.expert, run.camera, task_seed, run.cfg.sensor.num_rays, run.cfg.sensor.max_range
+            scene, task, run.expert, run.camera, task_seed, run.cfg.sensor.num_rays, run.cfg.sensor.max_range, route
         )
         return task_seed, record, None
     except (SamplingExhausted, NoPathFound, GenerationFailed) as err:
@@ -154,14 +154,16 @@ def cmd_eval(run: Run, args) -> int:
     by_seed = {s.seed: s for s in scenes}
     spec = PolicySpec(run.expert, cfg.master_seed, _POLICIES[args.policy])
 
-    tasks = []
+    tasks, routes = [], []  # each task and the route that admitted it
     seed_index = 0
     while len(tasks) < args.n_tasks and seed_index < 10 * args.n_tasks:
         scene = scenes[len(tasks) % len(scenes)]
         task_seed = _task_seed(cfg.master_seed, seed_index)
         seed_index += 1
         try:
-            tasks.append(sample_task(scene, task_seed, cfg.task, run.expert, run.camera))
+            task, route = sample_task(scene, task_seed, cfg.task, run.expert, run.camera)
+            tasks.append(task)
+            routes.append(route)
             log.info("task %d sampled with seed %d", len(tasks) - 1, task_seed)
         except SamplingExhausted as err:
             log.warning("task seed %d skipped: %s", task_seed, err)
@@ -178,6 +180,7 @@ def cmd_eval(run: Run, args) -> int:
         cfg.workers,
         cfg.eval.success_pos_tol,
         cfg.eval.success_ang_tol_deg,
+        routes,
     )
     out = Path(args.out)
     paths = [str(out.with_suffix(ext)) for ext in (".json", ".csv", ".traces.jsonl")]

@@ -35,7 +35,7 @@ from .geometry import (
     wrap_angle,
 )
 from .pipeline import Expert, TraceEntry
-from .planner import Attempt, PlannedPath, PlannerBudget, Translate, apply_segment
+from .planner import Attempt, PlannedPath, PlannerBudget, route_vertices
 from .scene import (
     KINEMATICS_KINDS,
     Command,
@@ -64,7 +64,6 @@ class ExecutorConfig:
     stop_ang_tol: Annotated[float, POSITIVE] = math.radians(0.5)
     max_steps: Annotated[int, AT_LEAST_1] = 600
     kinematics: str = "omnidirectional"
-    omega_gain: Annotated[float, NON_NEGATIVE] = 2.0
     # a negative slew rate moves the tilt away from its setpoint, and a
     # negative limit pins the setpoint at the limit
     tilt_rate: Annotated[float, NON_NEGATIVE] = math.radians(90.0)  # slew limit, rad/s
@@ -158,7 +157,9 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     reverse) while the target bears more than ``ROTATE_ANGLE`` off that
     direction, so its arcs keep close to the chords. At the horizon's end
     the final heading is aligned in place, so the commanded velocity
-    reaches exactly zero once both stop tolerances are met.
+    reaches exactly zero once both stop tolerances are met. Every turn in
+    place, and the omnidirectional heading servo, is deadbeat (``_turn``):
+    it lands on its setpoint in one step unless ``omega_max`` clips it.
     """
     if len(trajectory_world) == 0:
         raise EmptyTrajectory("pure pursuit needs at least one waypoint")
@@ -179,24 +180,24 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     v_mag = min(cfg.speed, cfg.v_max, dists[j] / cfg.dt)
 
     if state.kinematics == "omnidirectional":
-        # position and heading servo independently, each with a deadband at
-        # its stop tolerance, so the command reaches exactly zero at the end
+        # position and heading servo independently, so the command reaches
+        # exactly zero at the end: the robot lands on the horizon's end, and
+        # the heading deadband is the stop tolerance
         vx = vy = 0.0
-        if goal_dist > cfg.stop_pos_tol:
+        if goal_dist > TURN_TOL:
             tx, ty = target.x - px, target.y - py
             norm = float(np.linalg.norm((tx, ty)))  # ddot: not equal to sqrt(tx*tx + ty*ty)
             if norm > 1e-12:
                 vx, vy = v_mag * tx / norm, v_mag * ty / norm
-        if abs(heading_err) <= cfg.stop_ang_tol:
-            omega = 0.0
-        else:
-            omega = _clip(cfg.omega_gain * heading_err, cfg.omega_max)
-        return OmniDrive(vx, vy, omega)
+        return OmniDrive(vx, vy, 0.0 if abs(heading_err) <= cfg.stop_ang_tol else _turn(heading_err, cfg))
 
+    # an arc ends only near its target, so a differential drive keeps its
+    # position deadband at the stop tolerance: a TURN_TOL one would turn it
+    # in place to face a residual of a fraction of a millimetre
     if goal_dist <= cfg.stop_pos_tol:
         if abs(heading_err) <= cfg.stop_ang_tol:
             return DiffDrive(0.0, 0.0)
-        return DiffDrive(0.0, _clip(cfg.omega_gain * heading_err, cfg.omega_max))
+        return DiffDrive(0.0, _turn(heading_err, cfg))
 
     c, s = math.cos(state.pose.heading), math.sin(state.pose.heading)
     rx, ry = target.x - px, target.y - py
@@ -204,10 +205,10 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
     local_y = -s * rx + c * ry
     dist_sq = local_x * local_x + local_y * local_y
     if dist_sq < 1e-18:
-        return DiffDrive(0.0, _clip(cfg.omega_gain * heading_err, cfg.omega_max))
+        return DiffDrive(0.0, _turn(heading_err, cfg))
     bearing = math.atan2(local_y, local_x) if local_x >= 0 else math.atan2(-local_y, -local_x)
     if abs(bearing) > ROTATE_ANGLE:
-        return DiffDrive(0.0, _clip(cfg.omega_gain * bearing, cfg.omega_max))
+        return DiffDrive(0.0, _turn(bearing, cfg))
     v = v_mag if local_x >= 0 else -v_mag
     return DiffDrive(v, _clip(2.0 * v * local_y / dist_sq, cfg.omega_max))
 
@@ -215,6 +216,12 @@ def pure_pursuit(state: RobotState, trajectory_world: Sequence[Pose2], cfg: Exec
 def _clip(x: float, limit: float) -> float:
     """``np.clip(x, -limit, limit)`` on one float."""
     return min(max(x, -limit), limit)
+
+
+def _turn(err: float, cfg: ExecutorConfig) -> float:
+    """The deadbeat turn rate: it closes a heading error ``err`` in one step
+    of ``dt``, clipped at ``omega_max``."""
+    return _clip(err / cfg.dt, cfg.omega_max)
 
 
 def tilt_step(
@@ -307,34 +314,24 @@ SNAP_DIST = 0.01
 WARM_BATCHES = 1
 
 
-def _route_vertices(path: PlannedPath) -> list[Pose2]:
-    """The pose at the end of each Translate of ``path`` but the last (the goal).
-
-    Empty for a route with one translation, which is still a route to warm
-    the next query from.
-    """
-    ends, pose = [], path.start
-    for seg in path.segments:
-        pose = apply_segment(pose, seg)
-        if isinstance(seg, Translate):
-            ends.append(pose)
-    return ends[:-1]
-
-
 @dataclass
 class OraclePolicy:
-    """Expert policy: replans from the current state on every query.
+    """Expert policy: labels a path that starts at the current state on every query.
 
-    A query walks ``Expert.plan``'s ladder over these rungs: once a plan has
-    succeeded, a warm rung of ``WARM_BATCHES`` batches seeded with ``via``,
-    the previous route's vertices (``None`` until a plan succeeds; empty
-    after a route with one translation); then three cold rungs at 1x, 3x
-    and 8x the budget, each with its own seed. Every rung plans at the
-    inflated radius, then at the true radius. Every successful plan
-    replaces ``via``, so a policy serves one episode. The horizon always
-    goes through the codec; ``use_residual=False`` drops the residuals, so
-    the decoded trajectory snaps to bin centers and exposes the raw
-    quantization error.
+    ``path`` is the last path the policy labelled: the route that admitted
+    the task (``sample_task``'s) when it is built, else ``None``. A query
+    from the pose that ``path`` starts at labels it again and plans
+    nothing; so does an episode's first query, given the admitting route.
+    Any other query replans from the current state, walking
+    ``Expert.plan``'s ladder over these rungs: once there is a ``path``, a
+    warm rung of ``WARM_BATCHES`` batches seeded with its vertices
+    (``route_vertices``; none for a route with one translation); then three
+    cold rungs at 1x, 3x and 8x the budget, each with its own seed. Every
+    rung plans at the inflated radius, then at the true radius. Every
+    successful plan replaces ``path``, so a policy serves one episode. The
+    horizon always goes through the codec; ``use_residual=False`` drops the
+    residuals, so the decoded trajectory snaps to bin centers and exposes
+    the raw quantization error.
     """
 
     scene: Scene
@@ -342,15 +339,15 @@ class OraclePolicy:
     use_residual: bool = True
     seed: int = 0
     queries: int = 0
-    via: list[Pose2] | None = None
+    path: PlannedPath | None = None
 
     def _plan(self, state: RobotState, task) -> PlannedPath:
         target = self.scene.object_by_id(task.target_id)
         seed = (self.seed * 1000003 + self.queries) % (2**63)
         budget = self.expert.budget
         rungs = []
-        if self.via is not None:
-            rungs.append(Attempt(PlannerBudget(WARM_BATCHES, budget.batch_size), seed, self.via))
+        if self.path is not None:
+            rungs.append(Attempt(PlannerBudget(WARM_BATCHES, budget.batch_size), seed, route_vertices(self.path)))
         # escalate the sampling budget (with fresh seeds) before giving up
         for level, factor in enumerate((1, 3, 8)):
             cold_seed = (seed + level * 7_777_777) % (2**63)
@@ -385,10 +382,10 @@ class OraclePolicy:
         if goal_dist <= SNAP_DIST:
             steps = encode_trajectory(self._terminal_rotation(state, task))
         else:
-            path = self._plan(state, task)
+            if self.path is None or self.path.start != state.pose:
+                self.path = self._plan(state, task)
             self.queries += 1
-            self.via = _route_vertices(path)
-            steps = self.expert.label(path, state.pose)
+            steps = self.expert.label(self.path, state.pose)
         if not self.use_residual:
             steps = [s.without_residual() for s in steps]
         return steps

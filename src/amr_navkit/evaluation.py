@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .controller import EpisodeResult, ExecutorConfig, OraclePolicy, run_episode
 from .errors import SchemaMismatch, checked, written
 from .geometry import CameraModel
 from .pipeline import Expert, Task, parallel_map
+from .planner import PlannedPath
 from .scene import Scene
 
 CSV_SCHEMA = "# amr-navkit-report-v1"
@@ -58,8 +59,9 @@ class PolicySpec:
     seed: int = 0
     use_residual: bool = True
 
-    def build(self, scene: Scene) -> OraclePolicy:
-        return OraclePolicy(scene, self.expert, self.use_residual, seed=self.seed)
+    def build(self, scene: Scene, route: PlannedPath | None = None) -> OraclePolicy:
+        """The policy for one episode, starting on ``route`` if given."""
+        return OraclePolicy(scene, self.expert, self.use_residual, seed=self.seed, path=route)
 
 
 @dataclass
@@ -128,8 +130,11 @@ def run_task(
     policy_spec: PolicySpec,
     cfg: ExecutorConfig,
     camera: CameraModel,
+    route: PlannedPath | None = None,
 ) -> tuple[EpisodeSummary, EpisodeResult]:
-    policy = policy_spec.build(scene)
+    """One episode of ``task``; its policy starts on ``route``, the path that
+    admitted the task, if given."""
+    policy = policy_spec.build(scene, route)
     result = run_episode(scene, task, policy, cfg, camera)
     return _episode_summary(index, scene, task, result), result
 
@@ -215,12 +220,17 @@ def evaluate(
     workers: int = 1,
     success_pos_tol: float = 0.1,
     success_ang_tol_deg: float = 10.0,
+    routes: Sequence[PlannedPath | None] | None = None,
 ) -> tuple[MetricsReport, list[tuple[EpisodeSummary, EpisodeResult]]]:
-    """Run one episode per task; return the aggregate report and each episode."""
+    """Run one episode per task, each starting on its entry of ``routes`` (the
+    path that admitted it; none if not given); return the aggregate report
+    and each episode."""
     if not tasks:
         raise ValueError("tasks must be nonempty")
+    routes = [None] * len(tasks) if routes is None else routes
     jobs = [
-        (i, scenes[t.scene_seed], t, policy_spec, cfg, camera) for i, t in enumerate(tasks)
+        (i, scenes[t.scene_seed], t, policy_spec, cfg, camera, route)
+        for i, (t, route) in enumerate(zip(tasks, routes, strict=True))
     ]
     episodes = parallel_map(_run_job, jobs, workers)
     report = summarize([s for s, _ in episodes], success_pos_tol, success_ang_tol_deg)

@@ -69,6 +69,7 @@ from .planner import (
     label_poses,
     plan_with_margin,
     resample_keyframes,
+    route_vertices,
 )
 from .scene import (
     LidarScan,
@@ -147,8 +148,8 @@ class Expert:
     """How the expert plans and labels: one value for gen-data and the eval oracle.
 
     ``plan`` runs ``plan_with_margin`` with these weights and margin over
-    the rungs it is given: a demonstration's one rung at ``budget``, a task
-    probe's one small rung, or the oracle's (see ``OraclePolicy``).
+    the rungs it is given: a demonstration's (see ``generate_episode``), a
+    task probe's one small rung, or the oracle's (see ``OraclePolicy``).
     ``labels`` turns a planned path into the tokenized waypoint horizon seen
     from each of ``poses``, traversed at ``v_ref``/``omega_ref`` and sampled
     every ``dt``, and ``label`` does so for one pose.
@@ -226,14 +227,15 @@ def sample_task(
     params: TaskParams = TaskParams(),
     expert: Expert = Expert(),
     camera: CameraModel = CameraModel(),
-) -> Task:
+) -> tuple[Task, PlannedPath]:
     """Rejection-sample a feasible task in a scene; deterministic per seed.
 
     Draws embodiment radius, free start pose, reference view (the start view
     with probability p_ffr, else a random free view aimed at some object),
     a target visible from the reference view, and a goal spec; accepts only
     goals that are collision-free and that ``expert`` reaches on one
-    ``PROBE_BUDGET`` rung.
+    ``PROBE_BUDGET`` rung. Returns the task and that rung's path from its
+    start to its goal, the route that admitted it.
     """
     eligible = scene.target_objects()
     if not eligible:
@@ -282,10 +284,10 @@ def sample_task(
             continue
         probe = Attempt(PROBE_BUDGET, rng_seed * 1000003 + attempt)
         try:
-            expert.plan(scene, start, goal, radius, target.box.center, probe)
+            route = expert.plan(scene, start, goal, radius, target.box.center, probe)
         except NoPathFound:
             continue
-        return Task(
+        task = Task(
             scene_seed=scene.seed,
             start=start,
             robot_radius=radius,
@@ -297,6 +299,7 @@ def sample_task(
             ffr=ffr,
             initially_visible=visible_from(start, target, scene, hfov, params.visibility_fraction),
         )
+        return task, route
     raise SamplingExhausted(f"no feasible task after {params.max_attempts} attempts")
 
 
@@ -308,18 +311,23 @@ def generate_episode(
     seed: int = 0,
     num_rays: int = 360,
     max_range: float = 10.0,
+    route: PlannedPath | None = None,
 ) -> EpisodeRecord:
     """Plan the expert path and record keyframed observations and actions.
 
-    The tilt follows the geometric gaze rule from the target's lowest
-    point even when the object would be out of view. LiDAR ranges are
-    recorded as the nearest multiple of ``LIDAR_UNIT``, as a dataset stores
-    them, so a record reads back field for field.
+    The path is planned on one ``expert.budget`` rung, then, if that finds
+    none and a ``route`` is given (the one that admitted the task), on a
+    second rung seeded with its vertices (``route_vertices``). The tilt
+    follows the geometric gaze rule from the target's lowest point even
+    when the object would be out of view. LiDAR ranges are recorded as the
+    nearest multiple of ``LIDAR_UNIT``, as a dataset stores them, so a
+    record reads back field for field.
     """
     target = scene.object_by_id(task.target_id)
-    path = expert.plan(
-        scene, task.start, task.goal_pose, task.robot_radius, target.box.center, Attempt(expert.budget, seed)
-    )
+    rungs = [Attempt(expert.budget, seed)]
+    if route is not None:
+        rungs.append(Attempt(expert.budget, seed, route_vertices(route)))
+    path = expert.plan(scene, task.start, task.goal_pose, task.robot_radius, target.box.center, *rungs)
     lowest = (target.box.cx, target.box.cy, target.base_height)
     poses = resample_keyframes(path)
     ranges = _range_steps(raycast_scans(scene, poses, num_rays, max_range)) * LIDAR_UNIT

@@ -102,6 +102,21 @@ def apply_segment(pose: Pose2, seg: PathSegment) -> Pose2:
     )
 
 
+def route_vertices(path: PlannedPath) -> list[Pose2]:
+    """The pose at the end of each Translate of ``path`` but the last (the
+    goal): the ``via`` that seeds a plan with ``path``'s route.
+
+    Empty for a route with one translation, which is still a route to warm
+    the next plan from.
+    """
+    ends, pose = [], path.start
+    for seg in path.segments:
+        pose = apply_segment(pose, seg)
+        if isinstance(seg, Translate):
+            ends.append(pose)
+    return ends[:-1]
+
+
 def rollout(start: Pose2, segments: list[PathSegment]) -> np.ndarray:
     """Dense states along a segment chain at <= 1 cm / 1 degree spacing.
 

@@ -64,7 +64,7 @@ def task_pool():
         got, seed = 0, 0
         while got < per_scene and seed < 50 * per_scene:
             try:
-                tasks.append(sample_task(scene, 10_000 * i + seed))
+                tasks.append(sample_task(scene, 10_000 * i + seed)[0])
                 got += 1
             except SamplingExhausted:
                 pass

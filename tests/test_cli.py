@@ -287,7 +287,7 @@ class TestConfig:
 
     def test_default_config_hash_unchanged(self):
         # the default manifest hash moves only when a hashed config field is added or removed
-        assert config_hash(RunConfig()) == "0002167408072d05"
+        assert config_hash(RunConfig()) == "41adc40bd278e5b8"
 
     @pytest.mark.parametrize(
         "body, env, field",
@@ -296,6 +296,23 @@ class TestConfig:
     )
     def test_task_probe_keys_are_unknown(self, tmp_path, monkeypatch, caplog, body, env, field):
         # the probe's 1 x 16 budget is pipeline.PROBE_BUDGET, set by no key
+        path = tmp_path / "cfg.json"
+        path.write_text(body)
+        for key, raw in env.items():
+            monkeypatch.setenv(key, raw)
+        caplog.clear()
+        assert run(["--config", str(path), "gen-scenes", "--count", "1", "--out", str(tmp_path / "s")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("config error: ") and field in errors[0]
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "body, env, field",
+        [pytest.param('{"executor": {"omega_gain": 2.0}}', {}, "omega_gain", id="file"),
+         pytest.param("{}", {"AMR_EXECUTOR_OMEGA_GAIN": "2.0"}, "AMR_EXECUTOR_OMEGA_GAIN", id="env")],
+    )
+    def test_omega_gain_key_is_unknown(self, tmp_path, monkeypatch, caplog, body, env, field):
+        # every turn in place is deadbeat (controller._turn), so no gain is set by a key
         path = tmp_path / "cfg.json"
         path.write_text(body)
         for key, raw in env.items():
@@ -812,10 +829,11 @@ class TestEval:
         assert traces[0]["outcome"] == "reached"
 
     def test_every_oracle_replan_after_a_route_starts_warm(self, tmp_path, monkeypatch):
-        """On master seed 0, every oracle query after an episode's first
-        successful plan starts with a one-batch warm attempt, a route with one
+        """On master seed 0, each episode's first query labels the route that
+        admitted its task and plans nothing, and every later oracle query
+        that plans starts with a one-batch warm attempt, a route with one
         translation included; a cold plan (a budget of 4 batches or more)
-        follows only failed warm attempts or belongs to an episode's first query."""
+        follows only failed warm attempts."""
         bind = inspect.signature(planner.plan).bind
         real_plan, real_query = planner.plan, controller.OraclePolicy.query
         episodes, active = {}, []  # id(policy) -> (policy, queries), each a list of [batches, via, succeeded]
@@ -849,9 +867,10 @@ class TestEval:
         assert len(episodes) == 8
         warm_after_one_translation = 0
         for _, queries in episodes.values():
-            planned = [calls for calls in queries if calls]  # the others turned in place at the goal
-            assert planned[0][0][0] >= 4
-            for calls in planned[1:]:
+            assert queries[0] == []
+            planned = [calls for calls in queries[1:] if calls]  # the others turned in place at the goal
+            assert planned
+            for calls in planned:
                 n_warm = len(list(takewhile(lambda call: call[0] == 1, calls)))
                 assert n_warm >= 1
                 assert all(call[0] >= 4 and call[1] == () for call in calls[n_warm:])

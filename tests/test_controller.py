@@ -16,7 +16,7 @@ from amr_navkit.controller import (
 from amr_navkit import planner
 from amr_navkit.errors import EmptyTrajectory, InvalidEndpoint, NoPathFound
 from amr_navkit.geometry import CameraModel, Pose2, compute_tilt
-from amr_navkit.planner import PlannedPath, PlannerBudget, Rotate, Translate, rollout
+from amr_navkit.planner import PlannedPath, PlannerBudget, Rotate, Translate, rollout, route_vertices
 from amr_navkit.scene import (
     Bounds,
     DiffDrive,
@@ -90,14 +90,17 @@ class TestPurePursuit:
         state = RobotState(Pose2(0, 0, 0), 0.3)
         cmd = pure_pursuit(state, [Pose2(0, side * 0.5, 0), Pose2(0, side * 5.0, 0)], CFG_DIFF)
         assert cmd.v == 0.0
-        assert cmd.omega == pytest.approx(side * min(CFG_DIFF.omega_gain * math.pi / 2, CFG_DIFF.omega_max))
+        assert cmd.omega == pytest.approx(side * min(math.pi / 2 / CFG_DIFF.dt, CFG_DIFF.omega_max))
 
     def test_differential_turns_its_back_to_a_target_behind(self):
-        # a target behind and to the left: reversing there needs a clockwise turn first
+        # a target behind and to the left: reversing there needs a clockwise
+        # turn first, made in one step (deadbeat)
         state = RobotState(Pose2(0, 0, 0), 0.3)
         cmd = pure_pursuit(state, [Pose2(-1.0, 0.5, 0)], CFG_DIFF)
         assert cmd.v == 0.0
-        assert cmd.omega == pytest.approx(CFG_DIFF.omega_gain * math.atan2(-0.5, 1.0))
+        assert cmd.omega == pytest.approx(math.atan2(-0.5, 1.0) / CFG_DIFF.dt)
+        turned = step_kinematics(state, cmd, CFG_DIFF.dt, CFG_DIFF.limits)
+        assert turned.pose.heading == pytest.approx(math.atan2(-0.5, 1.0))
         # once the back faces it within ROTATE_ANGLE, the drive reverses
         cmd = pure_pursuit(state, [Pose2(-1.0, 0.05, 0)], CFG_DIFF)
         assert cmd.v < 0.0
@@ -313,7 +316,7 @@ def cli_episode(tmp_path, master_seed: int, index: int):
     scenes = cli._load_scene_dir(str(scenes_dir))
     cfg = replace(RunConfig(), master_seed=master_seed)
     expert, camera = cfg.expert(), cfg.camera.model()
-    tasks, seed_index = [], 0
+    tasks, seed_index = [], 0  # each task with the route that admitted it
     while len(tasks) <= index:
         scene = scenes[len(tasks) % len(scenes)]
         seed_index += 1
@@ -322,8 +325,9 @@ def cli_episode(tmp_path, master_seed: int, index: int):
         except SamplingExhausted:
             pass
     spec = PolicySpec(expert, master_seed, use_residual=True)
-    _, result = run_task(index, scene, tasks[index], spec, cfg.executor, camera)
-    return scene, tasks[index], result
+    task, route = tasks[index]
+    _, result = run_task(index, scene, task, spec, cfg.executor, camera, route)
+    return scene, task, result
 
 
 class TestTrackingRegressions:
@@ -365,8 +369,9 @@ class TestTrackingRegressions:
     def test_lands_on_each_corner_and_reaches_its_goal(self, master_seed, index):
         # replayed as eval builds task ``index`` of the round (no task seed skipped)
         scene = sample_scene(cli._scene_seed(master_seed, index))
-        task = sample_task(scene, cli._task_seed(master_seed, index))
-        _, result = run_task(index, scene, task, PolicySpec(Expert(), master_seed), ExecutorConfig(), CameraModel())
+        task, route = sample_task(scene, cli._task_seed(master_seed, index))
+        spec = PolicySpec(Expert(), master_seed)
+        _, result = run_task(index, scene, task, spec, ExecutorConfig(), CameraModel(), route)
         assert result.outcome == "reached"
         assert result.min_clearance >= 0
 
@@ -484,7 +489,7 @@ class TestRunEpisode:
 
     def test_episode_deterministic(self):
         scene = sample_scene(30)
-        task = sample_task(scene, 5)
+        task = sample_task(scene, 5)[0]
         r1 = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT, seed=4), CFG_OMNI)
         r2 = run_episode(scene, task, OraclePolicy(scene=scene, expert=EXPERT, seed=4), CFG_OMNI)
         assert r1.outcome == r2.outcome
@@ -602,7 +607,7 @@ class TestOraclePlanLadder:
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, route))
         policy.query(RobotState(start, 0.3), task, 0)
         assert attempts == self.ladder(5_000_018)[:1]
-        assert policy.via == self.KEPT
+        assert route_vertices(policy.path) == self.KEPT
         return policy, task
 
     @pytest.mark.parametrize("error", [NoPathFound, InvalidEndpoint])
@@ -627,7 +632,7 @@ class TestOraclePlanLadder:
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, PlannedPath(start, segs, rollout(start, segs), 2.0)))
         policy.query(RobotState(start, 0.3), task, 8)
         assert attempts == [(self.INFLATED, PlannerBudget(1, 16), 5_000_019, self.KEPT)]
-        assert policy.via == [Pose2(1.2, 0.0, 0.0)]
+        assert route_vertices(policy.path) == [Pose2(1.2, 0.0, 0.0)]
         assert policy.queries == 5
 
     def test_one_translation_route_still_warms(self, monkeypatch):
@@ -639,7 +644,7 @@ class TestOraclePlanLadder:
         attempts = []
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, PlannedPath(start, segs, rollout(start, segs), 2.0)))
         policy.query(RobotState(start, 0.3), task, 0)
-        assert policy.via == []
+        assert route_vertices(policy.path) == []
         policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 8)
         assert attempts == [self.ladder(5_000_018)[0], (self.INFLATED, PlannerBudget(1, 16), 5_000_019, [])]
 
@@ -655,7 +660,35 @@ class TestOraclePlanLadder:
         monkeypatch.setattr(planner, "plan", self.recorder(attempts, route, inflated=NoPathFound))
         policy.query(RobotState(start, 0.3), task, 8)
         assert attempts == [(r, PlannerBudget(1, 16), 5_000_019, self.KEPT) for r in (self.INFLATED, 0.3)]
-        assert policy.via == [Pose2(1.2, 0.0, 0.0)]
+        assert route_vertices(policy.path) == [Pose2(1.2, 0.0, 0.0)]
+
+    def test_route_from_the_pose_is_labelled_without_a_plan(self, monkeypatch):
+        """A policy built on the route that admitted its task (as
+        ``PolicySpec.build`` gives it) labels that route on its first query,
+        which starts where the route does, and plans nothing."""
+        policy, task = self.policy_and_task()
+        start = Pose2(0, 0, 0)
+        route = PlannedPath(start, self.ROUTE, rollout(start, self.ROUTE), 3.0)
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound))
+        policy.path = route
+        steps = policy.query(RobotState(start, 0.3), task, 0)
+        assert attempts == []
+        assert steps == policy.expert.label(route, start)
+        assert policy.path is route and policy.queries == 4
+
+    def test_route_from_elsewhere_runs_the_ladder(self, monkeypatch):
+        """A route that starts at another pose than the state's only warms the
+        plan: the warm rung with its vertices, then the cold ladder."""
+        policy, task = self.policy_and_task()
+        start = Pose2(0, 0, 0)
+        policy.path = PlannedPath(start, self.ROUTE, rollout(start, self.ROUTE), 3.0)
+        attempts = []
+        monkeypatch.setattr(planner, "plan", self.recorder(attempts, NoPathFound))
+        with pytest.raises(NoPathFound, match="refused"):
+            policy.query(RobotState(Pose2(0.2, 0, 0), 0.3), task, 0)
+        warm = [(r, PlannerBudget(1, 16), 5_000_018, self.KEPT) for r in (self.INFLATED, 0.3)]
+        assert attempts == [*warm, *self.ladder(5_000_018)]
 
     def test_invalid_endpoint_warms_again_at_the_true_radius(self, monkeypatch):
         """An inflated endpoint in collision drops only the inflated radius:

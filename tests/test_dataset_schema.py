@@ -43,7 +43,7 @@ def demos():
     out = []
     for scene_seed, task_seed, max_range in ((41, 3, 10.0), (52, 5, 10.0), (63, 7, 2.0)):
         scene = sample_scene(scene_seed)
-        task = sample_task(scene, task_seed)
+        task = sample_task(scene, task_seed)[0]
         out.append((scene, max_range, generate_episode(scene, task, seed=task_seed, max_range=max_range)))
     return out
 

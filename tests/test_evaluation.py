@@ -94,7 +94,7 @@ class TestSummarize:
 class TestEvaluate:
     def test_single_task_report(self):
         scene = sample_scene(50)
-        task = sample_task(scene, 1)
+        task = sample_task(scene, 1)[0]
         cfg = ExecutorConfig()
         rep, episodes = evaluate([task], {scene.seed: scene}, PolicySpec(), cfg)
         assert rep.n_episodes == 1
@@ -105,7 +105,7 @@ class TestEvaluate:
 
     def test_deterministic(self):
         scene = sample_scene(51)
-        tasks = [sample_task(scene, s) for s in range(2)]
+        tasks = [sample_task(scene, s)[0] for s in range(2)]
         cfg = ExecutorConfig()
         r1, _ = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
         r2, _ = evaluate(tasks, {scene.seed: scene}, PolicySpec(), cfg)
@@ -119,7 +119,7 @@ class TestEvaluate:
         """A scene whose caches ``sample_task`` filled evaluates alike on one
         worker, on two (it is pickled), and as a freshly sampled scene."""
         scene = sample_scene(52)
-        tasks = [sample_task(scene, s) for s in range(3)]
+        tasks = [sample_task(scene, s)[0] for s in range(3)]
         assert scene._views
         cfg = ExecutorConfig()
         runs = [

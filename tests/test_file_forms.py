@@ -56,7 +56,7 @@ def _summary(i: int) -> EpisodeSummary:
 
 def test_every_file_reads_back_equal():
     scene = sample_scene(41)
-    record = generate_episode(scene, sample_task(scene, 3), seed=3, num_rays=8)
+    record = generate_episode(scene, sample_task(scene, 3)[0], seed=3, num_rays=8)
     report = summarize([_summary(i) for i in range(12)])
     config = config_from_dict({"master_seed": 7, "executor": {"speed": 0.4}, "scene_gen": {"room_max": 9.5}})
     manifest = DatasetManifest(5, 2, 3, "abc", {"created_at": "2026-01-01T00:00:00+00:00"})

@@ -230,7 +230,7 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
     heading_err = wrap_angle(terminal.heading - state.pose.heading)
     v_mag = min(cfg.speed, cfg.v_max, float(dists[j]) / cfg.dt)
     if state.kinematics == "omnidirectional":
-        if goal_dist <= cfg.stop_pos_tol:
+        if goal_dist <= TURN_TOL:
             vel = np.zeros(2)
         else:
             to_target = target - pos
@@ -239,12 +239,12 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
         if abs(heading_err) <= cfg.stop_ang_tol:
             omega = 0.0
         else:
-            omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+            omega = float(np.clip(heading_err / cfg.dt, -cfg.omega_max, cfg.omega_max))
         return OmniDrive(float(vel[0]), float(vel[1]), omega)
     if goal_dist <= cfg.stop_pos_tol:
         if abs(heading_err) <= cfg.stop_ang_tol:
             return DiffDrive(0.0, 0.0)
-        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+        omega = float(np.clip(heading_err / cfg.dt, -cfg.omega_max, cfg.omega_max))
         return DiffDrive(0.0, omega)
     c, s = math.cos(state.pose.heading), math.sin(state.pose.heading)
     rel = target - pos
@@ -252,12 +252,12 @@ def reference_pure_pursuit(state, trajectory_world, cfg):
     local_y = -s * rel[0] + c * rel[1]
     dist_sq = local_x * local_x + local_y * local_y
     if dist_sq < 1e-18:
-        omega = float(np.clip(cfg.omega_gain * heading_err, -cfg.omega_max, cfg.omega_max))
+        omega = float(np.clip(heading_err / cfg.dt, -cfg.omega_max, cfg.omega_max))
         return DiffDrive(0.0, omega)
     forward = local_x >= 0
     bearing = math.atan2(local_y, local_x) if forward else math.atan2(-local_y, -local_x)
     if abs(bearing) > ROTATE_ANGLE:
-        return DiffDrive(0.0, float(np.clip(cfg.omega_gain * bearing, -cfg.omega_max, cfg.omega_max)))
+        return DiffDrive(0.0, float(np.clip(bearing / cfg.dt, -cfg.omega_max, cfg.omega_max)))
     v = v_mag if forward else -v_mag
     omega = float(np.clip(2.0 * v * local_y / dist_sq, -cfg.omega_max, cfg.omega_max))
     return DiffDrive(v, omega)
@@ -664,7 +664,7 @@ configs = st.builds(
     stop_pos_tol=st.sampled_from([1e-12, 0.01, 0.2]),
     stop_ang_tol=st.sampled_from([1e-12, math.radians(0.5), 1.0]),
     kinematics=st.sampled_from(["omnidirectional", "differential"]),
-    omega_gain=st.floats(0.0, 5.0),
+    dt=st.floats(0.01, 0.5),
     v_max=st.floats(0.05, 2.0),
     omega_max=st.floats(0.0, 4.0),
 )
@@ -909,7 +909,7 @@ def planned():
     paths = []
     for seed in (31, 32, 33, 34):
         scene = sample_scene(seed)
-        task = sample_task(scene, seed)
+        task = sample_task(scene, seed)[0]
         target = scene.object_by_id(task.target_id)
         paths.append(
             plan_with_margin(

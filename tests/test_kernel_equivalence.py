@@ -295,7 +295,7 @@ GOLDEN_PLANS = {
 
 def plan_task(scene_seed: int, task_seed: int):
     scene = sample_scene(scene_seed)
-    task = sample_task(scene, task_seed)
+    task = sample_task(scene, task_seed)[0]
     target = scene.object_by_id(task.target_id)
     return plan(
         scene, task.start, task.goal_pose, task.robot_radius, target.box.center,

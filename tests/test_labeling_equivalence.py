@@ -110,7 +110,7 @@ def planned_paths():
     paths = []
     for seed in (11, 12, 13):
         scene = sample_scene(seed)
-        task = sample_task(scene, seed)
+        task = sample_task(scene, seed)[0]
         target = scene.object_by_id(task.target_id)
         paths.append(
             plan_with_margin(
@@ -168,7 +168,7 @@ def test_repeated_calls_in_shuffled_order(planned_paths):
 def test_record_columns_hold_each_step_asdict():
     for seed in (21, 22):
         scene = sample_scene(seed)
-        task = sample_task(scene, seed)
+        task = sample_task(scene, seed)[0]
         record = generate_episode(scene, task, seed=seed)
         columns = record_to_dict(record)["keyframes"]
         bins = np.frombuffer(base64.b64decode(columns["bins"]), "i1").reshape(-1, 3)
@@ -411,7 +411,7 @@ class ReferenceExpert(Expert):
 def test_record_bytes_match_the_reference_labeller():
     for seed in (41, 42, 43):
         scene = sample_scene(seed)
-        task = sample_task(scene, seed)
+        task = sample_task(scene, seed)[0]
         got = record_to_dict(generate_episode(scene, task, seed=seed))
         want = record_to_dict(generate_episode(scene, task, expert=ReferenceExpert(), seed=seed))
         assert got["keyframes"]["count"] > 5

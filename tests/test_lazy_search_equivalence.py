@@ -129,7 +129,7 @@ def _free_pose(rng, scene, radius):
 def test_golden_plans(searches):
     for scene_seed, task_seed in sorted(GOLDEN_PLANS):
         scene = sample_scene(scene_seed)
-        task = sample_task(scene, task_seed)
+        task = sample_task(scene, task_seed)[0]
         target = scene.object_by_id(task.target_id).box.center
         got = searches.assert_equal(
             scene, task.start, task.goal_pose, task.robot_radius, target, CostWeights(), seed=task_seed
@@ -159,7 +159,7 @@ def test_both_margin_radii(searches):
     budget = PlannerBudget(1, 16)
     for seed in range(12):
         scene = sample_scene(100 + seed)
-        task = sample_task(scene, seed)
+        task = sample_task(scene, seed)[0]
         target = scene.object_by_id(task.target_id).box.center
         for radius in (task.robot_radius + 0.1, task.robot_radius):
             searches.assert_equal(scene, task.start, task.goal_pose, radius, target, CostWeights(), budget, seed)

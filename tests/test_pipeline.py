@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from amr_navkit.codec import decode_trajectory
+from amr_navkit.config import RunConfig
 from amr_navkit.errors import NoPathFound, SamplingExhausted, SchemaMismatch
 from amr_navkit.geometry import Pose2
 from amr_navkit.pipeline import (
@@ -53,14 +54,14 @@ def single_box_scene() -> Scene:
 @pytest.fixture(scope="module")
 def sampled_tasks():
     scene = sample_scene(40)
-    tasks = [sample_task(scene, seed) for seed in range(12)]
+    tasks = [sample_task(scene, seed)[0] for seed in range(12)]
     return scene, tasks
 
 
 @pytest.fixture(scope="module")
 def one_episode():
     scene = sample_scene(41)
-    task = sample_task(scene, 3)
+    task = sample_task(scene, 3)[0]
     record = generate_episode(scene, task, seed=3)
     return scene, task, record
 
@@ -99,7 +100,7 @@ def test_parallel_map_starts_at_most_one_process_per_job(monkeypatch, workers, j
 class TestSampleTask:
     def test_single_box_ffr(self):
         scene = single_box_scene()
-        task = sample_task(scene, 1, TaskParams(p_ffr=1.0))
+        task = sample_task(scene, 1, TaskParams(p_ffr=1.0))[0]
         assert task.ffr is True
         assert task.target_id == 0
         assert task.reference_view == task.start
@@ -135,8 +136,17 @@ class TestSampleTask:
 
     def test_determinism(self):
         scene = sample_scene(42)
-        t1, t2 = sample_task(scene, 9), sample_task(scene, 9)
+        t1, t2 = sample_task(scene, 9)[0], sample_task(scene, 9)[0]
         assert t1 == t2
+
+    def test_returns_the_route_that_admitted_the_task(self, sampled_tasks):
+        scene, tasks = sampled_tasks
+        task, route = sample_task(scene, 5)
+        assert task == tasks[5]
+        assert route.start == task.start
+        end = Pose2(*route.states[-1])
+        assert math.hypot(end.x - task.goal_pose.x, end.y - task.goal_pose.y) <= 1e-9
+        assert not sweep_collision_check(scene, task.start, Pose2(*route.states[1]), task.robot_radius)
 
     def test_no_targets_exhausts(self):
         scene = Scene(
@@ -154,11 +164,33 @@ class TestGenerateEpisode:
         # straight 1.2 m approach: >= 6 translation keyframes plus rotations
         scene = single_box_scene()
         start = Pose2(-1.0, 1.0, 0.0)
-        task = sample_task(scene, 2)
+        task = sample_task(scene, 2)[0]
         record = generate_episode(scene, task, seed=2)
         assert len(record.keyframes) >= 2
         final = record.keyframes[-1].pose
         assert math.hypot(final.x - task.goal_pose.x, final.y - task.goal_pose.y) <= 1e-9
+
+    def test_admitting_route_leaves_a_demo_its_own_rung_finds_unchanged(self, one_episode):
+        scene, task, record = one_episode
+        route = sample_task(scene, 3)[1]
+        assert record_to_dict(generate_episode(scene, task, seed=3, route=route)) == record_to_dict(record)
+
+    def test_admitting_route_writes_a_demo_its_own_rung_misses(self):
+        """gen-data task seed 2917000001000 (master seed 2917000, scene 1):
+        the probe admits the task, the demo's own 4x24 rung finds no path on
+        its seed, and a second rung seeded with the probe route's vertices
+        finds one."""
+        cfg = RunConfig()
+        expert, camera = cfg.expert(), cfg.camera.model()
+        scene = sample_scene(2917000001, cfg.scene_gen)
+        task, route = sample_task(scene, 2917000001000, cfg.task, expert, camera)
+        with pytest.raises(NoPathFound):
+            generate_episode(scene, task, expert, camera, 2917000001000, num_rays=8)
+        record = generate_episode(scene, task, expert, camera, 2917000001000, num_rays=8, route=route)
+        assert record.keyframes[0].pose == task.start
+        final = record.keyframes[-1].pose
+        assert math.hypot(final.x - task.goal_pose.x, final.y - task.goal_pose.y) <= 1e-9
+        assert audit_keyframe_gaps(record)
 
     def test_keyframe_gap_rule(self, one_episode):
         _, _, record = one_episode
@@ -201,7 +233,7 @@ def relabel(scene, task, state, seed):
 class TestRelabel:
     def test_at_start_matches_first_keyframe(self):
         scene = sample_scene(43)
-        task = sample_task(scene, 4)
+        task = sample_task(scene, 4)[0]
         record = generate_episode(scene, task, seed=11)
         state = RobotState(task.start, task.robot_radius)
         steps = relabel(scene, task, state, seed=11)
@@ -209,7 +241,7 @@ class TestRelabel:
 
     def test_at_goal_gives_zero_steps(self):
         scene = single_box_scene()
-        task = sample_task(scene, 2)
+        task = sample_task(scene, 2)[0]
         state = RobotState(task.goal_pose, task.robot_radius)
         steps = relabel(scene, task, state, seed=0)
         world = decode_trajectory(steps, task.goal_pose, use_residual=True)
@@ -219,7 +251,7 @@ class TestRelabel:
 
     def test_perturbed_state_recovers_collision_free(self):
         scene = sample_scene(44)
-        task = sample_task(scene, 6)
+        task = sample_task(scene, 6)[0]
         rng = np.random.default_rng(0)
         found = 0
         while found < 5:

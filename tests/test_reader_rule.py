@@ -40,7 +40,7 @@ from amr_navkit.scene import Scene, raycast_lidar, sample_scene
 @pytest.fixture(scope="module")
 def episode():
     scene = sample_scene(41)
-    task = sample_task(scene, 3)
+    task = sample_task(scene, 3)[0]
     return scene, task, generate_episode(scene, task, seed=3, num_rays=8)
 
 
