@@ -316,22 +316,19 @@ WARM_BATCHES = 1
 
 @dataclass
 class OraclePolicy:
-    """Expert policy: labels a path that starts at the current state on every query.
+    """Expert policy: labels a path from the current state on every query.
 
-    ``path`` is the last path the policy labelled: the route that admitted
-    the task (``sample_task``'s) when it is built, else ``None``. A query
-    from the pose that ``path`` starts at labels it again and plans
-    nothing; so does an episode's first query, given the admitting route.
-    Any other query replans from the current state, walking
-    ``Expert.plan``'s ladder over these rungs: once there is a ``path``, a
-    warm rung of ``WARM_BATCHES`` batches seeded with its vertices
-    (``route_vertices``; none for a route with one translation); then three
-    cold rungs at 1x, 3x and 8x the budget, each with its own seed. Every
-    rung plans at the inflated radius, then at the true radius. Every
-    successful plan replaces ``path``, so a policy serves one episode. The
-    horizon always goes through the codec; ``use_residual=False`` drops the
-    residuals, so the decoded trajectory snaps to bin centers and exposes
-    the raw quantization error.
+    ``path`` is the last path labelled, at first the one that admitted the
+    task (``sample_task``'s), if given. A query from the pose ``path``
+    starts at (an episode's first) labels it and plans nothing; any other
+    walks ``Expert.plan``'s ladder over these rungs: once there is a
+    ``path``, a warm rung of ``WARM_BATCHES`` batches seeded with its
+    ``route_vertices``; then three cold rungs at 1x, 3x and 8x the budget,
+    each with its own seed. Every rung plans at the inflated radius, then
+    at the true radius. Every successful plan replaces ``path``, so a
+    policy serves one episode. The horizon always goes through the codec;
+    ``use_residual=False`` drops the residuals, so the decoded trajectory
+    snaps to bin centers and exposes the raw quantization error.
     """
 
     scene: Scene

@@ -1,7 +1,7 @@
 """Outputs still match ``tools/digests.txt``: the scenes, eval and gen-data
 digests of round 0 (master seed 0) and the eval digest of round 1 are
 rerun, a few seconds in all. Round 1 is the suite round whose oracle most
-often falls back to the true radius on a warm attempt (16 of the suite's 34
+often falls back to the true radius on a warm attempt (21 of the suite's 45
 warm attempts at the true radius).
 
 A change that means to change outputs rewrites the file with
